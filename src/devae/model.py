@@ -13,12 +13,18 @@ Checkpoint layout (little-endian):
 
 Topology order is: encoder trunk layers, mu head, covariance head (when
 present), decoder layers; weight before bias within each layer.
+
+A model keeps all its parameters in one contiguous float64 vector,
+``DeVae.flat``, in that same order; every weight and bias ``.data`` is a view
+into it. The parameter block of a checkpoint is therefore ``flat``'s bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import BinaryIO
 
@@ -98,11 +104,30 @@ class ModelConfig:
         )
 
 
-def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int, activation: str) -> DenseLayer:
-    bound = math.sqrt(6.0 / in_dim)
-    weight = Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)), requires_grad=True)
-    bias = Tensor(np.zeros(out_dim), requires_grad=True)
-    return DenseLayer(weight=weight, bias=bias, activation=activation)
+def _layer_specs(config: ModelConfig) -> list[tuple[int, int, str]]:
+    """(out_dim, in_dim, activation) of every dense layer, in topology order."""
+    q = config.latent_dim
+    specs = []
+    prev = config.input_dim
+    for width in config.encoder_widths:
+        specs.append((width, prev, "relu"))
+        prev = width
+    specs.append((q, prev, "identity"))
+    n_var = head_param_count(config.head, q)
+    if n_var:
+        specs.append((n_var, prev, "identity"))
+    prev = q
+    for width in config.decoder_widths:
+        specs.append((width, prev, "relu"))
+        prev = width
+    final_act = "sigmoid" if config.recon_kind == "bce" else "identity"
+    specs.append((config.input_dim, prev, final_act))
+    return specs
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Number of float64 parameters a model with this config holds."""
+    return sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in _layer_specs(config))
 
 
 class DeVae:
@@ -111,24 +136,26 @@ class DeVae:
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        q = config.latent_dim
+        self.flat = np.empty(parameter_count(config))
+        layers: list[DenseLayer] = []
+        offset = 0
+        for out_dim, in_dim, activation in _layer_specs(config):
+            weight = self.flat[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim)
+            offset += out_dim * in_dim
+            bias = self.flat[offset : offset + out_dim]
+            offset += out_dim
+            bound = math.sqrt(6.0 / in_dim)
+            weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+            bias[...] = 0.0
+            # Tensor keeps a contiguous float64 array as is, so .data stays a view.
+            layers.append(DenseLayer(Tensor(weight, requires_grad=True),
+                                     Tensor(bias, requires_grad=True), activation))
 
-        self.trunk: list[DenseLayer] = []
-        prev = config.input_dim
-        for width in config.encoder_widths:
-            self.trunk.append(_init_layer(rng, width, prev, "relu"))
-            prev = width
-        self.mu_head = _init_layer(rng, q, prev, "identity")
-        n_var = head_param_count(config.head, q)
-        self.var_head = _init_layer(rng, n_var, prev, "identity") if n_var else None
-
-        self.decoder: list[DenseLayer] = []
-        prev = q
-        for width in config.decoder_widths:
-            self.decoder.append(_init_layer(rng, width, prev, "relu"))
-            prev = width
-        final_act = "sigmoid" if config.recon_kind == "bce" else "identity"
-        self.decoder.append(_init_layer(rng, config.input_dim, prev, final_act))
+        n_trunk = len(config.encoder_widths)
+        self.trunk: list[DenseLayer] = layers[:n_trunk]
+        self.mu_head = layers[n_trunk]
+        self.var_head = layers[n_trunk + 1] if head_param_count(config.head, config.latent_dim) else None
+        self.decoder: list[DenseLayer] = layers[len(layers) - len(config.decoder_widths) - 1 :]
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -148,17 +175,13 @@ class DeVae:
         for p in self.parameters():
             p.zero_grad()
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore(self, snapshot: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(params) != len(snapshot):
-            raise ContractError("snapshot does not match parameter list")
-        for p, arr in zip(params, snapshot):
-            if p.data.shape != arr.shape:
-                raise DimensionError.mismatch("restore", p.data.shape, arr.shape)
-            p.data[...] = arr
+    def restore(self, snapshot: np.ndarray) -> None:
+        if snapshot.shape != self.flat.shape:
+            raise DimensionError.mismatch("restore", self.flat.shape, snapshot.shape)
+        self.flat[...] = snapshot
 
     # -- forward passes ---------------------------------------------------------
 
@@ -237,8 +260,7 @@ def save_checkpoint(model: DeVae, path) -> None:
         fh.write(bytes([VERSION]))
         fh.write(len(config_blob).to_bytes(4, "little"))
         fh.write(config_blob)
-        for p in model.parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
@@ -263,10 +285,17 @@ def load_checkpoint(path) -> DeVae:
             config = ModelConfig.from_dict(json.loads(config_blob.decode("utf-8")))
         except (ValueError, KeyError) as exc:
             raise CheckpointError(f"invalid config block: {exc}") from exc
+        # Check the declared size against the file before allocating it.
+        n_bytes = 8 * parameter_count(config)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > left:
+            raise CheckpointTruncatedError(f"parameter block: expected {n_bytes} bytes, got {left}")
         model = DeVae(config)
-        for p in model.parameters():
-            blob = _read_exact(fh, p.data.size * 8, "parameter tensor")
-            p.data[...] = np.frombuffer(blob, dtype="<f8").reshape(p.data.shape)
+        got = fh.readinto(model.flat)
+        if got != n_bytes:
+            raise CheckpointTruncatedError(f"parameter block: expected {n_bytes} bytes, got {got}")
+        if sys.byteorder == "big":  # the file is little-endian
+            model.flat.byteswap(inplace=True)
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after final parameter tensor")

@@ -10,6 +10,11 @@ factors from raw head outputs.
 A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
 and can move freely between threads.
+
+Gradient arrays are never written in place: ``backward()`` stores the first
+gradient a tensor receives as is and adds later ones out of place, so one
+array may be shared by several tensors' ``.grad``. Callers must treat
+``.grad`` as read-only.
 """
 
 from __future__ import annotations
@@ -80,9 +85,7 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def _accumulate(self, grad: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
         """Populate ``grad`` on every tensor reachable from this scalar.
@@ -121,10 +124,8 @@ class Tensor:
             for parent, pgrad in node._backward(grad):
                 if not parent.requires_grad:
                     continue
-                if id(parent) in incoming:
-                    incoming[id(parent)] += pgrad
-                else:
-                    incoming[id(parent)] = pgrad
+                prev = incoming.get(id(parent))
+                incoming[id(parent)] = pgrad if prev is None else prev + pgrad
 
     # -- operator sugar --------------------------------------------------
 

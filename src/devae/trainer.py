@@ -47,38 +47,78 @@ class TrainSettings:
             raise ContractError("seed must be non-negative")
 
 
+# Elements per block of the in-place Adam update: one block of each operand
+# and the two scratch vectors stay in cache across the update's passes.
+ADAM_BLOCK = 32768
+
+
 class Adam:
-    """Bias-corrected Adam with the usual defaults (b1=0.9, b2=0.999, eps=1e-8)."""
+    """Bias-corrected Adam with the usual defaults (b1=0.9, b2=0.999, eps=1e-8).
+
+    The moments ``m`` and ``v`` are flat vectors; parameter ``i`` owns
+    ``[offsets[i], offsets[i + 1])`` of each. Parameters are updated in place,
+    so their ``.data`` must be C-contiguous.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        if not all(p.data.flags.c_contiguous for p in self.params):
+            raise ContractError("adam needs C-contiguous parameter arrays")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m = np.zeros(self.offsets[-1])
+        self.v = np.zeros(self.offsets[-1])
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
-    def step(self) -> None:
-        """Apply one update in place; gradients must be populated and finite."""
-        self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+    def _gradients(self) -> list[np.ndarray]:
+        """Every parameter's gradient, flattened, once all have been checked."""
+        grads = []
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
-                raise ContractError("adam step without a computed gradient")
+                raise ContractError(f"adam step without a computed gradient for parameter {i}")
             if g.shape != p.data.shape:
                 raise DimensionError.mismatch("adam gradient vs parameter", g.shape, p.data.shape)
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError("non-finite gradient encountered")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # A sum is finite whenever every element is; only when it is not
+            # (overflow can make it so) decide element by element.
+            if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient in parameter {i} of shape {g.shape}")
+            grads.append(g.reshape(-1))
+        return grads
+
+    def step(self) -> None:
+        """Apply one update in place, or none at all when any gradient is bad.
+
+        Each element goes through ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*(g*g)`` and ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``
+        in that order, in blocks of ``ADAM_BLOCK`` elements.
+        """
+        grads = self._gradients()
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        s1, s2 = self._scratch
+        for p, g, lo, hi in zip(self.params, grads, self.offsets, self.offsets[1:]):
+            flat = p.data.reshape(-1)
+            for j in range(0, hi - lo, ADAM_BLOCK):
+                k = min(j + ADAM_BLOCK, hi - lo)
+                gb, pb = g[j:k], flat[j:k]
+                m, v = self.m[lo + j : lo + k], self.v[lo + j : lo + k]
+                a, b = s1[: k - j], s2[: k - j]
+                m *= b1
+                m += np.multiply(gb, 1.0 - b1, out=a)
+                v *= b2
+                v += np.multiply(np.multiply(gb, gb, out=a), 1.0 - b2, out=a)
+                np.sqrt(np.divide(v, c2, out=a), out=a)
+                a += self.eps
+                np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
+                pb -= np.divide(b, a, out=b)
 
 
 class EarlyStopping:

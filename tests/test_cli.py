@@ -165,6 +165,21 @@ class TestDeterminism:
         assert ckpt2.read_bytes() == pipeline["ckpt"].read_bytes()
 
 
+def test_checkpoint_declaring_huge_model_exits_two(tmp_path):
+    # The config declares ~4e12 bytes of parameters; the file has none.
+    config = {"input_dim": 10**9, "latent_dim": 2, "encoder_widths": [512, 128],
+              "decoder_widths": [128, 512], "head": "full", "recon_kind": "bce",
+              "lambda_proj": 20.0, "lambda_ent": 5.0, "seed": 0}
+    blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(b"DEVAE\x01" + len(blob).to_bytes(4, "little") + blob)
+    r = run_cli(["project", "--model", ckpt, "--data", tmp_path / "absent.csv",
+                 "--out", tmp_path / "coords.csv"])
+    assert r.returncode == 2, r.stderr
+    assert "parameter block" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.fixture(scope="module")
 def idx_files(tmp_path_factory):
     import numpy as np

@@ -1,5 +1,7 @@
 """Model assembly, forward passes, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from devae.errors import (
 )
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
+from devae.trainer import Adam
 
 
 class TestEncodeDecode:
@@ -132,7 +135,44 @@ class TestInitialization:
             ModelConfig(input_dim=4, weights=LossWeights(1.0, 1.0), recon_kind="mae")
 
 
+class TestParameterArena:
+    def test_parameters_are_consecutive_views_of_one_vector(self):
+        model = DeVae(tiny_config())
+        model.flat[...] = np.arange(model.flat.size)
+        offset = 0
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.data.ravel(), np.arange(offset, offset + p.size))
+            offset += p.size
+        assert offset == model.flat.size
+
+    def test_restore_of_snapshot_after_adam_steps(self):
+        model = DeVae(tiny_config(seed=3))
+        before = [p.data.tobytes() for p in model.parameters()]
+        snap = model.snapshot()
+        adam = Adam(model.parameters(), lr=0.01)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            model.zero_grad()
+            x, y = rng.uniform(-1, 1, size=(4, 10)), rng.uniform(-1, 1, size=(4, 2))
+            forward_train(model, x, y, rng.standard_normal((4, 2))).total.backward()
+            adam.step()
+        assert [p.data.tobytes() for p in model.parameters()] != before
+        model.restore(snap)
+        assert [p.data.tobytes() for p in model.parameters()] == before
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("head", ["none", "isotropic", "diagonal", "full"])
+    def test_bytes_match_per_tensor_writer(self, tmp_path, head):
+        model = DeVae(tiny_config(head=head, recon_kind="bce", seed=4))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        config_blob = json.dumps(model.config.to_dict(), separators=(",", ":")).encode("utf-8")
+        expected = b"DEVAE" + bytes([1]) + len(config_blob).to_bytes(4, "little") + config_blob
+        for p in model.parameters():
+            expected += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+        assert path.read_bytes() == expected
+
     def test_roundtrip_is_bit_exact(self, tmp_path):
         model = DeVae(tiny_config(head="diagonal", seed=9))
         path = tmp_path / "m.ckpt"

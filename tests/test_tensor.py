@@ -56,6 +56,15 @@ class TestBackward:
         loss.backward()
         np.testing.assert_array_equal(w.grad, 2.0 * once)
 
+    def test_shared_gradient_memory_is_not_written_through(self):
+        # add's backward hands one array to both operands; accumulating a's
+        # two contributions must not change what b received.
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([1.0], requires_grad=True)
+        T.add(T.add(a, b), a).backward()
+        np.testing.assert_array_equal(a.grad, [2.0])
+        np.testing.assert_array_equal(b.grad, [1.0])
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):

@@ -11,7 +11,7 @@ from devae.evaluation import evaluate
 from devae.losses import LossWeights
 from devae.model import DeVae
 from devae.tensor import Tensor
-from devae.trainer import Adam, EarlyStopping, TrainSettings, run_matrix, split_dataset, train
+from devae.trainer import ADAM_BLOCK, Adam, EarlyStopping, TrainSettings, run_matrix, split_dataset, train
 
 
 class TestAdam:
@@ -51,6 +51,57 @@ class TestAdam:
         p.grad = np.array([float("nan")])
         with pytest.raises(DivergenceError):
             Adam([p]).step()
+
+    def test_bad_later_gradient_changes_nothing(self):
+        first = Tensor([1.0, 2.0], requires_grad=True)
+        second = Tensor(np.ones((2, 3)), requires_grad=True)
+        opt = Adam([first, second])
+        first.grad, second.grad = np.array([0.5, -0.5]), np.ones((2, 3))
+        opt.step()
+        state = (first.data.copy(), second.data.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        second.grad = np.ones((2, 3))
+        second.grad[1, 2] = np.nan
+        with pytest.raises(DivergenceError, match=r"parameter 1 of shape \(2, 3\)"):
+            opt.step()
+        np.testing.assert_array_equal(first.data, state[0])
+        np.testing.assert_array_equal(second.data, state[1])
+        np.testing.assert_array_equal(opt.m, state[2])
+        np.testing.assert_array_equal(opt.v, state[3])
+        assert opt.t == state[4]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum and g*g overflow
+    def test_finite_gradient_with_overflowing_sum_is_accepted(self):
+        p = Tensor([0.0, 0.0], requires_grad=True)
+        p.grad = np.array([1e308, 1e308])
+        Adam([p]).step()
+        assert np.all(np.isfinite(p.data))
+
+    def test_bit_identical_to_per_parameter_expression(self):
+        # The textbook update, one whole-array expression per parameter, is
+        # the oracle; shapes cover one element, exactly one block, and
+        # several blocks with a ragged tail.
+        shapes = [(1,), (ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 77), (5, 4)]
+        rng = np.random.default_rng(0)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr)
+        for t in range(1, 21):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                ref[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.tobytes()
+        assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
 
 class TestSplit:
