@@ -19,7 +19,7 @@ from .gaussian import (
 )
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
-from .tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense
+from .tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense, no_grad
 from .trainer import Adam, EarlyStopping, TrainReport, TrainSettings, run_matrix, split_dataset, train
 from .viz import grid_inverse_sheet, latent_plot_svg
 
@@ -56,6 +56,7 @@ __all__ = [
     "latent_plot_svg",
     "load_checkpoint",
     "make_blobs",
+    "no_grad",
     "pca_project",
     "proj_loss",
     "read_csv_vectors",

@@ -237,7 +237,7 @@ def _cmd_eval(args) -> int:
 def _cmd_project(args) -> int:
     model = load_checkpoint(args.model)
     X, _ = _load_matrix(args.data)
-    latent = model.encode(X)
+    latent = model.encode_rows(X)
     head = model.config.head
     cols = ["id", "mu_x", "mu_y"]
     extras: list[np.ndarray] = []
@@ -281,12 +281,12 @@ def _cmd_latent_plot(args) -> int:
     idx = bundle.indices(args.split)
     if idx.size == 0:
         raise DataError(f"split {args.split!r} is empty")
-    latent = model.encode(bundle.X[idx])
+    latent = model.encode_rows(bundle.X, idx)
     mu = latent.mu.data
     labels = bundle.labels[idx] if bundle.labels is not None else None
     ellipses = None
     if model.config.head != "none" and labels is not None:
-        ellipses = class_ellipses(model, bundle.X[idx], labels)
+        ellipses = class_ellipses(latent, labels)
     latent_plot_svg(mu, labels, ellipses, args.out)
     return 0
 

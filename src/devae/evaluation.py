@@ -14,25 +14,54 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ContractError, DataError
-from .gaussian import EllipseSpec, ellipse_from_cov
+from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, total_loss
-from .model import DeVae, forward_train
+from .model import INFER_CHUNK, DeVae, forward_train
+from .tensor import no_grad
 
 
 def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test",
-             chunk_size: int = 4096) -> LossBreakdown:
+             chunk_size: int = INFER_CHUNK) -> LossBreakdown:
     """Mean per-sample loss components over one split, deterministic."""
     idx = bundle.indices(split)
     if idx.size == 0:
         raise DataError(f"split {split!r} is empty")
     sums = np.zeros(3)
-    for start in range(0, idx.size, chunk_size):
-        rows = idx[start : start + chunk_size]
-        result = forward_train(model, bundle.X[rows], bundle.Y[rows], eps=None)
-        b = result.breakdown
-        sums += np.array([b.recon, b.proj, b.ent]) * rows.size
+    with no_grad():
+        for start in range(0, idx.size, chunk_size):
+            rows = idx[start : start + chunk_size]
+            result = forward_train(model, bundle.X[rows], bundle.Y[rows], eps=None)
+            b = result.breakdown
+            sums += np.array([b.recon, b.proj, b.ent]) * rows.size
     means = sums / idx.size
     return total_loss(means[0], means[1], means[2], model.config.weights)
+
+
+# Elements of one [rows, n] block of a class's distance matrix; each
+# temporary of distance_sums stays at 2 MB whatever the class size.
+MEDOID_BLOCK = 1 << 18
+
+
+def distance_sums(points: np.ndarray) -> np.ndarray:
+    """Each point's summed Euclidean distance to all points, a row block at a time.
+
+    Bit-identical to the one-shot
+    ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2)).sum(axis=1)``: squared
+    coordinate differences are added in the same order and every row sum
+    reduces the same n values, but no n x n x dim temporary is built.
+    """
+    n = points.shape[0]
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
+    rows = max(1, MEDOID_BLOCK // n)
+    sums = np.empty(n)
+    for start in range(0, n, rows):
+        block = None
+        for col in cols:
+            d = col[start : start + rows, None] - col[None, :]
+            d *= d
+            block = d if block is None else np.add(block, d, out=block)
+        sums[start : start + rows] = np.sqrt(block, out=block).sum(axis=1)
+    return sums
 
 
 def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, int]:
@@ -47,9 +76,7 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
         member_idx = np.flatnonzero(labels == label)
         if member_idx.size == 0:
             raise DataError(f"class {label} is empty")
-        members = points[member_idx]
-        diff = members[:, None, :] - members[None, :, :]
-        dist_sums = np.sqrt((diff * diff).sum(axis=2)).sum(axis=1)
+        dist_sums = distance_sums(points[member_idx])
         out[int(label)] = int(member_idx[int(np.argmin(dist_sums))])
     return out
 
@@ -61,33 +88,36 @@ def class_medoid(points: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray
 
 
 def class_ellipses(
-    model: DeVae,
-    X: np.ndarray,
+    latent: GaussianLatent,
     labels: np.ndarray,
     k_list: tuple[int, ...] = (1, 2, 3),
     average_cov: bool = False,
 ) -> dict[int, list[EllipseSpec]]:
     """Per-class uncertainty ellipses around the medoids of the encoded means.
 
-    The ellipse covariance is the one the encoder predicts for the medoid
-    sample; set ``average_cov`` to use the mean class covariance instead.
+    ``latent`` is the encoding of the labelled rows, for example
+    ``model.encode_rows(X)``. The ellipse covariance is the one the encoder
+    predicts for the medoid sample; set ``average_cov`` to use the mean class
+    covariance instead.
     """
-    if model.config.head == "none":
+    if latent.head == "none":
         raise ContractError('head "none" carries no covariance to draw')
     if labels is None:
         raise ContractError("class ellipses need labels")
-    latent = model.encode(X)
     mu = latent.mu.data
     medoids = class_medoid_indices(mu, labels)
     out: dict[int, list[EllipseSpec]] = {}
     for label, medoid_idx in medoids.items():
+        det = None
         if average_cov:
             member_idx = np.flatnonzero(np.asarray(labels) == label)
             cov = np.mean([latent.covariance_matrix(int(i)) for i in member_idx], axis=0)
         else:
             cov = latent.covariance_matrix(medoid_idx)
+            if latent.head == "full":
+                det = float(np.prod(np.diag(latent.chol_matrix(medoid_idx)))) ** 2
         center = mu[medoid_idx]
-        out[label] = [ellipse_from_cov(center, cov, k) for k in k_list]
+        out[label] = [ellipse_from_cov(center, cov, k, det) for k in k_list]
     return out
 
 

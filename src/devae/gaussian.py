@@ -258,12 +258,18 @@ class EllipseSpec:
         return xy @ rot.T + np.asarray(self.center)
 
 
-def ellipse_from_cov(center, cov, k: int) -> EllipseSpec:
+def ellipse_from_cov(center, cov, k: int, det: float | None = None) -> EllipseSpec:
     """Ellipse of the set {p : (p-center)^T Sigma^-1 (p-center) = k^2}.
 
     Semi-axes are k times the square roots of Sigma's eigenvalues; rotation
     is the angle of the dominant eigenvector, folded into (-pi/2, pi/2] with
     ties broken toward 0.
+
+    ``det`` is Sigma's determinant when the caller knows it more accurately
+    than ``cov`` does; a full head reads it off its Cholesky diagonal,
+    (L00 L11)^2. The minor eigenvalue is then det / lambda1, which stays
+    positive for a near-singular Sigma where (tr - sqrt(disc)) / 2 cancels
+    to zero or below.
     """
     c = np.asarray(cov, dtype=np.float64)
     if c.shape != (2, 2):
@@ -273,11 +279,10 @@ def ellipse_from_cov(center, cov, k: int) -> EllipseSpec:
     if abs(b - b2) > 1e-9 * scale:
         raise GeometryError(f"covariance is not symmetric: {c.tolist()}")
     tr = a + d
-    det = a * d - b * b
-    disc = max(tr * tr - 4.0 * det, 0.0)
+    disc = max(tr * tr - 4.0 * (a * d - b * b), 0.0)
     root = math.sqrt(disc)
     lam1 = 0.5 * (tr + root)
-    lam2 = 0.5 * (tr - root)
+    lam2 = 0.5 * (tr - root) if det is None else det / lam1
     if lam2 <= 0.0:
         raise GeometryError(f"covariance is not positive definite: {c.tolist()}")
     if abs(b) <= 1e-12 * scale:

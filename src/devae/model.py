@@ -40,10 +40,14 @@ from .errors import (
 )
 from .gaussian import HEADS, GaussianLatent, head_param_count
 from .losses import LossBreakdown, LossWeights, combine_total, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
-from .tensor import DenseLayer, Tensor
+from .tensor import DenseLayer, Tensor, no_grad
 
 MAGIC = b"DEVAE"
 VERSION = 1
+
+# Rows per forward call when a whole dataset or split is run for inference;
+# the widest activation of one chunk (4096 x 512 float64) is 16 MB.
+INFER_CHUNK = 4096
 
 RECON_KINDS = ("mse", "bce")
 
@@ -202,6 +206,27 @@ class DeVae:
         if head == "full":
             return GaussianLatent("full", mu, chol_raw=params)
         return GaussianLatent(head, mu, log_var=params)
+
+    def encode_rows(self, X: np.ndarray, rows: np.ndarray | None = None) -> GaussianLatent:
+        """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None) without a tape.
+
+        Rows are gathered and encoded ``INFER_CHUNK`` at a time, so neither a
+        copy of the whole selection nor its activations are held at once.
+        """
+        n = X.shape[0] if rows is None else len(rows)
+        parts: list[GaussianLatent] = []
+        with no_grad():
+            for start in range(0, max(n, 1), INFER_CHUNK):  # no rows: one empty chunk
+                stop = start + INFER_CHUNK
+                parts.append(self.encode(X[start:stop] if rows is None else X[rows[start:stop]]))
+
+        def joined(block: str) -> Tensor | None:
+            if getattr(parts[0], block) is None:
+                return None
+            return Tensor(np.concatenate([getattr(p, block).data for p in parts]))
+
+        return GaussianLatent(self.config.head, joined("mu"),
+                              log_var=joined("log_var"), chol_raw=joined("chol_raw"))
 
     def decode(self, z) -> Tensor:
         z = z if isinstance(z, Tensor) else Tensor(z)

@@ -11,6 +11,12 @@ A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
 and can move freely between threads.
 
+Inside ``with no_grad():`` operations record no tape: outputs keep no
+parents and no closure, so each intermediate is freed as soon as the next
+operation has consumed it. Inference (evaluation, encoding a dataset,
+decoding a grid) runs this way. The flag is thread-local, so a no-grad
+block in one thread never drops the tape another thread is recording.
+
 Gradient arrays are never written in place: ``backward()`` stores the first
 gradient a tensor receives as is and adds later ones out of place, so one
 array may be shared by several tensors' ``.grad``. Callers must treat
@@ -19,8 +25,10 @@ array may be shared by several tensors' ``.grad``. Callers must treat
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,9 +164,27 @@ def _lift(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without recording a tape in this thread."""
+    was = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = was
+
+
 def _node(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward

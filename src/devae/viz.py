@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DataError
 from .gaussian import EllipseSpec
 from .model import DeVae
+from .tensor import no_grad
 
 # Okabe-Ito palette padded to ten entries; distinguishable under the
 # common color-vision deficiencies.
@@ -155,16 +156,18 @@ def grid_inverse_sheet(model: DeVae, coords: np.ndarray, grid_n: int, path) -> s
     points = grid_lattice(coords, grid_n)
     if s * s != d:
         lines = [",".join(["x", "y"] + [f"f{i}" for i in range(d)])]
-        for p in points:
-            flat = model.decode(p.reshape(1, 2)).data[0]
-            lines.append(",".join([repr(float(p[0])), repr(float(p[1]))] + [repr(float(v)) for v in flat]))
+        with no_grad():
+            for p in points:
+                flat = model.decode(p.reshape(1, 2)).data[0]
+                lines.append(",".join([repr(float(p[0])), repr(float(p[1]))] + [repr(float(v)) for v in flat]))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         return "csv"
     sheet = np.zeros((grid_n * s, grid_n * s), dtype=np.uint8)
-    for r in range(grid_n):
-        for col in range(grid_n):
-            tile = decode_to_bytes(model, points[r * grid_n + col]).reshape(s, s)
-            sheet[r * s : (r + 1) * s, col * s : (col + 1) * s] = tile
+    with no_grad():
+        for r in range(grid_n):
+            for col in range(grid_n):
+                tile = decode_to_bytes(model, points[r * grid_n + col]).reshape(s, s)
+                sheet[r * s : (r + 1) * s, col * s : (col + 1) * s] = tile
     write_pgm(path, sheet)
     return "pgm"

@@ -74,6 +74,24 @@ class TestPipelineSmoke:
         assert r.returncode == 0, r.stderr  # d=10 falls back to CSV
         assert "not a perfect square" in r.stderr
 
+    def test_latent_plot_encodes_each_chunk_once(self, pipeline, tmp_path, monkeypatch):
+        import devae.model
+        from devae.cli import main
+
+        encode, rows = devae.model.DeVae.encode, []
+
+        def counting(model, x):
+            rows.append(x.shape[0])
+            return encode(model, x)
+
+        monkeypatch.setattr(devae.model, "INFER_CHUNK", 16)
+        monkeypatch.setattr(devae.model.DeVae, "encode", counting)
+        svg = tmp_path / "plot.svg"
+        assert main(["latent-plot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                     "--proj", str(pipeline["proj"]), "--split", "all", "--out", str(svg)]) == 0
+        assert rows == [16] * 5  # the 80 rows once, no second encode for the ellipses
+        assert svg.read_text().count("<ellipse") == 9
+
     def test_matrix_json(self, pipeline):
         r = run_cli(["matrix", "--data", pipeline["data"], "--proj", pipeline["proj"],
                      "--runs", 1, "--heads", "none,full", "--lambda-proj", 5,

@@ -9,14 +9,17 @@ from conftest import tiny_config
 from devae.data import DatasetBundle
 from devae.errors import ContractError, DataError
 from devae.evaluation import (
+    MEDOID_BLOCK,
     MetricsRow,
     class_ellipses,
     class_medoid,
     class_medoid_indices,
+    distance_sums,
     evaluate,
     format_metrics_table,
     metrics_to_json,
 )
+from devae.gaussian import GaussianLatent
 from devae.losses import LossWeights, proj_loss, recon_mse
 from devae.model import DeVae, ModelConfig
 from devae.tensor import Tensor
@@ -129,22 +132,54 @@ class TestClassMedoid:
             assert got[int(label)] == member_idx[int(np.argmin(sums))]
 
 
+def _one_shot_sums(pts: np.ndarray) -> np.ndarray:
+    """The one-shot n x n x dim formula the row blocks replace."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2)).sum(axis=1)
+
+
+class TestDistanceSums:
+    # One block, exactly one block (n * n == MEDOID_BLOCK), and several
+    # blocks whose last one is ragged; 2-D latents plus one 3-D case.
+    @pytest.mark.parametrize("n, dim", [(1, 2), (37, 2), (512, 2), (1500, 2), (700, 3)])
+    def test_bit_identical_to_one_shot_formula(self, n, dim):
+        pts = np.random.default_rng(n).normal(scale=3.0, size=(n, dim))
+        np.testing.assert_array_equal(distance_sums(pts), _one_shot_sums(pts))
+
+    def test_block_sizes_cover_the_cases(self):
+        assert 512 * 512 == MEDOID_BLOCK
+        rows = MEDOID_BLOCK // 1500
+        assert 1500 > 2 * rows and 1500 % rows != 0
+
+    def test_exact_tie_across_blocks_goes_to_lowest_index(self):
+        # A centrally symmetric cloud has its medoid at the centre; the
+        # centre appears first and again as the last point, in another block.
+        half = np.random.default_rng(8).uniform(-4, 4, size=(749, 2))
+        pts = np.concatenate([[[0.0, 0.0]], half, -half, [[0.0, 0.0]]])
+        assert pts.shape[0] - 1 >= MEDOID_BLOCK // pts.shape[0]
+        sums = distance_sums(pts)
+        np.testing.assert_array_equal(sums, _one_shot_sums(pts))
+        assert sums[0] == sums[-1] == sums.min()
+        labels = np.full(pts.shape[0], 4)
+        assert class_medoid_indices(pts, labels) == {4: 0}
+
+
 class TestClassEllipses:
     def test_isotropic_head_gives_circles(self, bundle):
         model, _ = _quick_train(bundle, "isotropic")
-        for specs in class_ellipses(model, bundle.X, bundle.labels).values():
+        for specs in class_ellipses(model.encode_rows(bundle.X), bundle.labels).values():
             for spec in specs:
                 assert spec.semi_axes[0] == pytest.approx(spec.semi_axes[1], abs=1e-9)
 
     def test_diagonal_head_axis_aligned(self, bundle):
         model, _ = _quick_train(bundle, "diagonal")
-        for specs in class_ellipses(model, bundle.X, bundle.labels).values():
+        for specs in class_ellipses(model.encode_rows(bundle.X), bundle.labels).values():
             for spec in specs:
                 assert spec.rotation in (0.0, math.pi / 2)
 
     def test_full_head_valid_specs_and_nesting(self, bundle, trained):
         model, _ = trained
-        ellipses = class_ellipses(model, bundle.X, bundle.labels)
+        ellipses = class_ellipses(model.encode_rows(bundle.X), bundle.labels)
         assert sorted(ellipses) == [0, 1, 2]
         for specs in ellipses.values():
             assert [s.k for s in specs] == [1, 2, 3]
@@ -159,12 +194,26 @@ class TestClassEllipses:
     def test_none_head_unsupported(self, bundle):
         model = DeVae(tiny_config(head="none"))
         with pytest.raises(ContractError):
-            class_ellipses(model, bundle.X, bundle.labels)
+            class_ellipses(model.encode_rows(bundle.X), bundle.labels)
+
+    def test_full_head_near_singular_covariance(self):
+        # L L^T with L00 = 1e-14 is positive definite, but (tr - sqrt(disc)) / 2
+        # cancels to 0 for it; the minor axis comes from the Cholesky diagonal.
+        L = np.array([[1e-14, 0.0], [0.5, 0.3]])
+        chol_raw = np.array([[L[1, 0], math.log(L[0, 0]), math.log(L[1, 1])]])
+        latent = GaussianLatent("full", Tensor([[1.0, -2.0]]), chol_raw=Tensor(chol_raw))
+        (specs,) = class_ellipses(latent, np.array([3])).values()
+        # Semi-axes are k times L's singular values, whose product is det L.
+        major = np.linalg.svd(L, compute_uv=False)[0]
+        for spec in specs:
+            a, b = spec.semi_axes
+            assert a == pytest.approx(spec.k * major, rel=1e-12)
+            assert a * b == pytest.approx(spec.k**2 * L[0, 0] * L[1, 1], rel=1e-12)
 
     def test_average_cov_flag(self, bundle, trained):
         model, _ = trained
-        default = class_ellipses(model, bundle.X, bundle.labels)
-        averaged = class_ellipses(model, bundle.X, bundle.labels, average_cov=True)
+        default = class_ellipses(model.encode_rows(bundle.X), bundle.labels)
+        averaged = class_ellipses(model.encode_rows(bundle.X), bundle.labels, average_cov=True)
         assert default.keys() == averaged.keys()
         assert any(
             default[c][0].semi_axes != averaged[c][0].semi_axes for c in default

@@ -1,11 +1,15 @@
 """Tensor engine: forward ops, the tape, and the finite-difference oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import devae.tensor as T
+from conftest import blob_bundle, tiny_config
 from devae.errors import ContractError, DimensionError
-from devae.tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense, gradient_check
+from devae.model import DeVae, forward_train
+from devae.tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense, gradient_check, no_grad
 
 
 class TestForwardDense:
@@ -190,3 +194,84 @@ class TestDeterminism:
         assert np.isfinite(out.data).all()
         out.backward()
         assert a.grad.shape == a.data.shape
+
+
+def _records(t: Tensor) -> bool:
+    return t.requires_grad and t._backward is not None and len(t._parents) > 0
+
+
+def _taped_op() -> Tensor:
+    return T.mul(Tensor([1.0, 2.0], requires_grad=True), 3.0)
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("op_name", OP_NAMES)
+    def test_outputs_untaped_and_bit_identical(self, op_name):
+        (build,) = [b for name, b, _ in _op_cases(np.random.default_rng(3)) if name == op_name]
+        taped = build()
+        assert _records(taped)
+        with no_grad():
+            bare = build()
+        assert bare._parents == () and bare._backward is None and not bare.requires_grad
+        np.testing.assert_array_equal(bare.data, taped.data)
+
+    def test_model_forward_untaped_and_bit_identical(self):
+        bundle = blob_bundle(n=40)
+        model = DeVae(tiny_config())
+        eps = np.random.default_rng(4).standard_normal((40, 2))
+        taped = forward_train(model, bundle.X, bundle.Y, eps)
+        with no_grad():
+            bare = forward_train(model, bundle.X, bundle.Y, eps)
+        for t in (bare.total, bare.x_hat, bare.latent.mu, bare.latent.chol_raw):
+            assert t._parents == () and t._backward is None
+        np.testing.assert_array_equal(bare.x_hat.data, taped.x_hat.data)
+        np.testing.assert_array_equal(bare.total.data, taped.total.data)
+        assert bare.breakdown == taped.breakdown
+
+    def test_flag_restored_when_nested_and_after_exception(self):
+        with no_grad():
+            with no_grad():
+                assert not _records(_taped_op())
+            assert not _records(_taped_op())
+        assert _records(_taped_op())
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert _records(_taped_op())
+
+    def test_other_thread_keeps_recording(self):
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                seen["worker"] = _records(_taped_op())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10)
+            seen["main"] = _records(_taped_op())
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"main": True, "worker": False}
+
+    def test_training_gradients_unchanged_after_no_grad_block(self):
+        bundle = blob_bundle(n=40)
+        model = DeVae(tiny_config())
+        eps = np.random.default_rng(6).standard_normal((40, 2))
+
+        def grads():
+            model.zero_grad()
+            forward_train(model, bundle.X, bundle.Y, eps).total.backward()
+            return [p.grad.copy() for p in model.parameters()]
+
+        before = grads()
+        with no_grad():
+            forward_train(model, bundle.X, bundle.Y, eps)
+        for a, b in zip(before, grads()):
+            np.testing.assert_array_equal(a, b)
