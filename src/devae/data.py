@@ -315,7 +315,8 @@ def pca_project(X: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> np
     if n < 3 or d < 2:
         raise DataError(f"pca needs n >= 3 and d >= 2, got {n}x{d}")
     Xc = X - X.mean(axis=0)
-    if not np.any(np.abs(Xc) > 1e-12):
+    # Two comparisons instead of np.abs(Xc): no temporary the size of X.
+    if not (np.any(Xc > 1e-12) or np.any(Xc < -1e-12)):
         raise DataError("degenerate data: zero variance in every dimension")
     C = (Xc.T @ Xc) / (n - 1)
     rng = np.random.default_rng(0)
