@@ -87,6 +87,20 @@ def class_medoid(points: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray
     return {label: points[i].copy() for label, i in class_medoid_indices(points, labels).items()}
 
 
+def _mean_full_covariance(L: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean of L_i L_i^T over a stack of Cholesky factors, and its determinant.
+
+    With A the factors' transposes stacked into an [n q, q] array, the mean
+    is A^T A / n, and A = QR gives its determinant as prod(diag R)^2 / n^q.
+    That stays positive for near-singular members, where the eigenvalues of
+    the averaged entries cancel.
+    """
+    n, q = L.shape[0], L.shape[1]
+    Lt = L.transpose(0, 2, 1)
+    R = np.linalg.qr(Lt.reshape(n * q, q), mode="r")
+    return (L @ Lt).mean(axis=0), float(np.prod(np.diag(R))) ** 2 / n**q
+
+
 def class_ellipses(
     latent: GaussianLatent,
     labels: np.ndarray,
@@ -111,7 +125,10 @@ def class_ellipses(
         det = None
         if average_cov:
             member_idx = np.flatnonzero(np.asarray(labels) == label)
-            cov = np.mean([latent.covariance_matrix(int(i)) for i in member_idx], axis=0)
+            if latent.head == "full":
+                cov, det = _mean_full_covariance(latent.chol_matrices(member_idx))
+            else:
+                cov = np.mean([latent.covariance_matrix(int(i)) for i in member_idx], axis=0)
         else:
             cov = latent.covariance_matrix(medoid_idx)
             if latent.head == "full":

@@ -201,18 +201,21 @@ class GaussianLatent:
 
     # -- numpy-side materialization -----------------------------------------
 
+    def chol_matrices(self, rows) -> np.ndarray:
+        """Lower-triangular L of each sample in ``rows``, [len(rows), q, q] (full head only)."""
+        q = self.q
+        nl = _tri_lower_count(q)
+        raw = self.chol_raw.data[rows]
+        L = np.zeros((raw.shape[0], q, q))
+        r, c = np.tril_indices(q, -1)  # row-major, the order chol_raw stores them
+        L[:, r, c] = raw[:, :nl]
+        d = np.arange(q)
+        L[:, d, d] = np.exp(raw[:, nl:])
+        return L
+
     def chol_matrix(self, i: int) -> np.ndarray:
         """Lower-triangular L for sample i (full head only)."""
-        q = self.q
-        raw = self.chol_raw.data[i]
-        L = np.zeros((q, q))
-        at = 0
-        for r in range(1, q):
-            for c in range(r):
-                L[r, c] = raw[at]
-                at += 1
-        L[np.diag_indices(q)] = np.exp(raw[_tri_lower_count(q):])
-        return L
+        return self.chol_matrices([i])[0]
 
     def covariance_matrix(self, i: int = 0) -> np.ndarray:
         """Materialized covariance of sample i; symmetric positive definite."""

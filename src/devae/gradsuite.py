@@ -55,6 +55,8 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
         ("matmul", lambda: T.tsum(T.square(T.matmul(m1, m2))), [m1, m2]),
         ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
+        ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
+        ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
         ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
         ("log", lambda: T.tsum(T.log(pos)), [pos]),
         ("relu", lambda: T.tsum(T.mul(T.relu(a), probe)), [a]),

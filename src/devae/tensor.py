@@ -7,6 +7,13 @@ The op set is intentionally small: dense layers, the elementwise functions
 the losses need, and two structural column ops used to assemble Cholesky
 factors from raw head outputs.
 
+A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
+and the activation (identity, relu, or a one-exp sigmoid) run in place on
+the matmul output, a cache-sized row block at a time, and the node keeps
+only that output. Its backward reads both activation derivatives off the
+output (relu' is out > 0, sigmoid' is out (1 - out)), so no pre-activation
+buffer is kept.
+
 A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
 and can move freely between threads.
@@ -248,14 +255,50 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Fused dense pre-activation: ``x @ weight.T + bias``."""
+# Elements of one row block of a dense layer's epilogue (256 KB), so the
+# bias add and every pass of the activation find the block in cache.
+EPILOGUE_BLOCK = 1 << 15
+
+
+def _epilogue(data: Array, bias: Array, act: str) -> None:
+    """``data = act(data + bias)`` in place, one row block at a time."""
+    rows = max(1, EPILOGUE_BLOCK // max(data.shape[1], 1))
+    for start in range(0, data.shape[0], rows):
+        block = data[start : start + rows]
+        block += bias
+        if act == "relu":
+            np.maximum(block, 0.0, out=block)
+        elif act == "sigmoid":
+            _sigmoid_(block)
+
+
+def _act_grad(g: Array, out: Array, act: str) -> Array:
+    """Gradient through ``act`` read off its output: out > 0 exactly where pre > 0."""
+    if act == "relu":
+        return g * (out > 0.0)
+    if act == "sigmoid":
+        return g * out * (1.0 - out)
+    return g
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") -> Tensor:
+    """Fused dense layer ``act(x @ weight.T + bias)``, one tape node.
+
+    The bias add and the activation run in place on the product; the node
+    keeps only its output, which is all its backward needs.
+    """
+    if act not in ACTIVATIONS:
+        raise ContractError(f"unknown activation {act!r}")
     x, weight, bias = _lift(x), _lift(weight), _lift(bias)
     if x.data.ndim != 2 or x.shape[1] != weight.shape[1]:
-        raise DimensionError.mismatch("linear input vs weight", x.shape, weight.shape)
-    data = x.data @ weight.data.T + bias.data
+        raise DimensionError.mismatch("dense input vs weight", x.shape, weight.shape)
+    if bias.shape != weight.shape[:1]:
+        raise DimensionError.mismatch("dense weight vs bias", weight.shape, bias.shape)
+    data = x.data @ weight.data.T
+    _epilogue(data, bias.data, act)
 
     def backward(g):
+        g = _act_grad(g, data, act)
         pairs = []
         if x.requires_grad:
             pairs.append((x, g @ weight.data))
@@ -296,7 +339,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        return ((a, g * (a.data > 0.0)),)
+        return ((a, _act_grad(g, data, "relu")),)
 
     return _node(data, (a,), backward)
 
@@ -305,20 +348,31 @@ _SIGMOID_LO = np.finfo(np.float64).tiny
 _SIGMOID_HI = 1.0 - 2.0**-53  # largest double strictly below 1
 
 
+def _sigmoid_(z: Array) -> Array:
+    """Logistic function of ``z``, in place, with one exp per element.
+
+    With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
+    1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
+    e * neg + ~neg is exactly 1 or e. Saturated values are pinned to the
+    nearest doubles inside (0, 1), so downstream logs stay finite and the
+    open-interval output contract holds. NaN stays NaN.
+    """
+    neg = z < 0.0
+    np.copysign(z, -1.0, out=z)
+    np.exp(z, out=z)
+    denom = z + 1.0
+    z *= neg
+    z += ~neg
+    z /= denom
+    return np.clip(z, _SIGMOID_LO, _SIGMOID_HI, out=z)
+
+
 def sigmoid(a) -> Tensor:
     a = _lift(a)
-    # Split by sign so neither exp() overflows; pin saturated values to the
-    # nearest representable numbers inside (0, 1) so downstream logs stay
-    # finite and the open-interval output contract holds.
-    data = np.where(
-        a.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(a.data, 0.0, None))),
-        np.exp(np.clip(a.data, None, 0.0)) / (1.0 + np.exp(np.clip(a.data, None, 0.0))),
-    )
-    data = np.clip(data, _SIGMOID_LO, _SIGMOID_HI)
+    data = _sigmoid_(a.data.copy())
 
     def backward(g):
-        return ((a, g * data * (1.0 - data)),)
+        return ((a, _act_grad(g, data, "sigmoid")),)
 
     return _node(data, (a,), backward)
 
@@ -437,16 +491,8 @@ class DenseLayer:
 
 
 def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
-    """activation(x @ weight.T + bias) for a [batch, in] input."""
-    x = _lift(x)
-    if x.data.ndim != 2 or x.shape[1] != layer.in_dim:
-        raise DimensionError.mismatch("dense input vs weight", x.shape, layer.weight.shape)
-    pre = linear(x, layer.weight, layer.bias)
-    if layer.activation == "relu":
-        return relu(pre)
-    if layer.activation == "sigmoid":
-        return sigmoid(pre)
-    return pre
+    """activation(x @ weight.T + bias) for a [batch, in] input, one tape node."""
+    return linear(x, layer.weight, layer.bias, act=layer.activation)
 
 
 # -- finite differences -------------------------------------------------------

@@ -108,11 +108,7 @@ def grid_lattice(coords: np.ndarray, grid_n: int) -> np.ndarray:
     ymin, ymax = float(c[:, 1].min()), float(c[:, 1].max())
     xs = np.linspace(xmin, xmax, grid_n)
     ys = np.linspace(ymin, ymax, grid_n)[::-1]
-    points = np.empty((grid_n * grid_n, 2))
-    for r in range(grid_n):
-        for col in range(grid_n):
-            points[r * grid_n + col] = (xs[col], ys[r])
-    return points
+    return np.column_stack([np.tile(xs, grid_n), np.repeat(ys, grid_n)])
 
 
 def decode_to_bytes(model: DeVae, point: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Split metrics, medoids, and per-class ellipse summaries."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
 from devae.data import DatasetBundle
-from devae.errors import ContractError, DataError
+from devae.errors import ContractError, DataError, GeometryError
 from devae.evaluation import (
     MEDOID_BLOCK,
     MetricsRow,
@@ -19,7 +20,7 @@ from devae.evaluation import (
     format_metrics_table,
     metrics_to_json,
 )
-from devae.gaussian import GaussianLatent
+from devae.gaussian import GaussianLatent, ellipse_from_cov
 from devae.losses import LossWeights, proj_loss, recon_mse
 from devae.model import DeVae, ModelConfig
 from devae.tensor import Tensor
@@ -209,6 +210,34 @@ class TestClassEllipses:
             a, b = spec.semi_axes
             assert a == pytest.approx(spec.k * major, rel=1e-12)
             assert a * b == pytest.approx(spec.k**2 * L[0, 0] * L[1, 1], rel=1e-12)
+
+    def test_average_cov_near_singular_members(self):
+        # Class 0 averages to roughly [[5e-20, -2.6e-11], [-2.6e-11, 0.43]], the
+        # shape seen on a trained full head: positive definite, but the minor
+        # eigenvalue of the averaged entries cancels to 0. Class 1 is ordinary.
+        l10 = np.array([-0.11, -0.09, -0.12, 0.4, 0.1])
+        l00 = np.array([2e-10, 3e-10, 1.5e-10, 0.5, 0.8])
+        l11 = np.array([0.65, 0.6, 0.7, 0.3, 0.6])
+        chol_raw = np.column_stack([l10, np.log(l00), np.log(l11)])
+        mu = np.arange(10.0).reshape(5, 2)
+        labels = np.array([0, 0, 0, 1, 1])
+        latent = GaussianLatent("full", Tensor(mu), chol_raw=Tensor(chol_raw))
+        ellipses = class_ellipses(latent, labels, average_cov=True)
+        for label, members in ((0, [0, 1, 2]), (1, [3, 4])):
+            L = [np.array([[np.exp(chol_raw[i, 1]), 0.0], [l10[i], np.exp(chol_raw[i, 2])]])
+                 for i in members]
+            cov = np.mean([m @ m.T for m in L], axis=0)
+            exact = [[sum(Fraction(m[r, 0]) * Fraction(m[c, 0]) + Fraction(m[r, 1]) * Fraction(m[c, 1])
+                          for m in L) / len(L) for c in range(2)] for r in range(2)]
+            det = float(exact[0][0] * exact[1][1] - exact[0][1] * exact[1][0])
+            major = math.sqrt(np.linalg.eigvalsh(cov)[-1])
+            for spec in ellipses[label]:
+                a, b = spec.semi_axes
+                assert a == pytest.approx(spec.k * major, rel=1e-12)
+                assert a * b == pytest.approx(spec.k**2 * math.sqrt(det), rel=1e-9)
+            if label == 0:
+                with pytest.raises(GeometryError):
+                    ellipse_from_cov(mu[0], cov, 1)
 
     def test_average_cov_flag(self, bundle, trained):
         model, _ = trained

@@ -39,6 +39,89 @@ class TestForwardDense:
             DenseLayer(Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), "tanh")
 
 
+def _three_exp_sigmoid(z):
+    """The sigmoid as first written: both branches evaluated, three exps."""
+    data = np.where(
+        z >= 0,
+        1.0 / (1.0 + np.exp(-np.clip(z, 0.0, None))),
+        np.exp(np.clip(z, None, 0.0)) / (1.0 + np.exp(np.clip(z, None, 0.0))),
+    )
+    return np.clip(data, T._SIGMOID_LO, T._SIGMOID_HI)
+
+
+_TINY = np.finfo(np.float64).tiny
+SIGMOID_GRID = np.array([
+    745.0, -745.0, 36.7, -36.7, 0.0, -0.0, np.inf, -np.inf,
+    5e-324, -5e-324, _TINY, -_TINY, 709.0, -709.0, 37.0, -37.0, 1.0, -1.0,
+])
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [0.0, 6.0, 40.0])
+    def test_bit_identical_to_three_exp_formula(self, scale):
+        rng = np.random.default_rng(int(scale))
+        z = SIGMOID_GRID if scale == 0.0 else rng.normal(0.0, scale, size=(64, 784))
+        got = T.sigmoid(Tensor(z)).data
+        assert got.tobytes() == _three_exp_sigmoid(z).tobytes()
+
+    def test_nan_stays_nan(self):
+        out = T.sigmoid(Tensor([np.nan, 0.0])).data
+        assert np.isnan(out[0]) and out[1] == 0.5
+
+    def test_input_not_modified(self):
+        z = np.random.default_rng(1).normal(0.0, 6.0, size=(5, 7))
+        a = Tensor(z.copy(), requires_grad=True)
+        T.tsum(T.sigmoid(a)).backward()
+        assert a.data.tobytes() == z.tobytes()
+
+
+class TestFusedLinear:
+    @pytest.mark.parametrize("act, unfused", [("relu", T.relu), ("sigmoid", T.sigmoid)])
+    def test_values_and_gradients_match_composed_ops_bit_for_bit(self, act, unfused):
+        # 70 rows of width 784 span two epilogue blocks, the second ragged.
+        rng = np.random.default_rng(12)
+        xv = rng.normal(0.0, 3.0, size=(70, 50))
+        wv = rng.normal(0.0, 1.0, size=(784, 50))
+        bv = rng.normal(0.0, 1.0, size=784)
+        xv[0], bv[:5] = 0.0, 0.0  # exact zero pre-activations
+        probe = Tensor(rng.uniform(-1.0, 1.0, size=(70, 784)))
+
+        def run(fused):
+            x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, bv))
+            out = T.linear(x, w, b, act=act) if fused else unfused(T.linear(x, w, b))
+            T.tsum(T.mul(out, probe)).backward()
+            return out.data, x.grad, w.grad, b.grad
+
+        for fused, composed in zip(run(True), run(False)):
+            assert fused.tobytes() == composed.tobytes()
+
+    def test_act_is_keyword_only_and_checked(self):
+        x, w, b = Tensor(np.ones((1, 2))), Tensor(np.ones((3, 2))), Tensor(np.zeros(3))
+        with pytest.raises(TypeError):
+            T.linear(x, w, b, "relu")
+        with pytest.raises(ContractError):
+            T.linear(x, w, b, act="tanh")
+        with pytest.raises(DimensionError):
+            T.linear(x, w, Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("head, recon_kind", [("full", "bce"), ("none", "mse")])
+    def test_model_forward_records_one_node_per_dense_layer(self, monkeypatch, head, recon_kind):
+        model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
+        nodes = []
+        record = T._node
+
+        def counting_node(*args):
+            nodes.append(record(*args))
+            return nodes[-1]
+
+        monkeypatch.setattr(T, "_node", counting_node)
+        latent = model.encode(Tensor(np.random.default_rng(2).uniform(0, 1, size=(6, 10))))
+        x_hat = model.decode(latent.mu)
+        assert len(nodes) == len(model._layers())
+        assert all(n._backward is not None for n in nodes)
+        assert x_hat._parents[1:] == (model.decoder[-1].weight, model.decoder[-1].bias)
+
+
 class TestBackward:
     def test_linear_derivative(self):
         w = Tensor([2.0], requires_grad=True)
@@ -139,6 +222,8 @@ def _op_cases(rng):
         ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
         ("matmul", lambda: T.tsum(T.square(T.matmul(m1, m2))), [m1, m2]),
         ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
+        ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
+        ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
         ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
         ("log", lambda: T.tsum(T.log(pos)), [pos]),
         ("relu", lambda: T.tsum(T.mul(T.relu(a), probe)), [a]),
@@ -164,7 +249,7 @@ OP_NAMES = [case[0] for case in _op_cases(np.random.default_rng(0))]
 def test_op_gradients_match_finite_differences(op_name):
     """Analytic vs central-difference gradients, randomized trials per op.
 
-    16 ops x 8 trials = 128 randomized checks across the suite.
+    18 ops x 8 trials = 144 randomized checks across the suite.
     """
     for trial in range(8):
         rng = np.random.default_rng(hash((op_name, trial)) % (2**32))

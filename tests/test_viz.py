@@ -104,6 +104,19 @@ class TestGridLattice:
         with pytest.raises(DataError):
             grid_lattice(np.zeros((3, 2)), 1)
 
+    @pytest.mark.parametrize("grid_n", [2, 5, 16])
+    def test_bytes_match_row_by_row_loop(self, grid_n):
+        coords = np.random.default_rng(grid_n).uniform(-3, 7, size=(20, 2))
+        xs = np.linspace(coords[:, 0].min(), coords[:, 0].max(), grid_n)
+        ys = np.linspace(coords[:, 1].min(), coords[:, 1].max(), grid_n)[::-1]
+        loop = np.empty((grid_n * grid_n, 2))
+        for r in range(grid_n):
+            for col in range(grid_n):
+                loop[r * grid_n + col] = (xs[col], ys[r])
+        points = grid_lattice(coords, grid_n)
+        assert points.dtype == loop.dtype and points.shape == loop.shape
+        assert points.tobytes() == loop.tobytes()
+
 
 def _square_model(seed=0) -> DeVae:
     return DeVae(
