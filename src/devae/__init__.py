@@ -19,7 +19,7 @@ from .gaussian import (
 )
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
-from .tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense, no_grad
+from .tensor import DenseLayer, Tensor, finite_diff_grad, no_grad
 from .trainer import Adam, EarlyStopping, TrainReport, TrainSettings, run_matrix, split_dataset, train
 from .viz import grid_inverse_sheet, latent_plot_svg
 
@@ -50,7 +50,6 @@ __all__ = [
     "entropy_isotropic",
     "evaluate",
     "finite_diff_grad",
-    "forward_dense",
     "forward_train",
     "grid_inverse_sheet",
     "latent_plot_svg",

@@ -213,16 +213,19 @@ def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
         if len(cells) != len(header):
             raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {len(header)}")
         idx_f = _parse_float(cells[0], line_no)
-        idx = int(idx_f)
-        if idx != idx_f or idx < 0 or idx >= n:
+        if not (idx_f.is_integer() and 0 <= idx_f < n):
             raise ParseError(f"id {cells[0]!r} at line {line_no} not in 0..{n - 1}")
+        idx = int(idx_f)
         if seen[idx]:
             raise ParseError(f"duplicate id {idx} at line {line_no}")
         seen[idx] = True
         Y[idx, 0] = _parse_float(cells[1], line_no)
         Y[idx, 1] = _parse_float(cells[2], line_no)
         if labels is not None:
-            labels[idx] = int(_parse_float(cells[label_at], line_no))
+            label = _parse_float(cells[label_at], line_no)
+            if not (label.is_integer() and -(2.0**63) <= label < 2.0**63):
+                raise ParseError(f"label {cells[label_at]!r} at line {line_no} is not an integer")
+            labels[idx] = int(label)
     if not np.all(seen):
         missing = int(np.flatnonzero(~seen)[0])
         raise ParseError(f"missing id {missing}: ids must cover 0..{n - 1} exactly once")

@@ -128,7 +128,7 @@ def class_ellipses(
             if latent.head == "full":
                 cov, det = _mean_full_covariance(latent.chol_matrices(member_idx))
             else:
-                cov = np.mean([latent.covariance_matrix(int(i)) for i in member_idx], axis=0)
+                cov = latent.covariance_matrices(member_idx).mean(axis=0)
         else:
             cov = latent.covariance_matrix(medoid_idx)
             if latent.head == "full":

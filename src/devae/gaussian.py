@@ -179,25 +179,12 @@ class GaussianLatent:
             raise ContractError(
                 f"eps must be [batch, q] = {(self.batch, self.q)}, got {eps.shape}"
             )
-        if self.head == "isotropic":
-            sigma = T.exp(0.5 * self.log_var)  # [batch, 1] broadcasts over q
-            return T.add(self.mu, T.mul(sigma, eps))
-        if self.head == "diagonal":
-            sigma = T.exp(0.5 * self.log_var)
-            return T.add(self.mu, T.mul(sigma, eps))
-        # full: z_i = mu_i + sum_{j<i} L_ij eps_j + L_ii eps_i
-        q = self.q
-        diag = self.chol_diag()
-        cols: list[Tensor] = []
-        lower_at = 0
-        for i in range(q):
-            acc = T.mul(T.slice_cols(diag, i, i + 1), T.slice_cols(eps, i, i + 1))
-            for j in range(i):
-                lij = T.slice_cols(self.chol_raw, lower_at, lower_at + 1)
-                acc = T.add(acc, T.mul(lij, T.slice_cols(eps, j, j + 1)))
-                lower_at += 1
-            cols.append(acc)
-        return T.add(self.mu, T.concat_cols(cols))
+        if self.head == "full":
+            diag = self.chol_diag()
+            strict = T.slice_cols(self.chol_raw, 0, _tri_lower_count(self.q))
+            return T.add(self.mu, T.tril_matvec(strict, diag, eps))
+        sigma = T.exp(0.5 * self.log_var)  # isotropic: [batch, 1] broadcasts over q
+        return T.add(self.mu, T.mul(sigma, eps))
 
     # -- numpy-side materialization -----------------------------------------
 
@@ -217,17 +204,24 @@ class GaussianLatent:
         """Lower-triangular L for sample i (full head only)."""
         return self.chol_matrices([i])[0]
 
-    def covariance_matrix(self, i: int = 0) -> np.ndarray:
-        """Materialized covariance of sample i; symmetric positive definite."""
+    def covariance_matrices(self, rows) -> np.ndarray:
+        """Covariance of each sample in ``rows``, [len(rows), q, q]; symmetric positive definite."""
         if self.head == "none":
             raise ContractError('head "none" has no covariance')
-        q = self.q
+        if self.head == "full":
+            L = self.chol_matrices(rows)
+            return L @ L.transpose(0, 2, 1)
+        var = np.exp(self.log_var.data[rows])
         if self.head == "isotropic":
-            return float(np.exp(self.log_var.data[i, 0])) * np.eye(q)
-        if self.head == "diagonal":
-            return np.diag(np.exp(self.log_var.data[i]))
-        L = self.chol_matrix(i)
-        return L @ L.T
+            return var[:, :, None] * np.eye(self.q)
+        cov = np.zeros((var.shape[0], self.q, self.q))
+        d = np.arange(self.q)
+        cov[:, d, d] = var
+        return cov
+
+    def covariance_matrix(self, i: int = 0) -> np.ndarray:
+        """Materialized covariance of sample i; symmetric positive definite."""
+        return self.covariance_matrices([i])[0]
 
 
 # -- ellipse geometry ---------------------------------------------------------

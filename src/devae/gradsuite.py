@@ -42,8 +42,7 @@ def _rand(rng, shape):
 def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     a = _rand(rng, (2, 3))
     b = _rand(rng, (2, 3))
-    m1 = _rand(rng, (2, 3))
-    m2 = _rand(rng, (3, 2))
+    strict = _rand(rng, (2, 3))
     w = _rand(rng, (4, 3))
     bias = _rand(rng, (4,))
     pos = Tensor(rng.uniform(0.1, 2.0, size=(2, 3)), requires_grad=True)
@@ -53,7 +52,6 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("add", lambda: T.tsum(T.mul(T.add(a, b), probe)), [a, b]),
         ("sub", lambda: T.tsum(T.mul(T.sub(a, b), probe)), [a, b]),
         ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
-        ("matmul", lambda: T.tsum(T.square(T.matmul(m1, m2))), [m1, m2]),
         ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
         ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
         ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
@@ -65,8 +63,8 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1, keepdims=True))), [a]),
         ("mean", lambda: T.square(T.tmean(a)), [a]),
         ("clamp", lambda: T.tsum(T.square(T.clamp(pos, 0.05, 3.0))), [pos]),
-        ("slice_concat", lambda: T.tsum(T.square(T.concat_cols(
-            [T.slice_cols(mix, 2, 4), T.slice_cols(mix, 0, 2)]))), [mix]),
+        ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
+        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, a, b), probe)), [strict, a, b]),
     ]
 
 

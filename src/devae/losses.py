@@ -37,6 +37,10 @@ class LossWeights:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ContractError(f"{name} must be finite and >= 0, got {v}")
 
+    def combine(self, recon, proj, ent):
+        """``recon + lambda_proj * proj + lambda_ent * ent``, for floats or graph tensors."""
+        return recon + self.lambda_proj * proj + self.lambda_ent * ent
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -109,11 +113,4 @@ def total_loss(recon: float, proj: float, ent: float, weights: LossWeights) -> L
     for name, value in (("recon", recon), ("proj", proj), ("ent", ent)):
         if not math.isfinite(value):
             raise DivergenceError(f"loss component {name!r} is non-finite: {value}")
-    total = recon + weights.lambda_proj * proj + weights.lambda_ent * ent
-    return LossBreakdown(recon=recon, proj=proj, ent=ent, total=total)
-
-
-def combine_total(recon: Tensor, proj: Tensor, ent: Tensor | float,
-                  weights: LossWeights) -> Tensor:
-    """Graph-side counterpart of total_loss, same term order."""
-    return recon + weights.lambda_proj * proj + weights.lambda_ent * ent
+    return LossBreakdown(recon=recon, proj=proj, ent=ent, total=weights.combine(recon, proj, ent))

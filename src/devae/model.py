@@ -39,7 +39,7 @@ from .errors import (
     DimensionError,
 )
 from .gaussian import HEADS, GaussianLatent, head_param_count
-from .losses import LossBreakdown, LossWeights, combine_total, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
+from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .tensor import DenseLayer, Tensor, no_grad
 
 MAGIC = b"DEVAE"
@@ -270,7 +270,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     ent = ent_loss(latent)
     weights = model.config.weights
     breakdown = total_loss(recon.item(), proj.item(), ent.item(), weights)
-    total = combine_total(recon, proj, ent, weights)
+    total = weights.combine(recon, proj, ent)
     return ForwardResult(breakdown=breakdown, x_hat=x_hat, latent=latent, total=total)
 
 

@@ -3,13 +3,16 @@
 Each operation builds a node of a dynamic tape: the output tensor keeps
 references to its parents and a closure that scatters the output gradient
 back onto them. ``backward()`` walks the tape in reverse topological order.
-The op set is intentionally small: dense layers, the elementwise functions
-the losses need, and two structural column ops used to assemble Cholesky
-factors from raw head outputs.
+The op set is what the model uses: the fused dense layer ``linear``,
+``add``/``sub``/``mul``, the elementwise ``exp``/``log``/``square``/``clamp``
+(plus standalone ``relu``/``sigmoid``), the reductions ``tsum``/``tmean``,
+``slice_cols`` to split a head's output into parameter blocks, and
+``tril_matvec``, which applies a batch of lower-triangular factors to a
+batch of vectors for the full-covariance sample.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
 and the activation (identity, relu, or a one-exp sigmoid) run in place on
-the matmul output, a cache-sized row block at a time, and the node keeps
+the product, a cache-sized row block at a time, and the node keeps
 only that output. Its backward reads both activation derivatives off the
 output (relu' is out > 0, sigmoid' is out (1 - out)), so no pre-activation
 buffer is kept.
@@ -24,10 +27,12 @@ operation has consumed it. Inference (evaluation, encoding a dataset,
 decoding a grid) runs this way. The flag is thread-local, so a no-grad
 block in one thread never drops the tape another thread is recording.
 
-Gradient arrays are never written in place: ``backward()`` stores the first
-gradient a tensor receives as is and adds later ones out of place, so one
-array may be shared by several tensors' ``.grad``. Callers must treat
-``.grad`` as read-only.
+``backward()`` stores ``.grad`` only on leaves: tensors that require a
+gradient but have no recorded backward (parameters and user inputs).
+Intermediates pass their gradient on and keep none. Gradient arrays are
+never written in place: a leaf keeps the first gradient it receives as is
+and adds later ones out of place, so one array may be shared by several
+tensors' ``.grad``. Callers must treat ``.grad`` as read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,9 +96,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -103,7 +105,7 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
-        """Populate ``grad`` on every tensor reachable from this scalar.
+        """Populate ``grad`` on every leaf reachable from this scalar.
 
         Repeated calls without ``zero_grad`` accumulate, so two passes give
         exactly twice the single-pass gradient.
@@ -132,9 +134,9 @@ class Tensor:
             grad = incoming.pop(id(node), None)
             if grad is None:
                 continue
-            if node.requires_grad:
-                node._accumulate(grad)
             if node._backward is None:
+                if node.requires_grad:
+                    node._accumulate(grad)
                 continue
             for parent, pgrad in node._backward(grad):
                 if not parent.requires_grad:
@@ -162,9 +164,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _lift(value) -> Tensor:
@@ -239,18 +238,6 @@ def mul(a, b) -> Tensor:
             (a, _unbroadcast(g * b.data, a.shape)),
             (b, _unbroadcast(g * a.data, b.shape)),
         )
-
-    return _node(data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError.mismatch("matmul", a.shape, b.shape)
-    data = a.data @ b.data
-
-    def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
 
     return _node(data, (a, b), backward)
 
@@ -425,7 +412,7 @@ def tmean(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-# -- structural column ops ---------------------------------------------------
+# -- structural ops ------------------------------------------------------------
 
 
 def slice_cols(a, j0: int, j1: int) -> Tensor:
@@ -443,20 +430,32 @@ def slice_cols(a, j0: int, j1: int) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [_lift(p) for p in parts]
-    widths = [p.shape[1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=1)
+def tril_matvec(strict, diag, v) -> Tensor:
+    """``L_n @ v[n]`` for each row n of a batch, one tape node.
+
+    The lower-triangular L_n has ``diag[n]`` on its diagonal and
+    ``strict[n]`` below it, in row-major order (``np.tril_indices(q, -1)``);
+    ``v`` and ``diag`` are [batch, q]. Entry i of a row is
+    ``diag_i v_i + L_i0 v_0 + ... + L_i,i-1 v_i-1``, summed in that order.
+    """
+    strict, diag, v = _lift(strict), _lift(diag), _lift(v)
+    n, q = v.shape if v.data.ndim == 2 else (-1, -1)
+    if q < 0 or diag.shape != v.shape or strict.shape != (n, q * (q - 1) // 2):
+        raise DimensionError(
+            f"tril_matvec: strict {strict.shape}, diag {diag.shape} and v {v.shape} do not agree"
+        )
+    rows, cols = np.tril_indices(q, -1)
+    all_rows = slice(None)
+    data = diag.data * v.data
+    np.add.at(data, (all_rows, rows), strict.data * v.data[:, cols])
 
     def backward(g):
-        grads = []
-        j = 0
-        for p, w in zip(parts, widths):
-            grads.append((p, g[:, j : j + w]))
-            j += w
-        return tuple(grads)
+        g_rows = g[:, rows]
+        gv = g * diag.data
+        np.add.at(gv, (all_rows, cols), g_rows * strict.data)
+        return ((strict, g_rows * v.data[:, cols]), (diag, g * v.data), (v, gv))
 
-    return _node(data, parts, backward)
+    return _node(data, (strict, diag, v), backward)
 
 
 # -- dense layer -----------------------------------------------------------
@@ -487,12 +486,8 @@ class DenseLayer:
         return self.weight.shape[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return forward_dense(self, x)
-
-
-def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
-    """activation(x @ weight.T + bias) for a [batch, in] input, one tape node."""
-    return linear(x, layer.weight, layer.bias, act=layer.activation)
+        """activation(x @ weight.T + bias) for a [batch, in] input, one tape node."""
+        return linear(x, self.weight, self.bias, act=self.activation)
 
 
 # -- finite differences -------------------------------------------------------

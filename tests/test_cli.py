@@ -143,6 +143,16 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "line 3" in r.stderr
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_projection_id_is_data_error(self, pipeline, tmp_path, cell):
+        proj = tmp_path / "proj.csv"
+        proj.write_text(pipeline["proj"].read_text().replace("\n0,", f"\n{cell},", 1))
+        r = run_cli(["train", "--data", pipeline["data"], "--proj", proj, "--head", "full",
+                     "--lambda-proj", 5, "--lambda-ent", 0.001, "--recon", "mse",
+                     "--out", tmp_path / "m.ckpt", *FAST_TRAIN])
+        assert r.returncode == 2, r.stderr
+        assert "line 2" in r.stderr and "Traceback" not in r.stderr
+
     def test_missing_file_is_data_error(self, tmp_path):
         r = run_cli(["pca", "--data", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
         assert r.returncode == 2

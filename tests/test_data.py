@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx
 from devae.data import (
@@ -137,6 +139,11 @@ class TestCsvVectors:
         np.testing.assert_array_equal(labels, labels2)
 
 
+NUMERIC_CELLS = ["nan", "NaN", "inf", "-inf", "+inf", "1e400", "-1e400", "1.5", "-0",
+                 "-0.0", "0", "1", "1.0", "1e0", "2", "9223372036854775807",
+                 "-9223372036854775808", "9.3e18", "1e-300"]
+
+
 class TestProjectionCsv:
     def test_ordered_by_id(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -168,6 +175,35 @@ class TestProjectionCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ParseError, match="id,x,y"):
             read_projection_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "0.5", "-1"])
+    def test_non_integer_id_reports_line(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,x,y\n{cell},1,2\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_projection_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e400", "1.5", "1e19"])
+    def test_non_integer_label_reports_line(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,x,y,label\n0,1,2,3\n1,1,2,{cell}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_projection_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        id_cell=st.sampled_from(NUMERIC_CELLS) | st.integers(-3, 5).map(str),
+        label_cell=st.sampled_from(NUMERIC_CELLS) | st.integers(-(2**64), 2**64).map(str),
+    )
+    def test_numeric_id_and_label_cells_parse_or_raise_parse_error(self, tmp_path_factory, id_cell, label_cell):
+        path = tmp_path_factory.mktemp("proj") / "p.csv"
+        path.write_text(f"id,x,y,label\n{id_cell},1,2,{label_cell}\n1,3,4,0\n")
+        try:
+            Y, labels = read_projection_csv(path)
+        except ParseError:
+            return
+        assert float(id_cell) == 0 and float(label_cell) == int(labels[0])
+        assert Y.shape == (2, 2) and labels.dtype == np.int64 and labels[1] == 0
 
 
 class TestMakeBlobs:

@@ -239,6 +239,27 @@ class TestClassEllipses:
                 with pytest.raises(GeometryError):
                     ellipse_from_cov(mu[0], cov, 1)
 
+    @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
+    def test_average_cov_bit_identical_to_per_member_mean(self, head):
+        rng = np.random.default_rng(14)
+        n = 300
+        width = 1 if head == "isotropic" else 2
+        log_var = rng.uniform(-3.0, 3.0, size=(n, width))
+        latent = GaussianLatent(head, Tensor(rng.standard_normal((n, 2))), log_var=Tensor(log_var))
+        labels = rng.integers(0, 4, size=n)
+
+        def member_cov(i):  # one covariance per Python call, as first written
+            if head == "isotropic":
+                return float(np.exp(log_var[i, 0])) * np.eye(2)
+            return np.diag(np.exp(log_var[i]))
+
+        ellipses = class_ellipses(latent, labels, average_cov=True)
+        medoids = class_medoid_indices(latent.mu.data, labels)
+        for label, specs in ellipses.items():
+            cov = np.mean([member_cov(i) for i in np.flatnonzero(labels == label)], axis=0)
+            want = [ellipse_from_cov(latent.mu.data[medoids[label]], cov, k) for k in (1, 2, 3)]
+            assert specs == want
+
     def test_average_cov_flag(self, bundle, trained):
         model, _ = trained
         default = class_ellipses(model.encode_rows(bundle.X), bundle.labels)

@@ -140,6 +140,32 @@ class TestSampling:
         z = lat.sample(Tensor([[1.0, 1.0]]))
         np.testing.assert_allclose(z.data, [[2.0, 2.0]], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    def test_full_sample_records_at_most_five_nodes(self, monkeypatch, q):
+        rng = np.random.default_rng(q)
+        mu = Tensor(rng.standard_normal((4, q)), requires_grad=True)
+        raw = Tensor(rng.uniform(-1, 1, size=(4, q * (q + 1) // 2)), requires_grad=True)
+        lat = GaussianLatent("full", mu, chol_raw=raw)
+        nodes = []
+        record = T._node
+
+        def counting_node(*args):
+            nodes.append(record(*args))
+            return nodes[-1]
+
+        monkeypatch.setattr(T, "_node", counting_node)
+        z = lat.sample(rng.standard_normal((4, q)))
+        assert len(nodes) <= 5 and nodes[-1] is z
+        T.tsum(z).backward()
+        assert mu.grad is not None and raw.grad is not None
+
+    def test_full_sample_is_mu_plus_l_eps(self):
+        rng = np.random.default_rng(12)
+        lat = random_latent("full", rng, q=4)
+        eps = rng.standard_normal((1, 4))
+        z = lat.sample(Tensor(eps)).data
+        np.testing.assert_allclose(z[0], lat.mu.data[0] + lat.chol_matrix(0) @ eps[0], rtol=1e-13)
+
     def test_isotropic_componentwise_affine(self):
         lat = GaussianLatent("isotropic", Tensor([[1.0, 1.0]]), log_var=Tensor([[math.log(9.0)]]))
         z = lat.sample(Tensor([[1.0, -1.0]]))
@@ -200,6 +226,25 @@ class TestCovarianceMatrix:
         lat = GaussianLatent("none", Tensor([[0.0, 0.0]]))
         with pytest.raises(ContractError):
             lat.covariance_matrix(0)
+        with pytest.raises(ContractError):
+            lat.covariance_matrices([0])
+
+    @pytest.mark.parametrize("head", ["isotropic", "diagonal", "full"])
+    def test_batch_matches_each_sample(self, head):
+        rng = np.random.default_rng(13)
+        parts = [random_latent(head, rng, q=3) for _ in range(6)]
+
+        def stacked(block):
+            blocks = [getattr(p, block) for p in parts]
+            return None if blocks[0] is None else Tensor(np.concatenate([b.data for b in blocks]))
+
+        lat = GaussianLatent(head, stacked("mu"), log_var=stacked("log_var"), chol_raw=stacked("chol_raw"))
+        rows = [4, 0, 4, 2]
+        covs = lat.covariance_matrices(rows)
+        assert covs.shape == (4, 3, 3)
+        for cov, i in zip(covs, rows):
+            np.testing.assert_array_equal(cov, parts[i].covariance_matrix(0))
+            np.testing.assert_array_equal(cov, cov.T)
 
     def test_exactly_one_param_block(self):
         mu = Tensor([[0.0, 0.0]])

@@ -11,14 +11,13 @@ from devae.gaussian import GaussianLatent
 from devae.losses import (
     BCE_EPS,
     LossWeights,
-    combine_total,
     ent_loss,
     proj_loss,
     recon_bce,
     recon_mse,
     total_loss,
 )
-from devae.model import DeVae
+from devae.model import DeVae, forward_train
 from devae.tensor import Tensor, gradient_check
 
 
@@ -165,9 +164,15 @@ class TestTotalLoss:
         recon = Tensor(rng.uniform(0, 5))
         proj = Tensor(rng.uniform(0, 5))
         ent = Tensor(rng.uniform(-5, 0))
-        graph = combine_total(recon, proj, ent, w).item()
+        graph = w.combine(recon, proj, ent).item()
         floats = total_loss(recon.item(), proj.item(), ent.item(), w).total
         assert graph == floats
+        x = rng.uniform(-1, 1, size=(6, 10))
+        y = rng.uniform(-1, 1, size=(6, 2))
+        eps = rng.standard_normal((6, 2))
+        for head in ("none", "isotropic", "diagonal", "full"):
+            result = forward_train(DeVae(tiny_config(head=head, weights=w)), x, y, eps)
+            assert result.total.item() == result.breakdown.total
 
     def test_weights_validated(self):
         with pytest.raises(Exception):
@@ -204,6 +209,6 @@ class TestLossGradients:
 
         def build():
             lat = GaussianLatent("diagonal", mu, log_var=lv)
-            return combine_total(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat), w)
+            return w.combine(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat))
 
         assert gradient_check(build, [x_hat, mu, lv]) < 1e-4

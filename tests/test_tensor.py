@@ -9,29 +9,29 @@ import devae.tensor as T
 from conftest import blob_bundle, tiny_config
 from devae.errors import ContractError, DimensionError
 from devae.model import DeVae, forward_train
-from devae.tensor import DenseLayer, Tensor, finite_diff_grad, forward_dense, gradient_check, no_grad
+from devae.tensor import DenseLayer, Tensor, finite_diff_grad, gradient_check, no_grad
 
 
 class TestForwardDense:
     def test_identity_layer(self):
         layer = DenseLayer(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0]), "identity")
-        out = forward_dense(layer, Tensor([[3.0, 4.0]]))
+        out = layer(Tensor([[3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_relu_clamps_negative_preactivation(self):
         layer = DenseLayer(Tensor([[2.0]]), Tensor([1.0]), "relu")
-        out = forward_dense(layer, Tensor([[-3.0]]))  # pre-activation -5
+        out = layer(Tensor([[-3.0]]))  # pre-activation -5
         np.testing.assert_array_equal(out.data, [[0.0]])
 
     def test_sigmoid_at_zero(self):
         layer = DenseLayer(Tensor([[1.0]]), Tensor([0.0]), "sigmoid")
-        out = forward_dense(layer, Tensor([[0.0]]))
+        out = layer(Tensor([[0.0]]))
         np.testing.assert_array_equal(out.data, [[0.5]])
 
     def test_shape_mismatch_names_both_shapes(self):
         layer = DenseLayer(Tensor(np.ones((4, 3))), Tensor(np.zeros(4)), "relu")
         with pytest.raises(DimensionError) as exc:
-            forward_dense(layer, Tensor(np.ones((2, 5))))
+            layer(Tensor(np.ones((2, 5))))
         assert "(2, 5)" in str(exc.value) and "(4, 3)" in str(exc.value)
 
     def test_unknown_activation_rejected(self):
@@ -122,6 +122,58 @@ class TestFusedLinear:
         assert x_hat._parents[1:] == (model.decoder[-1].weight, model.decoder[-1].bias)
 
 
+def _old_sample_chain(strict, diag, eps):
+    """L @ eps as the full-head sample used to build it: per-column slice/mul/add."""
+    q = eps.shape[1]
+    cols, lower_at = [], 0
+    for i in range(q):
+        acc = diag[:, i : i + 1] * eps[:, i : i + 1]
+        for j in range(i):
+            acc = acc + strict[:, lower_at : lower_at + 1] * eps[:, j : j + 1]
+            lower_at += 1
+        cols.append(acc)
+    return np.concatenate(cols, axis=1)
+
+
+def _tril_inputs(rng, q, batch=7):
+    return (
+        Tensor(rng.uniform(-2, 2, size=(batch, q * (q - 1) // 2)), requires_grad=True),
+        Tensor(rng.uniform(0.1, 2, size=(batch, q)), requires_grad=True),
+        Tensor(rng.standard_normal((batch, q)), requires_grad=True),
+    )
+
+
+class TestTrilMatvec:
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    def test_gradients_of_every_input_match_finite_differences(self, q):
+        rng = np.random.default_rng(q)
+        strict, diag, v = _tril_inputs(rng, q, batch=3)
+        probe = Tensor(rng.uniform(-1, 1, size=(3, q)))
+        err = gradient_check(lambda: T.tsum(T.mul(T.tril_matvec(strict, diag, v), probe)),
+                             [strict, diag, v])
+        assert err < 1e-6
+        assert all(t.grad is not None for t in (strict, diag, v))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    def test_values_match_the_slice_mul_add_chain(self, q):
+        strict, diag, v = _tril_inputs(np.random.default_rng(20 + q), q, batch=64)
+        got = T.tril_matvec(strict, diag, v).data
+        want = _old_sample_chain(strict.data, diag.data, v.data)
+        if q <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_shapes_checked(self):
+        strict, diag, v = _tril_inputs(np.random.default_rng(31), 3)
+        with pytest.raises(DimensionError):
+            T.tril_matvec(strict, diag, Tensor(np.zeros((7, 2))))
+        with pytest.raises(DimensionError):
+            T.tril_matvec(T.slice_cols(strict, 0, 2), diag, v)
+        with pytest.raises(DimensionError):
+            T.tril_matvec(strict, diag, Tensor(np.zeros(3)))
+
+
 class TestBackward:
     def test_linear_derivative(self):
         w = Tensor([2.0], requires_grad=True)
@@ -176,10 +228,59 @@ class TestBackward:
 
     def test_backward_reaches_all_parameters(self):
         rng = np.random.default_rng(4)
-        a = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
-        T.tsum(T.matmul(a, b)).backward()
-        assert a.grad is not None and b.grad is not None
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+        T.tsum(T.linear(x, w, b, act="relu")).backward()
+        assert x.grad is not None and w.grad is not None and b.grad is not None
+
+    def test_only_leaves_keep_gradients(self):
+        """Intermediates hold no .grad; leaf gradients keep the same bytes."""
+        bundle = blob_bundle(n=40)
+        model = DeVae(tiny_config(head="full", recon_kind="bce"))
+        X = (bundle.X - bundle.X.min()) / (bundle.X.max() - bundle.X.min())
+        eps = np.random.default_rng(8).standard_normal((40, 2))
+        total = forward_train(model, X, bundle.Y, eps).total
+        total.backward()
+        nodes, stack, seen = [], [total], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        intermediates = [n for n in nodes if n._backward is not None]
+        assert len(intermediates) > 20
+        assert all(n.grad is None for n in intermediates)
+        leaves = [n for n in nodes if n.requires_grad and n._backward is None]
+        assert {id(p) for p in leaves} == {id(p) for p in model.parameters()}
+
+        # The same gradients with every node keeping its own, as before.
+        kept = [p.grad for p in model.parameters()]
+        model.zero_grad()
+        total = forward_train(model, X, bundle.Y, eps).total
+        order, incoming = [], {id(total): np.ones_like(total.data)}
+        stack, seen = [(total, False)], set()
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents if id(p) not in seen)
+        for node in reversed(order):
+            grad = incoming.pop(id(node), None)
+            if grad is None:
+                continue
+            node._accumulate(grad)
+            if node._backward is not None:
+                for parent, pgrad in node._backward(grad):
+                    if parent.requires_grad:
+                        prev = incoming.get(id(parent))
+                        incoming[id(parent)] = pgrad if prev is None else prev + pgrad
+        for p, g in zip(model.parameters(), kept):
+            assert p.grad.tobytes() == g.tobytes()
 
 
 class TestFiniteDiff:
@@ -209,8 +310,7 @@ def _op_cases(rng):
     """(name, loss builder, params) with randomized values in [-2, 2]."""
     a = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
-    m1 = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
-    m2 = Tensor(rng.uniform(-2, 2, size=(3, 2)), requires_grad=True)
+    strict = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, size=(4, 3)), requires_grad=True)
     bias = Tensor(rng.uniform(-2, 2, size=4), requires_grad=True)
     pos = Tensor(rng.uniform(0.1, 2.0, size=(2, 3)), requires_grad=True)
@@ -220,7 +320,6 @@ def _op_cases(rng):
         ("add", lambda: T.tsum(T.mul(T.add(a, b), probe)), [a, b]),
         ("sub", lambda: T.tsum(T.mul(T.sub(a, b), probe)), [a, b]),
         ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
-        ("matmul", lambda: T.tsum(T.square(T.matmul(m1, m2))), [m1, m2]),
         ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
         ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
         ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
@@ -233,11 +332,8 @@ def _op_cases(rng):
         ("sum_bare", lambda: T.square(T.tsum(a)), [a]),
         ("mean", lambda: T.square(T.tmean(a)), [a]),
         ("clamp", lambda: T.tsum(T.square(T.clamp(pos, 0.05, 3.0))), [pos]),
-        (
-            "slice_concat",
-            lambda: T.tsum(T.square(T.concat_cols([T.slice_cols(mix, 2, 4), T.slice_cols(mix, 0, 2)]))),
-            [mix],
-        ),
+        ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
+        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, a, b), probe)), [strict, a, b]),
         ("broadcast_bias", lambda: T.tsum(T.square(T.add(a, T.slice_cols(b, 0, 3)))), [a, b]),
     ]
 
@@ -269,9 +365,9 @@ class TestDeterminism:
             "sigmoid",
         )
         x = Tensor(rng.uniform(-2, 2, size=(5, 6)))
-        first = forward_dense(layer, x).data
+        first = layer(x).data
         for _ in range(3):
-            np.testing.assert_array_equal(forward_dense(layer, x).data, first)
+            np.testing.assert_array_equal(layer(x).data, first)
 
     def test_invariants_after_ops(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
