@@ -28,13 +28,12 @@ from .errors import (
     UsageError,
 )
 from .evaluation import class_ellipses, evaluate, format_metrics_table, metrics_to_json
+from .gaussian import HEADS
 from .gradsuite import run_gradient_suite
 from .losses import LossWeights
-from .model import DeVae, ModelConfig, load_checkpoint, save_checkpoint
+from .model import RECON_KINDS, DeVae, ModelConfig, load_checkpoint, save_checkpoint
 from .trainer import TrainSettings, run_matrix, split_dataset, train
 from .viz import grid_inverse_sheet, latent_plot_svg
-
-HEAD_CHOICES = ("none", "isotropic", "diagonal", "full")
 
 # The BCE defaults; MSE datasets must pick their own weights explicitly
 # because good values are dataset-specific.
@@ -58,10 +57,10 @@ def _widths(text: str) -> tuple[int, ...]:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--head", choices=HEAD_CHOICES, default="full")
+    p.add_argument("--head", choices=HEADS, default="full")
     p.add_argument("--lambda-proj", type=float, default=None)
     p.add_argument("--lambda-ent", type=float, default=None)
-    p.add_argument("--recon", choices=("mse", "bce"), default="mse")
+    p.add_argument("--recon", choices=RECON_KINDS, default="mse")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=64)
@@ -107,16 +106,11 @@ def _load_matrix(path):
 
 
 def _load_labels(path) -> np.ndarray:
-    """Label vector from an IDX label file or a single-column CSV."""
+    """Label vector from an IDX label file or a labels CSV."""
     if _sniff_idx_magic(path) == dio.IDX_LABELS_MAGIC:
         _, values = dio.read_idx(path)
         return values
-    X, labels = dio.read_csv_vectors(path)
-    if labels is not None:
-        return labels
-    if X.shape[1] != 1:
-        raise DataError(f"{path}: a labels CSV must have exactly one column")
-    return X[:, 0].astype(np.int64)
+    return dio.read_labels_csv(path)
 
 
 def _load_bundle(data_path, proj_path, seed: int, labels_path=None) -> dio.DatasetBundle:
@@ -211,9 +205,9 @@ def _cmd_train(args) -> int:
 def _cmd_matrix(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
-    heads = list(HEAD_CHOICES) if args.heads == "all" else [h.strip() for h in args.heads.split(",")]
+    heads = list(HEADS) if args.heads == "all" else [h.strip() for h in args.heads.split(",")]
     for head in heads:
-        if head not in HEAD_CHOICES:
+        if head not in HEADS:
             raise UsageError(f"unknown head {head!r}")
     settings = _settings(args)
     bundle = _load_bundle(args.data, args.proj, args.seed, args.labels)

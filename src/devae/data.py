@@ -150,8 +150,19 @@ def _looks_numeric(cells: list[str]) -> bool:
     return True
 
 
-def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Numeric matrix from CSV; a trailing "label" column is split off."""
+def _int_labels(values: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
+    """Label cells as int64; a non-finite, fractional or out-of-int64 value is a
+    ParseError naming its line. The bounds are floats: comparing a float with
+    the Python int 2**63 takes a slow path."""
+    ok = (values == np.rint(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+    if not ok.all():
+        i = min(np.flatnonzero(~ok), key=lambda j: line_nos[j])
+        raise ParseError(f"label {float(values[i])} at line {line_nos[i]} is not an int64 integer")
+    return values.astype(np.int64)
+
+
+def _read_numeric_csv(path) -> tuple[np.ndarray, bool, np.ndarray]:
+    """(values, whether the last column is headed "label", each row's line number)."""
     rows = _split_lines(path)
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -169,12 +180,23 @@ def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
             raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {width}")
         for c, cell in enumerate(cells):
             data[r, c] = _parse_float(cell, line_no)
+    return data, has_labels, np.array([line_no for line_no, _ in rows])
+
+
+def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Numeric matrix from CSV; a trailing "label" column is split off."""
+    data, has_labels, line_nos = _read_numeric_csv(path)
     if has_labels:
-        labels = data[:, -1]
-        if not np.all(labels == np.rint(labels)):
-            raise ParseError("label column contains non-integer values")
-        return np.ascontiguousarray(data[:, :-1]), labels.astype(np.int64)
+        return np.ascontiguousarray(data[:, :-1]), _int_labels(data[:, -1], line_nos)
     return data, None
+
+
+def read_labels_csv(path) -> np.ndarray:
+    """Integer labels from a CSV: its trailing "label" column, or its only column."""
+    data, has_labels, line_nos = _read_numeric_csv(path)
+    if not has_labels and data.shape[1] != 1:
+        raise DataError(f"{path}: a labels CSV must have exactly one column")
+    return _int_labels(data[:, -1], line_nos)
 
 
 def write_csv_vectors(path, X: np.ndarray, labels: np.ndarray | None = None) -> None:
@@ -207,7 +229,8 @@ def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     body = rows[1:]
     n = len(body)
     Y = np.empty((n, 2), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64) if has_labels else None
+    labels = np.empty(n) if has_labels else None
+    label_lines = np.empty(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     for line_no, cells in body:
         if len(cells) != len(header):
@@ -222,14 +245,12 @@ def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
         Y[idx, 0] = _parse_float(cells[1], line_no)
         Y[idx, 1] = _parse_float(cells[2], line_no)
         if labels is not None:
-            label = _parse_float(cells[label_at], line_no)
-            if not (label.is_integer() and -(2.0**63) <= label < 2.0**63):
-                raise ParseError(f"label {cells[label_at]!r} at line {line_no} is not an integer")
-            labels[idx] = int(label)
+            labels[idx] = _parse_float(cells[label_at], line_no)
+            label_lines[idx] = line_no
     if not np.all(seen):
         missing = int(np.flatnonzero(~seen)[0])
         raise ParseError(f"missing id {missing}: ids must cover 0..{n - 1} exactly once")
-    return Y, labels
+    return Y, None if labels is None else _int_labels(labels, label_lines)
 
 
 def write_projection_csv(path, Y: np.ndarray, labels: np.ndarray | None = None) -> None:

@@ -122,17 +122,15 @@ def class_ellipses(
     medoids = class_medoid_indices(mu, labels)
     out: dict[int, list[EllipseSpec]] = {}
     for label, medoid_idx in medoids.items():
-        det = None
-        if average_cov:
-            member_idx = np.flatnonzero(np.asarray(labels) == label)
-            if latent.head == "full":
-                cov, det = _mean_full_covariance(latent.chol_matrices(member_idx))
-            else:
-                cov = latent.covariance_matrices(member_idx).mean(axis=0)
+        rows = np.flatnonzero(np.asarray(labels) == label) if average_cov else [medoid_idx]
+        if latent.head != "full":
+            cov = latent.covariance_matrices(rows).mean(axis=0)
+            det = float(np.prod(np.diag(cov)))  # diagonal: the product of the variances
+        elif average_cov:
+            cov, det = _mean_full_covariance(latent.chol_matrices(rows))
         else:
             cov = latent.covariance_matrix(medoid_idx)
-            if latent.head == "full":
-                det = float(np.prod(np.diag(latent.chol_matrix(medoid_idx)))) ** 2
+            det = float(np.prod(np.diag(latent.chol_matrix(medoid_idx)))) ** 2
         center = mu[medoid_idx]
         out[label] = [ellipse_from_cov(center, cov, k, det) for k in k_list]
     return out

@@ -71,10 +71,7 @@ def entropy_diagonal(log_vars) -> Tensor:
     Sums over the last axis: [batch, q] in, [batch, 1] out.
     """
     lv = log_vars if isinstance(log_vars, Tensor) else Tensor(log_vars)
-    per_dim = T.add(lv, 1.0 + LN_2PI)
-    if lv.data.ndim == 1:
-        return 0.5 * T.tsum(per_dim)
-    return 0.5 * T.tsum(per_dim, axis=1, keepdims=True)
+    return 0.5 * T.tsum(T.add(lv, 1.0 + LN_2PI), axis=1, keepdims=True)
 
 
 def entropy_full(chol_diag) -> Tensor:
@@ -89,9 +86,6 @@ def entropy_full(chol_diag) -> Tensor:
     if np.any(d.data == 0.0):
         # Reachable only when exp() underflows on a runaway raw parameter.
         raise DivergenceError("Cholesky diagonal underflowed to zero (entropy is -inf)")
-    if d.data.ndim == 1:
-        q = d.data.shape[0]
-        return (0.5 * q) * (1.0 + LN_2PI) + T.tsum(T.log(d))
     q = d.data.shape[1]
     return T.add(T.tsum(T.log(d), axis=1, keepdims=True), (0.5 * q) * (1.0 + LN_2PI))
 
@@ -255,18 +249,18 @@ class EllipseSpec:
         return xy @ rot.T + np.asarray(self.center)
 
 
-def ellipse_from_cov(center, cov, k: int, det: float | None = None) -> EllipseSpec:
+def ellipse_from_cov(center, cov, k: int, det: float) -> EllipseSpec:
     """Ellipse of the set {p : (p-center)^T Sigma^-1 (p-center) = k^2}.
 
     Semi-axes are k times the square roots of Sigma's eigenvalues; rotation
     is the angle of the dominant eigenvector, folded into (-pi/2, pi/2] with
     ties broken toward 0.
 
-    ``det`` is Sigma's determinant when the caller knows it more accurately
-    than ``cov`` does; a full head reads it off its Cholesky diagonal,
-    (L00 L11)^2. The minor eigenvalue is then det / lambda1, which stays
-    positive for a near-singular Sigma where (tr - sqrt(disc)) / 2 cancels
-    to zero or below.
+    ``det`` is Sigma's determinant, computed by the caller from the factors
+    Sigma was built from: the product of the variances for a diagonal
+    Sigma, (L00 L11)^2 for a Cholesky factor L. The minor eigenvalue is
+    det / lambda1, which stays positive for a near-singular Sigma where
+    (tr - sqrt(disc)) / 2 would cancel to zero or below.
     """
     c = np.asarray(cov, dtype=np.float64)
     if c.shape != (2, 2):
@@ -277,9 +271,8 @@ def ellipse_from_cov(center, cov, k: int, det: float | None = None) -> EllipseSp
         raise GeometryError(f"covariance is not symmetric: {c.tolist()}")
     tr = a + d
     disc = max(tr * tr - 4.0 * (a * d - b * b), 0.0)
-    root = math.sqrt(disc)
-    lam1 = 0.5 * (tr + root)
-    lam2 = 0.5 * (tr - root) if det is None else det / lam1
+    lam1 = 0.5 * (tr + math.sqrt(disc))
+    lam2 = min(det / lam1, lam1)  # rounding must not lift the minor axis past the major
     if lam2 <= 0.0:
         raise GeometryError(f"covariance is not positive definite: {c.tolist()}")
     if abs(b) <= 1e-12 * scale:

@@ -21,8 +21,6 @@ from .errors import ContractError, DimensionError, DivergenceError, DomainError
 from .gaussian import GaussianLatent
 from .tensor import Tensor
 
-BCE_EPS = 1e-7
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -69,22 +67,18 @@ def recon_mse(x: Tensor, x_hat: Tensor) -> Tensor:
     return T.tsum(T.square(T.sub(x, x_hat))) * (1.0 / batch)
 
 
-def recon_bce(x: Tensor, x_hat: Tensor) -> Tensor:
+def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
     """Binary cross-entropy summed over features, averaged over the batch.
 
-    Targets must lie in [0, 1]; predictions are clamped to
-    [BCE_EPS, 1 - BCE_EPS] so saturated sigmoids cannot produce ln(0).
+    Computed from the decoder's logits, not from probabilities
+    (``tensor.bce_logits``), so the loss and its gradient stay exact where
+    the sigmoid saturates. Targets must lie in [0, 1].
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    x_hat = x_hat if isinstance(x_hat, Tensor) else Tensor(x_hat)
-    _require_same_shape("recon_bce", x, x_hat)
     if np.any(x.data < 0.0) or np.any(x.data > 1.0):
         lo, hi = float(x.data.min()), float(x.data.max())
         raise DomainError(f"bce targets must lie in [0, 1], got range [{lo}, {hi}]")
-    batch = x.shape[0]
-    xh = T.clamp(x_hat, BCE_EPS, 1.0 - BCE_EPS)
-    pointwise = T.add(T.mul(x, T.log(xh)), T.mul(1.0 - x, T.log(1.0 - xh)))
-    return T.tsum(pointwise) * (-1.0 / batch)
+    return T.bce_logits(logits, x)
 
 
 def proj_loss(y: Tensor, mu: Tensor) -> Tensor:

@@ -3,8 +3,9 @@
 The encoder trunk maps inputs through relu hidden layers; parallel linear
 heads emit the latent mean and, when the head variant calls for one, the
 covariance parameters. The decoder mirrors the trunk and ends in sigmoid
-when the reconstruction loss is BCE (outputs must live in (0, 1)) and in
-identity otherwise.
+when the reconstruction loss is BCE (``decode`` outputs live in (0, 1)) and
+in identity otherwise. Training computes BCE from the logits, the last
+layer's output before its sigmoid (``decode_logits``).
 
 Checkpoint layout (little-endian):
 
@@ -30,6 +31,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import tensor as T
 from .errors import (
     CheckpointError,
     CheckpointMagicError,
@@ -228,16 +230,26 @@ class DeVae:
         return GaussianLatent(self.config.head, joined("mu"),
                               log_var=joined("log_var"), chol_raw=joined("chol_raw"))
 
-    def decode(self, z) -> Tensor:
+    def _decoder_hidden(self, z) -> Tensor:
+        """Every decoder layer but the last, applied to [batch, latent_dim] points."""
         z = z if isinstance(z, Tensor) else Tensor(z)
         if z.data.ndim != 2 or z.shape[1] != self.config.latent_dim:
             raise DimensionError(
                 f"decode: input shape {z.shape} does not match model latent_dim {self.config.latent_dim}"
             )
         h = z
-        for layer in self.decoder:
+        for layer in self.decoder[:-1]:
             h = layer(h)
         return h
+
+    def decode(self, z) -> Tensor:
+        """Reconstruction of latent points; in (0, 1) for BCE, whose sigmoid runs fused in the last layer."""
+        return self.decoder[-1](self._decoder_hidden(z))
+
+    def decode_logits(self, z) -> Tensor:
+        """``decode`` without the last layer's activation: BCE's logits; for MSE, ``decode`` itself."""
+        out = self.decoder[-1]
+        return T.linear(self._decoder_hidden(z), out.weight, out.bias)
 
 
 @dataclass
@@ -245,7 +257,7 @@ class ForwardResult:
     """Everything one training step needs from a forward pass."""
 
     breakdown: LossBreakdown
-    x_hat: Tensor
+    x_hat: Tensor  # decode_logits output: the reconstruction for MSE, logits for BCE
     latent: GaussianLatent
     total: Tensor  # scalar graph node; call .backward() on it
 
@@ -264,7 +276,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     if eps is None:
         eps = np.zeros((x.shape[0], model.config.latent_dim))
     z = latent.sample(eps)
-    x_hat = model.decode(z)
+    x_hat = model.decode_logits(z)
     recon = recon_bce(x, x_hat) if model.config.recon_kind == "bce" else recon_mse(x, x_hat)
     proj = proj_loss(y, latent.mu)
     ent = ent_loss(latent)

@@ -4,11 +4,11 @@ Each operation builds a node of a dynamic tape: the output tensor keeps
 references to its parents and a closure that scatters the output gradient
 back onto them. ``backward()`` walks the tape in reverse topological order.
 The op set is what the model uses: the fused dense layer ``linear``,
-``add``/``sub``/``mul``, the elementwise ``exp``/``log``/``square``/``clamp``
-(plus standalone ``relu``/``sigmoid``), the reductions ``tsum``/``tmean``,
-``slice_cols`` to split a head's output into parameter blocks, and
-``tril_matvec``, which applies a batch of lower-triangular factors to a
-batch of vectors for the full-covariance sample.
+``add``/``sub``/``mul``, the elementwise ``exp``/``log``/``square``, the
+reductions ``tsum``/``tmean``, ``slice_cols`` to split a head's output into
+parameter blocks, ``tril_matvec``, which applies a batch of lower-triangular
+factors to a batch of vectors for the full-covariance sample, and
+``bce_logits``, the binary cross-entropy computed from logits.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
 and the activation (identity, relu, or a one-exp sigmoid) run in place on
@@ -149,14 +149,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -259,15 +251,6 @@ def _epilogue(data: Array, bias: Array, act: str) -> None:
             _sigmoid_(block)
 
 
-def _act_grad(g: Array, out: Array, act: str) -> Array:
-    """Gradient through ``act`` read off its output: out > 0 exactly where pre > 0."""
-    if act == "relu":
-        return g * (out > 0.0)
-    if act == "sigmoid":
-        return g * out * (1.0 - out)
-    return g
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") -> Tensor:
     """Fused dense layer ``act(x @ weight.T + bias)``, one tape node.
 
@@ -285,7 +268,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") ->
     _epilogue(data, bias.data, act)
 
     def backward(g):
-        g = _act_grad(g, data, act)
+        # The activation's derivative, read off the output: out > 0 exactly where pre > 0.
+        if act == "relu":
+            g = g * (data > 0.0)
+        elif act == "sigmoid":
+            g = g * data * (1.0 - data)
         pairs = []
         if x.requires_grad:
             pairs.append((x, g @ weight.data))
@@ -321,16 +308,6 @@ def log(a) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def relu(a) -> Tensor:
-    a = _lift(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return ((a, _act_grad(g, data, "relu")),)
-
-    return _node(data, (a,), backward)
-
-
 _SIGMOID_LO = np.finfo(np.float64).tiny
 _SIGMOID_HI = 1.0 - 2.0**-53  # largest double strictly below 1
 
@@ -341,8 +318,8 @@ def _sigmoid_(z: Array) -> Array:
     With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
     e * neg + ~neg is exactly 1 or e. Saturated values are pinned to the
-    nearest doubles inside (0, 1), so downstream logs stay finite and the
-    open-interval output contract holds. NaN stays NaN.
+    nearest doubles inside (0, 1), so the open-interval output contract
+    holds. NaN stays NaN.
     """
     neg = z < 0.0
     np.copysign(z, -1.0, out=z)
@@ -354,33 +331,12 @@ def _sigmoid_(z: Array) -> Array:
     return np.clip(z, _SIGMOID_LO, _SIGMOID_HI, out=z)
 
 
-def sigmoid(a) -> Tensor:
-    a = _lift(a)
-    data = _sigmoid_(a.data.copy())
-
-    def backward(g):
-        return ((a, _act_grad(g, data, "sigmoid")),)
-
-    return _node(data, (a,), backward)
-
-
 def square(a) -> Tensor:
     a = _lift(a)
     data = a.data * a.data
 
     def backward(g):
         return ((a, g * 2.0 * a.data),)
-
-    return _node(data, (a,), backward)
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient is zero where the clip engaged."""
-    a = _lift(a)
-    data = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        return ((a, g * ((a.data > lo) & (a.data < hi))),)
 
     return _node(data, (a,), backward)
 
@@ -410,6 +366,36 @@ def tmean(a) -> Tensor:
         return ((a, np.broadcast_to(g / n, a.shape).copy()),)
 
     return _node(data, (a,), backward)
+
+
+def bce_logits(z, x) -> Tensor:
+    """Binary cross-entropy of targets ``x`` against ``sigmoid(z)``, one tape node.
+
+    Summed over all elements and divided by the batch (the first axis), in
+    the form ``sum(max(z, 0) - z x + log1p(exp(-|z|))) / batch``: no
+    probability is formed, so a saturated logit keeps its true loss and
+    gradient. The backward is ``(sigmoid(z) - x) g / batch``; the targets
+    are constants and receive no gradient.
+    """
+    z, x = _lift(z), _lift(x)
+    if z.shape != x.shape:
+        raise DimensionError.mismatch("bce_logits", z.shape, x.shape)
+    batch = z.shape[0]
+    loss = np.maximum(z.data, 0.0)
+    term = np.multiply(z.data, x.data)
+    loss -= term
+    np.copysign(z.data, -1.0, out=term)  # -|z|
+    np.exp(term, out=term)
+    loss += np.log1p(term, out=term)
+    data = np.asarray(loss.sum() / batch)
+
+    def backward(g):
+        grad = _sigmoid_(z.data.copy())
+        grad -= x.data
+        grad *= g / batch
+        return ((z, grad),)
+
+    return _node(data, (z,), backward)
 
 
 # -- structural ops ------------------------------------------------------------

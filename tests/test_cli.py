@@ -153,6 +153,14 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "line 2" in r.stderr and "Traceback" not in r.stderr
 
+    def test_non_integer_labels_csv_is_data_error(self, pipeline, tmp_path):
+        labels = tmp_path / "labs.csv"
+        labels.write_text("0\n1.5\nnan\n" + "0\n" * 77)
+        r = run_cli(["pca", "--data", pipeline["data"], "--labels", labels,
+                     "--out", tmp_path / "p.csv"])
+        assert r.returncode == 2, r.stderr
+        assert "line 2" in r.stderr and "Traceback" not in r.stderr
+
     def test_missing_file_is_data_error(self, tmp_path):
         r = run_cli(["pca", "--data", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
         assert r.returncode == 2

@@ -14,6 +14,7 @@ from devae.data import (
     pca_project,
     read_csv_vectors,
     read_idx,
+    read_labels_csv,
     read_projection_csv,
     scale_pixels,
     write_csv_vectors,
@@ -94,6 +95,23 @@ class TestScalePixels:
         assert np.all(np.diff(out) > 0)
 
 
+NUMERIC_CELLS = ["nan", "NaN", "inf", "-inf", "+inf", "1e400", "-1e400", "1e300", "1.5", "-0",
+                 "-0.0", "0", "1", "1.0", "1e0", "2", "9223372036854775807",
+                 "-9223372036854775808", "9.3e18", "1e19", "1e-300"]
+BAD_LABELS = ["nan", "inf", "-inf", "1e300", "-1e400", "1.5", "1e19"]
+LABEL_CELLS = st.sampled_from(NUMERIC_CELLS) | st.integers(-(2**64), 2**64).map(str)
+
+
+def _label_parsed_or_rejected(read, path, cell, line):
+    """``read`` returns ``cell`` as the first int64 label, or a ParseError naming ``line``."""
+    try:
+        labels = read(path)
+    except ParseError as exc:
+        assert f"line {line}" in str(exc)
+        return
+    assert labels.dtype == np.int64 and float(cell) == int(labels[0]) and labels[1] == 0
+
+
 class TestCsvVectors:
     def test_plain_matrix(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -128,6 +146,21 @@ class TestCsvVectors:
         with pytest.raises(ParseError, match="line 3"):
             read_csv_vectors(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cell", BAD_LABELS)
+    def test_non_integer_label_reports_line(self, tmp_path, cell):
+        path = tmp_path / "v.csv"
+        path.write_text(f"a,label\n1,0\n2,{cell}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_csv_vectors(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell=LABEL_CELLS)
+    def test_numeric_label_cells_parse_or_raise_parse_error(self, tmp_path_factory, cell):
+        path = tmp_path_factory.mktemp("vec") / "v.csv"
+        path.write_text(f"a,label\n1,{cell}\n2,0\n")
+        _label_parsed_or_rejected(lambda p: read_csv_vectors(p)[1], path, cell, 2)
+
     def test_writer_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         X = rng.uniform(-5, 5, size=(7, 3))
@@ -139,9 +172,36 @@ class TestCsvVectors:
         np.testing.assert_array_equal(labels, labels2)
 
 
-NUMERIC_CELLS = ["nan", "NaN", "inf", "-inf", "+inf", "1e400", "-1e400", "1.5", "-0",
-                 "-0.0", "0", "1", "1.0", "1e0", "2", "9223372036854775807",
-                 "-9223372036854775808", "9.3e18", "1e-300"]
+
+
+class TestLabelsCsv:
+    def test_single_column_and_label_column(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("3\n-1\n")
+        np.testing.assert_array_equal(read_labels_csv(path), [3, -1])
+        path.write_text("a,label\n0.5,2\n0.7,0\n")
+        np.testing.assert_array_equal(read_labels_csv(path), [2, 0])
+
+    def test_two_unlabelled_columns_rejected(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(DataError, match="one column"):
+            read_labels_csv(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cell", BAD_LABELS)
+    def test_non_integer_label_reports_line(self, tmp_path, cell):
+        path = tmp_path / "l.csv"
+        path.write_text(f"0\n{cell}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_labels_csv(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell=LABEL_CELLS)
+    def test_numeric_label_cells_parse_or_raise_parse_error(self, tmp_path_factory, cell):
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        path.write_text(f"{cell}\n0\n")
+        _label_parsed_or_rejected(read_labels_csv, path, cell, 1)
 
 
 class TestProjectionCsv:
@@ -183,7 +243,7 @@ class TestProjectionCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_projection_csv(path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e400", "1.5", "1e19"])
+    @pytest.mark.parametrize("cell", BAD_LABELS)
     def test_non_integer_label_reports_line(self, tmp_path, cell):
         path = tmp_path / "p.csv"
         path.write_text(f"id,x,y,label\n0,1,2,3\n1,1,2,{cell}\n")
@@ -193,7 +253,7 @@ class TestProjectionCsv:
     @settings(max_examples=200, deadline=None)
     @given(
         id_cell=st.sampled_from(NUMERIC_CELLS) | st.integers(-3, 5).map(str),
-        label_cell=st.sampled_from(NUMERIC_CELLS) | st.integers(-(2**64), 2**64).map(str),
+        label_cell=LABEL_CELLS,
     )
     def test_numeric_id_and_label_cells_parse_or_raise_parse_error(self, tmp_path_factory, id_cell, label_cell):
         path = tmp_path_factory.mktemp("proj") / "p.csv"

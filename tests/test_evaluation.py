@@ -8,7 +8,7 @@ import pytest
 
 from conftest import tiny_config
 from devae.data import DatasetBundle
-from devae.errors import ContractError, DataError, GeometryError
+from devae.errors import ContractError, DataError
 from devae.evaluation import (
     MEDOID_BLOCK,
     MetricsRow,
@@ -211,6 +211,16 @@ class TestClassEllipses:
             assert a == pytest.approx(spec.k * major, rel=1e-12)
             assert a * b == pytest.approx(spec.k**2 * L[0, 0] * L[1, 1], rel=1e-12)
 
+    @pytest.mark.parametrize("average_cov", [False, True])
+    def test_diagonal_head_variance_ratio_1e17(self, average_cov):
+        # tr = 1 + 1e-17 rounds to 1, so (tr - sqrt(disc)) / 2 is 0; the minor
+        # axis comes from the product of the variances.
+        log_var = np.log([[1.0, 1e-17], [1.0, 1e-17]])
+        latent = GaussianLatent("diagonal", Tensor([[0.0, 0.0], [1.0, 1.0]]), log_var=Tensor(log_var))
+        (specs,) = class_ellipses(latent, np.array([0, 0]), average_cov=average_cov).values()
+        for spec in specs:
+            assert spec.semi_axes == pytest.approx((spec.k, spec.k * math.sqrt(1e-17)), rel=1e-12)
+
     def test_average_cov_near_singular_members(self):
         # Class 0 averages to roughly [[5e-20, -2.6e-11], [-2.6e-11, 0.43]], the
         # shape seen on a trained full head: positive definite, but the minor
@@ -235,9 +245,10 @@ class TestClassEllipses:
                 a, b = spec.semi_axes
                 assert a == pytest.approx(spec.k * major, rel=1e-12)
                 assert a * b == pytest.approx(spec.k**2 * math.sqrt(det), rel=1e-9)
-            if label == 0:
-                with pytest.raises(GeometryError):
-                    ellipse_from_cov(mu[0], cov, 1)
+            if label == 0:  # the eigenvalue formula on the averaged entries cancels
+                tr = cov[0, 0] + cov[1, 1]
+                disc = tr * tr - 4.0 * (cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0])
+                assert tr - math.sqrt(max(disc, 0.0)) <= 0.0
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
     def test_average_cov_bit_identical_to_per_member_mean(self, head):
@@ -257,7 +268,8 @@ class TestClassEllipses:
         medoids = class_medoid_indices(latent.mu.data, labels)
         for label, specs in ellipses.items():
             cov = np.mean([member_cov(i) for i in np.flatnonzero(labels == label)], axis=0)
-            want = [ellipse_from_cov(latent.mu.data[medoids[label]], cov, k) for k in (1, 2, 3)]
+            det = float(np.prod(np.diag(cov)))
+            want = [ellipse_from_cov(latent.mu.data[medoids[label]], cov, k, det) for k in (1, 2, 3)]
             assert specs == want
 
     def test_average_cov_flag(self, bundle, trained):

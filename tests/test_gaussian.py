@@ -258,17 +258,17 @@ class TestCovarianceMatrix:
 
 class TestEllipse:
     def test_axis_aligned(self):
-        spec = ellipse_from_cov((0.0, 0.0), np.diag([4.0, 1.0]), 2)
+        spec = ellipse_from_cov((0.0, 0.0), np.diag([4.0, 1.0]), 2, 4.0)
         assert spec.semi_axes == pytest.approx((4.0, 2.0), abs=1e-12)
         assert spec.rotation == 0.0
 
     def test_degenerate_circle_tie_break(self):
-        spec = ellipse_from_cov((1.0, -1.0), np.eye(2), 3)
+        spec = ellipse_from_cov((1.0, -1.0), np.eye(2), 3, 1.0)
         assert spec.semi_axes == pytest.approx((3.0, 3.0), abs=1e-12)
         assert spec.rotation == 0.0
 
     def test_general_closed_form(self):
-        spec = ellipse_from_cov((0.0, 0.0), [[4.0, 2.0], [2.0, 2.0]], 1)
+        spec = ellipse_from_cov((0.0, 0.0), [[4.0, 2.0], [2.0, 2.0]], 1, 4.0)
         assert spec.semi_axes[0] == pytest.approx(math.sqrt(3.0 + math.sqrt(5.0)), abs=1e-12)
         assert spec.semi_axes[1] == pytest.approx(math.sqrt(3.0 - math.sqrt(5.0)), abs=1e-12)
         assert spec.rotation == pytest.approx(0.5535743588970452, abs=1e-12)
@@ -282,7 +282,7 @@ class TestEllipse:
             cov = np.array([[a * a, a * b], [a * b, b * b + d * d]])  # SPD by construction
             center = rng.uniform(-5, 5, size=2)
             k = int(rng.integers(1, 4))
-            spec = ellipse_from_cov(center, cov, k)
+            spec = ellipse_from_cov(center, cov, k, (a * d) ** 2)
             pts = spec.boundary_points(64)
             diff = pts - center
             quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
@@ -290,9 +290,9 @@ class TestEllipse:
 
     def test_rejects_non_spd(self):
         with pytest.raises(GeometryError):
-            ellipse_from_cov((0, 0), [[1.0, 2.0], [2.0, 1.0]], 1)  # det < 0
+            ellipse_from_cov((0, 0), [[1.0, 2.0], [2.0, 1.0]], 1, -3.0)  # det < 0
         with pytest.raises(GeometryError):
-            ellipse_from_cov((0, 0), [[1.0, 0.5], [0.0, 1.0]], 1)  # asymmetric
+            ellipse_from_cov((0, 0), [[1.0, 0.5], [0.0, 1.0]], 1, 1.0)  # asymmetric
 
     def test_spec_invariants(self):
         with pytest.raises(GeometryError):
@@ -308,6 +308,6 @@ class TestEllipse:
             L = np.tril(rng.uniform(-1.5, 1.5, size=(2, 2)))
             L[0, 0] = abs(L[0, 0]) + 0.2
             L[1, 1] = abs(L[1, 1]) + 0.2
-            spec = ellipse_from_cov((0, 0), L @ L.T, 1)
+            spec = ellipse_from_cov((0, 0), L @ L.T, 1, (L[0, 0] * L[1, 1]) ** 2)
             assert -math.pi / 2 < spec.rotation <= math.pi / 2
             assert spec.semi_axes[0] >= spec.semi_axes[1] > 0

@@ -9,7 +9,6 @@ from conftest import tiny_config
 from devae.errors import DimensionError, DivergenceError, DomainError
 from devae.gaussian import GaussianLatent
 from devae.losses import (
-    BCE_EPS,
     LossWeights,
     ent_loss,
     proj_loss,
@@ -58,36 +57,47 @@ class TestReconMse:
         assert 10.0 < loss < 1e4
 
 
+LN9 = math.log(9.0)  # the logit of 0.9
+
+
 class TestReconBce:
     def test_confident_correct_is_near_zero(self):
-        got = recon_bce(Tensor([[1.0, 0.0]]), Tensor([[1.0 - BCE_EPS, BCE_EPS]])).item()
-        assert abs(got) < 3e-7
+        got = recon_bce(Tensor([[1.0, 0.0]]), Tensor([[40.0, -40.0]])).item()
+        assert 0.0 < got < 1e-17
 
     def test_hand_example(self):
-        got = recon_bce(Tensor([[1.0, 0.0]]), Tensor([[0.9, 0.1]])).item()
+        got = recon_bce(Tensor([[1.0, 0.0]]), Tensor([[LN9, -LN9]])).item()
         assert got == pytest.approx(-2.0 * math.log(0.9), abs=1e-12)
         assert got == pytest.approx(0.21072103131565256, abs=1e-12)
 
     def test_maximal_uncertainty_fixed_point(self):
-        got = recon_bce(Tensor([[0.5]]), Tensor([[0.5]])).item()
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        got = recon_bce(Tensor([[0.5]]), Tensor([[0.0]])).item()
+        assert got == math.log(2.0)
 
     def test_target_domain_checked(self):
         with pytest.raises(DomainError):
-            recon_bce(Tensor([[1.5]]), Tensor([[0.5]]))
+            recon_bce(Tensor([[1.5]]), Tensor([[0.0]]))
         with pytest.raises(DomainError):
-            recon_bce(Tensor([[-0.1]]), Tensor([[0.5]]))
+            recon_bce(Tensor([[-0.1]]), Tensor([[0.0]]))
+        with pytest.raises(DimensionError):
+            recon_bce(Tensor([[0.5, 0.5]]), Tensor([[0.0]]))
 
-    def test_clamp_guards_saturated_predictions(self):
-        got = recon_bce(Tensor([[1.0]]), Tensor([[1.0]])).item()
-        assert math.isfinite(got)
+    @pytest.mark.parametrize("target, logit", [(0.0, 40.0), (1.0, -40.0)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_saturated_logit_keeps_true_loss_and_gradient(self, target, logit, batch):
+        # A clamped probability reported 16.118 here, with a zero gradient.
+        logits = Tensor(np.full((batch, 1), logit), requires_grad=True)
+        loss = recon_bce(Tensor(np.full((batch, 1), target)), logits)
+        assert loss.item() == 40.0
+        loss.backward()
+        np.testing.assert_allclose(logits.grad, np.sign(logit) / batch, rtol=2.0**-53, atol=0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             x = rng.uniform(0, 1, size=(2, 5))
-            xh = rng.uniform(0.01, 0.99, size=(2, 5))
-            assert recon_bce(Tensor(x), Tensor(xh)).item() >= 0.0
+            z = rng.uniform(-5.0, 5.0, size=(2, 5))
+            assert recon_bce(Tensor(x), Tensor(z)).item() >= 0.0
 
 
 class TestProjLoss:

@@ -7,6 +7,7 @@ import pytest
 
 import devae.tensor as T
 from conftest import blob_bundle, tiny_config
+from devae import gradsuite
 from devae.errors import ContractError, DimensionError
 from devae.model import DeVae, forward_train
 from devae.tensor import DenseLayer, Tensor, finite_diff_grad, gradient_check, no_grad
@@ -56,27 +57,42 @@ SIGMOID_GRID = np.array([
 ])
 
 
+def relu(a):
+    """The unfused relu op, the reference for linear(..., act="relu")."""
+    data = np.maximum(a.data, 0.0)
+    return T._node(data, (a,), lambda g: ((a, g * (data > 0.0)),))
+
+
+def sigmoid(a):
+    """The unfused sigmoid op, the reference for linear(..., act="sigmoid")."""
+    data = T._sigmoid_(a.data.copy())
+    return T._node(data, (a,), lambda g: ((a, g * data * (1.0 - data)),))
+
+
 class TestSigmoid:
     @pytest.mark.parametrize("scale", [0.0, 6.0, 40.0])
     def test_bit_identical_to_three_exp_formula(self, scale):
         rng = np.random.default_rng(int(scale))
         z = SIGMOID_GRID if scale == 0.0 else rng.normal(0.0, scale, size=(64, 784))
-        got = T.sigmoid(Tensor(z)).data
+        got = T._sigmoid_(z.copy())
         assert got.tobytes() == _three_exp_sigmoid(z).tobytes()
 
     def test_nan_stays_nan(self):
-        out = T.sigmoid(Tensor([np.nan, 0.0])).data
+        out = T._sigmoid_(np.array([np.nan, 0.0]))
         assert np.isnan(out[0]) and out[1] == 0.5
 
     def test_input_not_modified(self):
-        z = np.random.default_rng(1).normal(0.0, 6.0, size=(5, 7))
-        a = Tensor(z.copy(), requires_grad=True)
-        T.tsum(T.sigmoid(a)).backward()
-        assert a.data.tobytes() == z.tobytes()
+        # The fused epilogue runs in place on the product, never on an input.
+        rng = np.random.default_rng(1)
+        values = [rng.normal(0.0, 6.0, size=shape) for shape in ((5, 7), (3, 7), (3,))]
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in values)
+        T.tsum(T.linear(x, w, b, act="sigmoid")).backward()
+        for t, v in zip((x, w, b), values):
+            assert t.data.tobytes() == v.tobytes()
 
 
 class TestFusedLinear:
-    @pytest.mark.parametrize("act, unfused", [("relu", T.relu), ("sigmoid", T.sigmoid)])
+    @pytest.mark.parametrize("act, unfused", [("relu", relu), ("sigmoid", sigmoid)])
     def test_values_and_gradients_match_composed_ops_bit_for_bit(self, act, unfused):
         # 70 rows of width 784 span two epilogue blocks, the second ragged.
         rng = np.random.default_rng(12)
@@ -182,9 +198,9 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, [3.0])
 
     def test_sigmoid_derivative_at_zero(self):
-        pre = Tensor([0.0], requires_grad=True)
-        T.tsum(T.sigmoid(pre)).backward()
-        np.testing.assert_allclose(pre.grad, [0.25], rtol=0, atol=1e-15)
+        pre = Tensor([[0.0]], requires_grad=True)
+        T.tsum(T.linear(pre, Tensor([[1.0]]), Tensor([0.0]), act="sigmoid")).backward()
+        np.testing.assert_allclose(pre.grad, [[0.25]], rtol=0, atol=1e-15)
 
     def test_accumulation_is_exactly_double(self):
         w = Tensor(np.array([1.5, -0.5]), requires_grad=True)
@@ -307,34 +323,16 @@ class TestFiniteDiff:
 
 
 def _op_cases(rng):
-    """(name, loss builder, params) with randomized values in [-2, 2]."""
-    a = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
-    strict = Tensor(rng.uniform(-2, 2, size=(2, 3)), requires_grad=True)
-    w = Tensor(rng.uniform(-2, 2, size=(4, 3)), requires_grad=True)
-    bias = Tensor(rng.uniform(-2, 2, size=4), requires_grad=True)
-    pos = Tensor(rng.uniform(0.1, 2.0, size=(2, 3)), requires_grad=True)
-    mix = Tensor(rng.uniform(-2, 2, size=(2, 4)), requires_grad=True)
+    """The gradient suite's op cases, plus ``tsum`` over all axes, one more
+    ``add``, and the unfused activations the fused layer is compared against."""
+    cases = gradsuite._op_cases(rng)
+    a, b = next(params for name, _, params in cases if name == "add")
     probe = Tensor(rng.uniform(-1, 1, size=(2, 3)))
-    return [
-        ("add", lambda: T.tsum(T.mul(T.add(a, b), probe)), [a, b]),
-        ("sub", lambda: T.tsum(T.mul(T.sub(a, b), probe)), [a, b]),
-        ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
-        ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
-        ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
-        ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
-        ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
-        ("log", lambda: T.tsum(T.log(pos)), [pos]),
-        ("relu", lambda: T.tsum(T.mul(T.relu(a), probe)), [a]),
-        ("sigmoid", lambda: T.tsum(T.mul(T.sigmoid(a), probe)), [a]),
-        ("square", lambda: T.tsum(T.mul(T.square(a), probe)), [a]),
-        ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1, keepdims=True))), [a]),
+    return cases + [
         ("sum_bare", lambda: T.square(T.tsum(a)), [a]),
-        ("mean", lambda: T.square(T.tmean(a)), [a]),
-        ("clamp", lambda: T.tsum(T.square(T.clamp(pos, 0.05, 3.0))), [pos]),
-        ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
-        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, a, b), probe)), [strict, a, b]),
         ("broadcast_bias", lambda: T.tsum(T.square(T.add(a, T.slice_cols(b, 0, 3)))), [a, b]),
+        ("relu", lambda: T.tsum(T.mul(relu(a), probe)), [a]),
+        ("sigmoid", lambda: T.tsum(T.mul(sigmoid(a), probe)), [a]),
     ]
 
 

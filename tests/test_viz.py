@@ -35,7 +35,7 @@ class TestLatentPlotSvg:
     def test_one_class_three_nested_ellipses(self, tmp_path):
         path = tmp_path / "p.svg"
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        specs = [ellipse_from_cov((0.5, -0.5), cov, k) for k in (1, 2, 3)]
+        specs = [ellipse_from_cov((0.5, -0.5), cov, k, 1.75) for k in (1, 2, 3)]
         latent_plot_svg(np.array([[0.5, -0.5]]), np.array([0]), {0: specs}, path)
         ellipses = _tags(path, "ellipse")
         assert len(ellipses) == 3
@@ -46,7 +46,7 @@ class TestLatentPlotSvg:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(20, 2))
         labels = rng.integers(0, 3, size=20)
-        specs = {0: [ellipse_from_cov((0, 0), np.eye(2), k) for k in (1, 2, 3)]}
+        specs = {0: [ellipse_from_cov((0, 0), np.eye(2), k, 1.0) for k in (1, 2, 3)]}
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         latent_plot_svg(pts, labels, specs, a)
         latent_plot_svg(pts, labels, specs, b)
@@ -57,7 +57,7 @@ class TestLatentPlotSvg:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-10, 10, size=(15, 2))
         labels = rng.integers(0, 10, size=15)
-        specs = {int(labels[0]): [ellipse_from_cov(pts[0], 4.0 * np.eye(2), k) for k in (1, 2, 3)]}
+        specs = {int(labels[0]): [ellipse_from_cov(pts[0], 4.0 * np.eye(2), k, 16.0) for k in (1, 2, 3)]}
         latent_plot_svg(pts, labels, specs, path)
         root = ET.parse(path).getroot()
         vx, vy, vw, vh = map(float, root.get("viewBox").split())
