@@ -9,14 +9,7 @@ diagonal, or full Gaussian, plus a covariance-free baseline).
 from .data import DatasetBundle, make_blobs, pca_project, read_csv_vectors, read_idx, read_projection_csv, scale_pixels
 from .errors import DevaeError
 from .evaluation import MetricsRow, class_ellipses, class_medoid, evaluate
-from .gaussian import (
-    EllipseSpec,
-    GaussianLatent,
-    ellipse_from_cov,
-    entropy_diagonal,
-    entropy_full,
-    entropy_isotropic,
-)
+from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
 from .tensor import DenseLayer, Tensor, finite_diff_grad, no_grad
@@ -45,9 +38,6 @@ __all__ = [
     "class_medoid",
     "ellipse_from_cov",
     "ent_loss",
-    "entropy_diagonal",
-    "entropy_full",
-    "entropy_isotropic",
     "evaluate",
     "finite_diff_grad",
     "forward_train",

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .evaluation import class_ellipses, evaluate, format_metrics_table, metrics_to_json
-from .gaussian import HEADS
+from .gaussian import HEADS, head_param_names
 from .gradsuite import run_gradient_suite
 from .losses import LossWeights
 from .model import RECON_KINDS, DeVae, ModelConfig, load_checkpoint, save_checkpoint
@@ -232,23 +232,12 @@ def _cmd_project(args) -> int:
     model = load_checkpoint(args.model)
     X, _ = _load_matrix(args.data)
     latent = model.encode_rows(X)
-    head = model.config.head
-    cols = ["id", "mu_x", "mu_y"]
-    extras: list[np.ndarray] = []
-    if head == "isotropic":
-        cols.append("log_var")
-        extras.append(latent.log_var.data)
-    elif head == "diagonal":
-        cols += [f"log_var_{i}" for i in range(latent.q)]
-        extras.append(latent.log_var.data)
-    elif head == "full":
-        cols += [f"chol_raw_{i}" for i in range(latent.chol_raw.shape[1])]
-        extras.append(latent.chol_raw.data)
+    cols = ["id", "mu_x", "mu_y"] + head_param_names(model.config.head, latent.q)
+    params = np.empty((latent.batch, 0)) if latent.params is None else latent.params.data
     lines = [",".join(cols)]
     for i in range(latent.batch):
         cells = [str(i), repr(float(latent.mu.data[i, 0])), repr(float(latent.mu.data[i, 1]))]
-        for block in extras:
-            cells += [repr(float(v)) for v in block[i]]
+        cells += [repr(float(v)) for v in params[i]]
         lines.append(",".join(cells))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -7,15 +7,16 @@ Three covariance structures are supported, in increasing order of freedom:
 * full       — Sigma = L L^T with a lower-triangular Cholesky factor L
 
 plus the deterministic "none" head (a plain autoencoder that predicts only
-the latent mean). Variances live in log-space and Cholesky diagonals pass
-through exp, so positivity holds by construction. Differential entropies:
+the latent mean). Each head's parameters carry the log standard deviation
+s_i of every latent dimension: s = ln sigma^2 / 2 (one shared value for
+isotropic, one per dimension for diagonal) or s_i = ln L_ii (full, whose
+diagonal passes through exp). Positivity holds by construction, and every
+head's differential entropy has one form:
 
-    isotropic:  (q/2) * (1 + ln 2pi + ln sigma^2)
-    diagonal:   1/2 * sum_i (1 + ln 2pi + ln sigma_i^2)
-    full:       (q/2) * (1 + ln 2pi) + sum_i ln L_ii
+    H = (q/2) * (1 + ln 2pi) + sum_i s_i
 
-All entropy and sampling paths are built from tape ops, so gradients flow
-to the raw head parameters.
+Entropy and sampling are built from tape ops, so gradients flow to the raw
+head parameters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DivergenceError, GeometryError
+from .errors import ContractError, GeometryError
 from .tensor import Tensor
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -34,60 +35,26 @@ LN_2PI = math.log(2.0 * math.pi)
 HEADS = ("none", "isotropic", "diagonal", "full")
 
 
+def head_param_names(head: str, q: int) -> list[str]:
+    """Names of the covariance head's output columns, as ``project`` writes them."""
+    if head == "none":
+        return []
+    if head == "isotropic":
+        return ["log_var"]
+    if head == "diagonal":
+        return [f"log_var_{i}" for i in range(q)]
+    if head == "full":
+        return [f"chol_raw_{i}" for i in range(q * (q + 1) // 2)]
+    raise ContractError(f"unknown head {head!r}")
+
+
 def head_param_count(head: str, q: int) -> int:
     """Width of the covariance head output for one sample (0 for "none")."""
-    if head == "none":
-        return 0
-    if head == "isotropic":
-        return 1
-    if head == "diagonal":
-        return q
-    if head == "full":
-        return q * (q + 1) // 2
-    raise ContractError(f"unknown head {head!r}")
+    return len(head_param_names(head, q))
 
 
 def _tri_lower_count(q: int) -> int:
     return q * (q - 1) // 2
-
-
-# -- entropy -----------------------------------------------------------------
-
-
-def entropy_isotropic(q: int, log_var) -> Tensor:
-    """Entropy of N(mu, sigma^2 I) in q dimensions from log sigma^2.
-
-    Elementwise over the input, so a [batch, 1] tensor of log-variances
-    yields a [batch, 1] tensor of entropies.
-    """
-    if q < 1:
-        raise ContractError(f"latent dimension must be >= 1, got {q}")
-    return (0.5 * q) * (T.add(log_var, 1.0 + LN_2PI))
-
-
-def entropy_diagonal(log_vars) -> Tensor:
-    """Entropy of a diagonal Gaussian from per-dimension log-variances.
-
-    Sums over the last axis: [batch, q] in, [batch, 1] out.
-    """
-    lv = log_vars if isinstance(log_vars, Tensor) else Tensor(log_vars)
-    return 0.5 * T.tsum(T.add(lv, 1.0 + LN_2PI), axis=1, keepdims=True)
-
-
-def entropy_full(chol_diag) -> Tensor:
-    """Entropy of N(mu, L L^T) from the diagonal entries of L.
-
-    Off-diagonal entries do not enter: det(Sigma) = prod(L_ii)^2. Sums over
-    the last axis: [batch, q] in, [batch, 1] out.
-    """
-    d = chol_diag if isinstance(chol_diag, Tensor) else Tensor(chol_diag)
-    if np.any(d.data < 0.0):
-        raise ContractError("Cholesky diagonal entries must be positive")
-    if np.any(d.data == 0.0):
-        # Reachable only when exp() underflows on a runaway raw parameter.
-        raise DivergenceError("Cholesky diagonal underflowed to zero (entropy is -inf)")
-    q = d.data.shape[1]
-    return T.add(T.tsum(T.log(d), axis=1, keepdims=True), (0.5 * q) * (1.0 + LN_2PI))
 
 
 # -- the latent value type -----------------------------------------------------
@@ -96,44 +63,31 @@ def entropy_full(chol_diag) -> Tensor:
 class GaussianLatent:
     """A batch of per-sample latent Gaussians sharing one head variant.
 
-    ``mu`` is [batch, q]. Depending on ``head``, exactly one parameter block
-    is present: ``log_var`` ([batch, 1] isotropic, [batch, q] diagonal) or
-    ``chol_raw`` ([batch, q(q+1)/2] full; row-major strict lower triangle
-    first, then diagonal raws, diagonal materialized through exp).
+    ``mu`` is [batch, q]. ``params`` is the covariance head's raw output,
+    [batch, head_param_count(head, q)], or None for head "none":
+    log-variances for isotropic (one) and diagonal (q); for full, the strict
+    lower triangle of L in row-major order, then the q values ln L_ii.
     """
 
-    def __init__(self, head: str, mu: Tensor, log_var: Tensor | None = None,
-                 chol_raw: Tensor | None = None):
+    def __init__(self, head: str, mu: Tensor, params: Tensor | None = None):
         if head not in HEADS:
             raise ContractError(f"unknown head {head!r}")
         mu = mu if isinstance(mu, Tensor) else Tensor(mu)
         if mu.data.ndim != 2:
             raise ContractError(f"mu must be [batch, q], got shape {mu.shape}")
-        q = mu.shape[1]
-        if head == "none" and (log_var is not None or chol_raw is not None):
-            raise ContractError('head "none" carries only mu')
-        if head in ("isotropic", "diagonal"):
-            if log_var is None or chol_raw is not None:
-                raise ContractError(f"head {head!r} needs log_var and nothing else")
-            log_var = log_var if isinstance(log_var, Tensor) else Tensor(log_var)
-            want = 1 if head == "isotropic" else q
-            if log_var.data.ndim != 2 or log_var.shape != (mu.shape[0], want):
-                raise ContractError(
-                    f"log_var for head {head!r} must be [batch, {want}], got {log_var.shape}"
-                )
-        if head == "full":
-            if chol_raw is None or log_var is not None:
-                raise ContractError('head "full" needs chol_raw and nothing else')
-            chol_raw = chol_raw if isinstance(chol_raw, Tensor) else Tensor(chol_raw)
-            want = q * (q + 1) // 2
-            if chol_raw.data.ndim != 2 or chol_raw.shape != (mu.shape[0], want):
-                raise ContractError(
-                    f"chol_raw must be [batch, {want}], got {chol_raw.shape}"
-                )
+        if head == "none":
+            if params is not None:
+                raise ContractError('head "none" carries only mu')
+        else:
+            if params is None:
+                raise ContractError(f"head {head!r} needs params")
+            params = params if isinstance(params, Tensor) else Tensor(params)
+            want = (mu.shape[0], head_param_count(head, mu.shape[1]))
+            if params.shape != want:
+                raise ContractError(f"params for head {head!r} must be {list(want)}, got {params.shape}")
         self.head = head
         self.mu = mu
-        self.log_var = log_var
-        self.chol_raw = chol_raw
+        self.params = params
 
     @property
     def batch(self) -> int:
@@ -145,20 +99,23 @@ class GaussianLatent:
 
     # -- graph-building pieces ---------------------------------------------
 
-    def chol_diag(self) -> Tensor:
-        """Materialized L diagonal, exp of the trailing chol_raw columns."""
-        nl = _tri_lower_count(self.q)
-        return T.exp(T.slice_cols(self.chol_raw, nl, nl + self.q))
+    def _log_std(self) -> Tensor:
+        """Log standard deviations s: [batch, 1] for isotropic, [batch, q] otherwise."""
+        if self.head == "full":
+            nl = _tri_lower_count(self.q)
+            return T.slice_cols(self.params, nl, nl + self.q)
+        return 0.5 * self.params
 
     def entropy(self) -> Tensor:
-        """Per-sample differential entropy, [batch, 1]; zeros for head "none"."""
+        """Per-sample differential entropy, [batch, 1]; zeros for head "none".
+
+        The isotropic head's one s stands for all q dimensions.
+        """
         if self.head == "none":
             return Tensor(np.zeros((self.batch, 1)))
-        if self.head == "isotropic":
-            return entropy_isotropic(self.q, self.log_var)
-        if self.head == "diagonal":
-            return entropy_diagonal(self.log_var)
-        return entropy_full(self.chol_diag())
+        s = self._log_std()
+        sum_s = T.tsum(s, axis=1, keepdims=True) * (self.q / s.shape[1])
+        return T.add(sum_s, (0.5 * self.q) * (1.0 + LN_2PI))
 
     def sample(self, eps) -> Tensor:
         """Reparameterized draw: mu + scale(eps), differentiable in the params.
@@ -173,12 +130,11 @@ class GaussianLatent:
             raise ContractError(
                 f"eps must be [batch, q] = {(self.batch, self.q)}, got {eps.shape}"
             )
+        scale = T.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over q
         if self.head == "full":
-            diag = self.chol_diag()
-            strict = T.slice_cols(self.chol_raw, 0, _tri_lower_count(self.q))
-            return T.add(self.mu, T.tril_matvec(strict, diag, eps))
-        sigma = T.exp(0.5 * self.log_var)  # isotropic: [batch, 1] broadcasts over q
-        return T.add(self.mu, T.mul(sigma, eps))
+            strict = T.slice_cols(self.params, 0, _tri_lower_count(self.q))
+            return T.add(self.mu, T.tril_matvec(strict, scale, eps))
+        return T.add(self.mu, T.mul(scale, eps))
 
     # -- numpy-side materialization -----------------------------------------
 
@@ -186,9 +142,9 @@ class GaussianLatent:
         """Lower-triangular L of each sample in ``rows``, [len(rows), q, q] (full head only)."""
         q = self.q
         nl = _tri_lower_count(q)
-        raw = self.chol_raw.data[rows]
+        raw = self.params.data[rows]
         L = np.zeros((raw.shape[0], q, q))
-        r, c = np.tril_indices(q, -1)  # row-major, the order chol_raw stores them
+        r, c = np.tril_indices(q, -1)  # row-major, the order params stores them
         L[:, r, c] = raw[:, :nl]
         d = np.arange(q)
         L[:, d, d] = np.exp(raw[:, nl:])
@@ -205,7 +161,7 @@ class GaussianLatent:
         if self.head == "full":
             L = self.chol_matrices(rows)
             return L @ L.transpose(0, 2, 1)
-        var = np.exp(self.log_var.data[rows])
+        var = np.exp(self.params.data[rows])
         if self.head == "isotropic":
             return var[:, :, None] * np.eye(self.q)
         cov = np.zeros((var.shape[0], self.q, self.q))

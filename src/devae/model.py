@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -157,6 +157,8 @@ class DeVae:
             layers.append(DenseLayer(Tensor(weight, requires_grad=True),
                                      Tensor(bias, requires_grad=True), activation))
 
+        # Every layer in topology order, the order of ``flat``.
+        self.layers = layers
         n_trunk = len(config.encoder_widths)
         self.trunk: list[DenseLayer] = layers[:n_trunk]
         self.mu_head = layers[n_trunk]
@@ -165,17 +167,8 @@ class DeVae:
 
     # -- parameter plumbing ---------------------------------------------------
 
-    def _layers(self) -> list[DenseLayer]:
-        layers = list(self.trunk) + [self.mu_head]
-        if self.var_head is not None:
-            layers.append(self.var_head)
-        return layers + list(self.decoder)
-
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self._layers():
-            params.extend((layer.weight, layer.bias))
-        return params
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -201,13 +194,7 @@ class DeVae:
         for layer in self.trunk:
             h = layer(h)
         mu = self.mu_head(h)
-        head = self.config.head
-        if head == "none":
-            return GaussianLatent("none", mu)
-        params = self.var_head(h)
-        if head == "full":
-            return GaussianLatent("full", mu, chol_raw=params)
-        return GaussianLatent(head, mu, log_var=params)
+        return GaussianLatent(self.config.head, mu, None if self.var_head is None else self.var_head(h))
 
     def encode_rows(self, X: np.ndarray, rows: np.ndarray | None = None) -> GaussianLatent:
         """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None) without a tape.
@@ -227,8 +214,7 @@ class DeVae:
                 return None
             return Tensor(np.concatenate([getattr(p, block).data for p in parts]))
 
-        return GaussianLatent(self.config.head, joined("mu"),
-                              log_var=joined("log_var"), chol_raw=joined("chol_raw"))
+        return GaussianLatent(self.config.head, joined("mu"), joined("params"))
 
     def _decoder_hidden(self, z) -> Tensor:
         """Every decoder layer but the last, applied to [batch, latent_dim] points."""
@@ -320,7 +306,7 @@ def load_checkpoint(path) -> DeVae:
         config_blob = _read_exact(fh, config_len, "config body")
         try:
             config = ModelConfig.from_dict(json.loads(config_blob.decode("utf-8")))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, ContractError) as exc:  # missing keys, wrong types or values
             raise CheckpointError(f"invalid config block: {exc}") from exc
         # Check the declared size against the file before allocating it.
         n_bytes = 8 * parameter_count(config)
@@ -337,8 +323,3 @@ def load_checkpoint(path) -> DeVae:
         if trailing:
             raise CheckpointError("trailing bytes after final parameter tensor")
     return model
-
-
-def clone_config(config: ModelConfig, **overrides) -> ModelConfig:
-    """Fresh config with selected fields replaced (head, seed, ...)."""
-    return replace(config, **overrides)

@@ -4,7 +4,7 @@ Each operation builds a node of a dynamic tape: the output tensor keeps
 references to its parents and a closure that scatters the output gradient
 back onto them. ``backward()`` walks the tape in reverse topological order.
 The op set is what the model uses: the fused dense layer ``linear``,
-``add``/``sub``/``mul``, the elementwise ``exp``/``log``/``square``, the
+``add``/``sub``/``mul``, the elementwise ``exp``/``square``, the
 reductions ``tsum``/``tmean``, ``slice_cols`` to split a head's output into
 parameter blocks, ``tril_matvec``, which applies a batch of lower-triangular
 factors to a batch of vectors for the full-covariance sample, and
@@ -294,16 +294,6 @@ def exp(a) -> Tensor:
 
     def backward(g):
         return ((a, g * data),)
-
-    return _node(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        return ((a, g / a.data),)
 
     return _node(data, (a,), backward)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .data import DatasetBundle
 from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import MetricsRow, evaluate
 from .losses import total_loss
-from .model import DeVae, clone_config, forward_train
+from .model import DeVae, forward_train
 from .tensor import Tensor
 
 
@@ -172,15 +172,7 @@ class TrainReport:
     wall_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": self.config,
-            "epochs": self.epochs,
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "best_val_total": self.best_val_total,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -271,7 +263,7 @@ def run_matrix(
         epoch_counts: list[float] = []
         for i in range(n_seeds):
             seed = settings.seed + i
-            config = clone_config(config_template, head=head, seed=seed)
+            config = replace(config_template, head=head, seed=seed)
             run_settings = replace(settings, seed=seed)
             try:
                 model, report = train(DeVae(config), bundle, run_settings)

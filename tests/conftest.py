@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from devae import (
     split_dataset,
     train,
 )
-from devae.gaussian import GaussianLatent
+from devae.gaussian import GaussianLatent, head_param_count
 from devae.tensor import Tensor
 
 
@@ -46,34 +47,28 @@ def mc_entropy(latent: GaussianLatent, i: int, n: int, seed: int) -> float:
     """
     q = latent.q
     mu = latent.mu.data[i]
-    big = _tile_latent(latent, i, n)
+    big = tile_latent(latent, i, n)
     eps = np.random.default_rng(seed).standard_normal((n, q))
     z = big.sample(Tensor(eps)).data
     cov = latent.covariance_matrix(i)
     return float(-gaussian_logpdf(z, mu, cov).mean())
 
 
-def _tile_latent(latent: GaussianLatent, i: int, n: int) -> GaussianLatent:
-    mu = Tensor(np.tile(latent.mu.data[i], (n, 1)))
-    if latent.head in ("isotropic", "diagonal"):
-        return GaussianLatent(latent.head, mu, log_var=Tensor(np.tile(latent.log_var.data[i], (n, 1))))
-    if latent.head == "full":
-        return GaussianLatent("full", mu, chol_raw=Tensor(np.tile(latent.chol_raw.data[i], (n, 1))))
-    return GaussianLatent("none", mu)
+def tile_latent(latent: GaussianLatent, i: int, n: int) -> GaussianLatent:
+    """n copies of sample i of a latent."""
+    params = None if latent.params is None else Tensor(np.tile(latent.params.data[i], (n, 1)))
+    return GaussianLatent(latent.head, Tensor(np.tile(latent.mu.data[i], (n, 1))), params)
 
 
 def random_latent(head: str, rng: np.random.Generator, q: int = 2) -> GaussianLatent:
-    """One random latent with log-variances drawn in [-2, 2]."""
+    """One random latent with every raw head parameter drawn in [-1, 1].
+
+    For full that is log-variance 2 ln L_ii in [-2, 2]; for isotropic and
+    diagonal the log-variances themselves lie in [-1, 1].
+    """
     mu = Tensor(rng.uniform(-3.0, 3.0, size=(1, q)))
-    if head == "isotropic":
-        return GaussianLatent(head, mu, log_var=Tensor(rng.uniform(-2.0, 2.0, size=(1, 1))))
-    if head == "diagonal":
-        return GaussianLatent(head, mu, log_var=Tensor(rng.uniform(-2.0, 2.0, size=(1, q))))
-    if head == "full":
-        lower = rng.uniform(-1.0, 1.0, size=q * (q - 1) // 2)
-        diag_raw = rng.uniform(-1.0, 1.0, size=q)  # log-variance 2*raw in [-2, 2]
-        return GaussianLatent(head, mu, chol_raw=Tensor(np.concatenate([lower, diag_raw])[None, :]))
-    return GaussianLatent("none", mu)
+    width = head_param_count(head, q)
+    return GaussianLatent(head, mu, Tensor(rng.uniform(-1.0, 1.0, size=(1, width))) if width else None)
 
 
 def write_idx(path, magic: int, dims: tuple[int, ...], payload: bytes) -> None:
@@ -83,6 +78,23 @@ def write_idx(path, magic: int, dims: tuple[int, ...], payload: bytes) -> None:
         for d in dims:
             fh.write(struct.pack(">i", d))
         fh.write(payload)
+
+
+GOOD_CONFIG = {"input_dim": 10, "latent_dim": 2, "encoder_widths": [4], "decoder_widths": [4],
+               "head": "full", "recon_kind": "mse", "lambda_proj": 1.0, "lambda_ent": 0.1, "seed": 0}
+
+# Config blocks of the wrong shape or type.
+MALFORMED_CONFIGS = [
+    pytest.param([], id="list"),
+    pytest.param({**GOOD_CONFIG, "encoder_widths": None}, id="null-widths"),
+    pytest.param({**GOOD_CONFIG, "encoder_widths": "ab"}, id="string-widths"),
+]
+
+
+def checkpoint_with_config(config) -> bytes:
+    """A checkpoint envelope around an arbitrary JSON config block, with no parameters."""
+    blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
+    return b"DEVAE\x01" + len(blob).to_bytes(4, "little") + blob
 
 
 def run_cli(args, cwd=None) -> subprocess.CompletedProcess:

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import blob_bundle, mc_entropy, random_latent, run_cli
 from devae.data import read_csv_vectors, read_projection_csv, write_csv_vectors
-from devae.gaussian import GaussianLatent, entropy_diagonal, entropy_full, entropy_isotropic
+from devae.gaussian import GaussianLatent
 from devae.gradsuite import run_gradient_suite
 from devae.losses import LossWeights
 from devae.model import load_checkpoint
@@ -124,9 +124,11 @@ def test_c02_entropy_family_consistency():
     worst = 0.0
     for _ in range(100):
         lv = rng.uniform(-2.0, 2.0)
-        iso = entropy_isotropic(2, Tensor(lv)).item()
-        diag = entropy_diagonal(Tensor([[lv, lv]])).item()
-        full = entropy_full(Tensor([[math.exp(0.5 * lv), math.exp(0.5 * lv)]])).item()
+        mu = Tensor([[0.0, 0.0]])
+        iso = GaussianLatent("isotropic", mu, Tensor([[lv]])).entropy().item()
+        diag = GaussianLatent("diagonal", mu, Tensor([[lv, lv]])).entropy().item()
+        # L = diag(sigma): raw diagonal entries are ln sigma = lv / 2
+        full = GaussianLatent("full", mu, Tensor([[0.0, 0.5 * lv, 0.5 * lv]])).entropy().item()
         worst = max(worst, abs(iso - diag), abs(iso - full), abs(diag - full))
     assert worst < 1e-9
     _ok(2, f"isotropic == diagonal == full for 100 sigma, worst gap {worst:.2e}")
@@ -151,7 +153,7 @@ def test_c04_sampling_moments_full_head():
     lat = GaussianLatent(
         "full",
         Tensor(np.zeros((n, 2))),
-        chol_raw=Tensor(np.tile([1.0, math.log(2.0), 0.0], (n, 1))),
+        Tensor(np.tile([1.0, math.log(2.0), 0.0], (n, 1))),
     )
     eps = np.random.default_rng(104).standard_normal((n, 2))
     z = lat.sample(Tensor(eps)).data

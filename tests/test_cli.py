@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from conftest import MALFORMED_CONFIGS, checkpoint_with_config, run_cli
 
 FAST_TRAIN = [
     "--encoder-widths", "16,8",
@@ -206,13 +206,23 @@ def test_checkpoint_declaring_huge_model_exits_two(tmp_path):
     config = {"input_dim": 10**9, "latent_dim": 2, "encoder_widths": [512, 128],
               "decoder_widths": [128, 512], "head": "full", "recon_kind": "bce",
               "lambda_proj": 20.0, "lambda_ent": 5.0, "seed": 0}
-    blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
     ckpt = tmp_path / "huge.ckpt"
-    ckpt.write_bytes(b"DEVAE\x01" + len(blob).to_bytes(4, "little") + blob)
+    ckpt.write_bytes(checkpoint_with_config(config))
     r = run_cli(["project", "--model", ckpt, "--data", tmp_path / "absent.csv",
                  "--out", tmp_path / "coords.csv"])
     assert r.returncode == 2, r.stderr
     assert "parameter block" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("block", MALFORMED_CONFIGS)
+def test_checkpoint_with_malformed_config_exits_two(tmp_path, block):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(checkpoint_with_config(block))
+    r = run_cli(["project", "--model", ckpt, "--data", tmp_path / "absent.csv",
+                 "--out", tmp_path / "coords.csv"])
+    assert r.returncode == 2, r.stderr
+    assert "invalid config block" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -202,7 +202,7 @@ class TestClassEllipses:
         # cancels to 0 for it; the minor axis comes from the Cholesky diagonal.
         L = np.array([[1e-14, 0.0], [0.5, 0.3]])
         chol_raw = np.array([[L[1, 0], math.log(L[0, 0]), math.log(L[1, 1])]])
-        latent = GaussianLatent("full", Tensor([[1.0, -2.0]]), chol_raw=Tensor(chol_raw))
+        latent = GaussianLatent("full", Tensor([[1.0, -2.0]]), Tensor(chol_raw))
         (specs,) = class_ellipses(latent, np.array([3])).values()
         # Semi-axes are k times L's singular values, whose product is det L.
         major = np.linalg.svd(L, compute_uv=False)[0]
@@ -216,7 +216,7 @@ class TestClassEllipses:
         # tr = 1 + 1e-17 rounds to 1, so (tr - sqrt(disc)) / 2 is 0; the minor
         # axis comes from the product of the variances.
         log_var = np.log([[1.0, 1e-17], [1.0, 1e-17]])
-        latent = GaussianLatent("diagonal", Tensor([[0.0, 0.0], [1.0, 1.0]]), log_var=Tensor(log_var))
+        latent = GaussianLatent("diagonal", Tensor([[0.0, 0.0], [1.0, 1.0]]), Tensor(log_var))
         (specs,) = class_ellipses(latent, np.array([0, 0]), average_cov=average_cov).values()
         for spec in specs:
             assert spec.semi_axes == pytest.approx((spec.k, spec.k * math.sqrt(1e-17)), rel=1e-12)
@@ -231,7 +231,7 @@ class TestClassEllipses:
         chol_raw = np.column_stack([l10, np.log(l00), np.log(l11)])
         mu = np.arange(10.0).reshape(5, 2)
         labels = np.array([0, 0, 0, 1, 1])
-        latent = GaussianLatent("full", Tensor(mu), chol_raw=Tensor(chol_raw))
+        latent = GaussianLatent("full", Tensor(mu), Tensor(chol_raw))
         ellipses = class_ellipses(latent, labels, average_cov=True)
         for label, members in ((0, [0, 1, 2]), (1, [3, 4])):
             L = [np.array([[np.exp(chol_raw[i, 1]), 0.0], [l10[i], np.exp(chol_raw[i, 2])]])
@@ -256,7 +256,7 @@ class TestClassEllipses:
         n = 300
         width = 1 if head == "isotropic" else 2
         log_var = rng.uniform(-3.0, 3.0, size=(n, width))
-        latent = GaussianLatent(head, Tensor(rng.standard_normal((n, 2))), log_var=Tensor(log_var))
+        latent = GaussianLatent(head, Tensor(rng.standard_normal((n, 2))), Tensor(log_var))
         labels = rng.integers(0, 4, size=n)
 
         def member_cov(i):  # one covariance per Python call, as first written

@@ -5,40 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mc_entropy, random_latent
+from conftest import mc_entropy, random_latent, tile_latent
 from devae.errors import ContractError, GeometryError
-from devae.gaussian import (
-    EllipseSpec,
-    GaussianLatent,
-    ellipse_from_cov,
-    entropy_diagonal,
-    entropy_full,
-    entropy_isotropic,
-)
+from devae.gaussian import LN_2PI, EllipseSpec, GaussianLatent, ellipse_from_cov
+from devae.losses import ent_loss
 from devae.tensor import Tensor, gradient_check
 import devae.tensor as T
 
 UNIT_H2 = 1.0 + math.log(2.0 * math.pi)  # entropy of N(0, I) in 2-D: 2.8378771
 
 
+def entropy(head: str, params, q: int = 2) -> float:
+    """Entropy of one latent of width q with the given raw head parameters."""
+    return GaussianLatent(head, Tensor(np.zeros((1, q))), Tensor([params])).entropy().item()
+
+
 class TestEntropyValues:
     def test_isotropic_unit_variance(self):
-        assert entropy_isotropic(2, Tensor(0.0)).item() == pytest.approx(2.8378770664093453, abs=1e-12)
+        assert entropy("isotropic", [0.0]) == pytest.approx(2.8378770664093453, abs=1e-12)
 
     def test_isotropic_variance_e(self):
         # Closed form; cross-checked against the Monte-Carlo oracle below.
-        assert entropy_isotropic(2, Tensor(1.0)).item() == pytest.approx(3.8378770664093453, abs=1e-12)
+        assert entropy("isotropic", [1.0]) == pytest.approx(3.8378770664093453, abs=1e-12)
 
     def test_isotropic_one_dimension(self):
-        assert entropy_isotropic(1, Tensor(0.0)).item() == pytest.approx(1.4189385332046727, abs=1e-12)
+        assert entropy("isotropic", [0.0], q=1) == pytest.approx(1.4189385332046727, abs=1e-12)
 
     def test_diagonal_unit_matches_isotropic(self):
-        d = entropy_diagonal(Tensor([[0.0, 0.0]])).item()
-        assert d == pytest.approx(entropy_isotropic(2, Tensor(0.0)).item(), abs=1e-12)
+        d = entropy("diagonal", [0.0, 0.0])
+        assert d == pytest.approx(entropy("isotropic", [0.0]), abs=1e-12)
         assert d == pytest.approx(2.8378770664093453, abs=1e-12)
 
     def test_diagonal_one_four(self):
-        got = entropy_diagonal(Tensor([[0.0, math.log(4.0)]])).item()
+        got = entropy("diagonal", [0.0, math.log(4.0)])
         assert got == pytest.approx(UNIT_H2 + 0.5 * math.log(4.0), abs=1e-12)
         assert got == pytest.approx(3.5310242469692906, abs=1e-12)
 
@@ -46,28 +45,37 @@ class TestEntropyValues:
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = rng.uniform(-2.0, 2.0)
-            d = entropy_diagonal(Tensor([[c, c]])).item()
-            assert d == pytest.approx(entropy_isotropic(2, Tensor(c)).item(), abs=1e-12)
+            assert entropy("diagonal", [c, c]) == pytest.approx(entropy("isotropic", [c]), abs=1e-12)
 
     def test_full_identity(self):
-        assert entropy_full(Tensor([[1.0, 1.0]])).item() == pytest.approx(2.8378770664093453, abs=1e-12)
+        assert entropy("full", [0.0, 0.0, 0.0]) == pytest.approx(2.8378770664093453, abs=1e-12)
 
     def test_full_log_det_example(self):
         # L = [[2,0],[1,1]]: entropy equals the diagonal (1,4) case since
         # both covariances have determinant 4.
-        got = entropy_full(Tensor([[2.0, 1.0]])).item()
+        got = entropy("full", [1.0, math.log(2.0), 0.0])
         assert got == pytest.approx(2.8378770664093453 + math.log(2.0), abs=1e-12)
-        assert got == pytest.approx(entropy_diagonal(Tensor([[0.0, math.log(4.0)]])).item(), abs=1e-12)
+        assert got == pytest.approx(entropy("diagonal", [0.0, math.log(4.0)]), abs=1e-12)
 
     def test_full_ignores_off_diagonal(self):
-        lat_a = GaussianLatent("full", Tensor([[0.0, 0.0]]), chol_raw=Tensor([[5.0, 0.0, 0.0]]))
-        lat_b = GaussianLatent("full", Tensor([[0.0, 0.0]]), chol_raw=Tensor([[0.0, 0.0, 0.0]]))
+        lat_a = GaussianLatent("full", Tensor([[0.0, 0.0]]), Tensor([[5.0, 0.0, 0.0]]))
+        lat_b = GaussianLatent("full", Tensor([[0.0, 0.0]]), Tensor([[0.0, 0.0, 0.0]]))
         assert lat_a.entropy().item() == pytest.approx(lat_b.entropy().item(), abs=1e-15)
         assert lat_a.entropy().item() == pytest.approx(2.8378770664093453, abs=1e-12)
 
-    def test_full_guards_nonpositive_diagonal(self):
-        with pytest.raises(ContractError):
-            entropy_full(Tensor([[1.0, -1.0]]))
+    @pytest.mark.parametrize("raw", [-740.0, -800.0])
+    def test_full_exact_where_the_diagonal_underflows(self, raw):
+        # exp(-740) is subnormal and exp(-800) is 0, yet ln L_ii = raw is exact:
+        # the entropy stays finite and its gradient is the constant -1/batch.
+        batch, q = 4, 2
+        lower = np.random.default_rng(14).uniform(-1.0, 1.0, size=(batch, 1))
+        params = Tensor(np.column_stack([lower, np.full((batch, q), raw)]), requires_grad=True)
+        lat = GaussianLatent("full", Tensor(np.zeros((batch, q))), params)
+        want = 0.5 * q * (1.0 + LN_2PI) + params.data[:, 1:].sum(axis=1)
+        np.testing.assert_allclose(lat.entropy().data[:, 0], want, rtol=1e-15)
+        ent_loss(lat).backward()
+        np.testing.assert_array_equal(params.grad[:, 1:], np.full((batch, q), -1.0 / batch))
+        np.testing.assert_array_equal(params.grad[:, 0], 0.0)
 
 
 class TestEntropyProperties:
@@ -75,10 +83,10 @@ class TestEntropyProperties:
         rng = np.random.default_rng(1)
         for _ in range(100):
             lv = rng.uniform(-2.0, 2.0)
-            iso = entropy_isotropic(2, Tensor(lv)).item()
-            diag = entropy_diagonal(Tensor([[lv, lv]])).item()
-            # L = diag(sigma): raw diagonal entries are log(sigma) = lv / 2
-            full = entropy_full(Tensor([[math.exp(0.5 * lv), math.exp(0.5 * lv)]])).item()
+            iso = entropy("isotropic", [lv])
+            diag = entropy("diagonal", [lv, lv])
+            # L = diag(sigma): raw diagonal entries are ln sigma = lv / 2
+            full = entropy("full", [0.0, 0.5 * lv, 0.5 * lv])
             assert abs(iso - diag) < 1e-9
             assert abs(iso - full) < 1e-9
 
@@ -86,34 +94,28 @@ class TestEntropyProperties:
         rng = np.random.default_rng(2)
         for _ in range(50):
             lv = rng.uniform(-2.0, 2.0, size=2)
-            base = entropy_diagonal(Tensor(lv[None, :])).item()
+            base = entropy("diagonal", lv)
             for i in range(2):
                 bumped = lv.copy()
                 bumped[i] += 0.1
-                assert entropy_diagonal(Tensor(bumped[None, :])).item() > base
-            iso = entropy_isotropic(2, Tensor(lv[0])).item()
-            assert entropy_isotropic(2, Tensor(lv[0] + 0.1)).item() > iso
+                assert entropy("diagonal", bumped) > base
+            iso = entropy("isotropic", [lv[0]])
+            assert entropy("isotropic", [lv[0] + 0.1]) > iso
 
     def test_entropy_ignores_mu(self):
         rng = np.random.default_rng(3)
         for head in ("isotropic", "diagonal", "full"):
             lat = random_latent(head, rng)
-            moved = GaussianLatent(
-                head,
-                Tensor(lat.mu.data + 100.0),
-                log_var=None if lat.log_var is None else Tensor(lat.log_var.data.copy()),
-                chol_raw=None if lat.chol_raw is None else Tensor(lat.chol_raw.data.copy()),
-            )
+            moved = GaussianLatent(head, Tensor(lat.mu.data + 100.0), Tensor(lat.params.data.copy()))
             assert lat.entropy().item() == moved.entropy().item()
 
     def test_entropy_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        lv1 = Tensor(rng.uniform(-2, 2, size=(3, 1)), requires_grad=True)
-        lv2 = Tensor(rng.uniform(-2, 2, size=(3, 2)), requires_grad=True)
-        diag = Tensor(rng.uniform(0.2, 2.0, size=(3, 2)), requires_grad=True)
-        assert gradient_check(lambda: T.tsum(entropy_isotropic(2, lv1)), [lv1], floor=1e-8) < 1e-6
-        assert gradient_check(lambda: T.tsum(entropy_diagonal(lv2)), [lv2], floor=1e-8) < 1e-6
-        assert gradient_check(lambda: T.tsum(entropy_full(diag)), [diag], floor=1e-8) < 1e-6
+        mu = Tensor(np.zeros((3, 2)))
+        for head, width in (("isotropic", 1), ("diagonal", 2), ("full", 3)):
+            params = Tensor(rng.uniform(-2, 2, size=(3, width)), requires_grad=True)
+            build = lambda: T.tsum(GaussianLatent(head, mu, params).entropy())  # noqa: E731
+            assert gradient_check(build, [params], floor=1e-8) < 1e-6
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
     def test_monte_carlo_oracle_agreement(self, head):
@@ -135,7 +137,7 @@ class TestSampling:
     def test_full_hand_example(self):
         # L = [[2,0],[1,1]], eps = (1,1): z = (2, 2)
         lat = GaussianLatent(
-            "full", Tensor([[0.0, 0.0]]), chol_raw=Tensor([[1.0, math.log(2.0), 0.0]])
+            "full", Tensor([[0.0, 0.0]]), Tensor([[1.0, math.log(2.0), 0.0]])
         )
         z = lat.sample(Tensor([[1.0, 1.0]]))
         np.testing.assert_allclose(z.data, [[2.0, 2.0]], rtol=0, atol=1e-15)
@@ -145,7 +147,7 @@ class TestSampling:
         rng = np.random.default_rng(q)
         mu = Tensor(rng.standard_normal((4, q)), requires_grad=True)
         raw = Tensor(rng.uniform(-1, 1, size=(4, q * (q + 1) // 2)), requires_grad=True)
-        lat = GaussianLatent("full", mu, chol_raw=raw)
+        lat = GaussianLatent("full", mu, raw)
         nodes = []
         record = T._node
 
@@ -167,7 +169,7 @@ class TestSampling:
         np.testing.assert_allclose(z[0], lat.mu.data[0] + lat.chol_matrix(0) @ eps[0], rtol=1e-13)
 
     def test_isotropic_componentwise_affine(self):
-        lat = GaussianLatent("isotropic", Tensor([[1.0, 1.0]]), log_var=Tensor([[math.log(9.0)]]))
+        lat = GaussianLatent("isotropic", Tensor([[1.0, 1.0]]), Tensor([[math.log(9.0)]]))
         z = lat.sample(Tensor([[1.0, -1.0]]))
         np.testing.assert_allclose(z.data, [[4.0, -2.0]], rtol=0, atol=1e-12)
 
@@ -188,13 +190,7 @@ class TestSampling:
         n = 1_000_000
         rng = np.random.default_rng(9)
         lat = random_latent(head, rng)
-        mu = np.tile(lat.mu.data[0], (n, 1))
-        big = GaussianLatent(
-            head,
-            Tensor(mu),
-            log_var=None if lat.log_var is None else Tensor(np.tile(lat.log_var.data[0], (n, 1))),
-            chol_raw=None if lat.chol_raw is None else Tensor(np.tile(lat.chol_raw.data[0], (n, 1))),
-        )
+        big = tile_latent(lat, 0, n)
         z = big.sample(Tensor(rng.standard_normal((n, 2)))).data
         cov_true = lat.covariance_matrix(0)
         sigma_max = math.sqrt(cov_true.diagonal().max())
@@ -207,18 +203,18 @@ class TestSampling:
 
 class TestCovarianceMatrix:
     def test_isotropic(self):
-        lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), log_var=Tensor([[math.log(4.0)]]))
+        lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), Tensor([[math.log(4.0)]]))
         np.testing.assert_allclose(lat.covariance_matrix(0), [[4.0, 0.0], [0.0, 4.0]], atol=1e-14)
 
     def test_diagonal(self):
         lat = GaussianLatent(
-            "diagonal", Tensor([[0.0, 0.0]]), log_var=Tensor([[0.0, math.log(9.0)]])
+            "diagonal", Tensor([[0.0, 0.0]]), Tensor([[0.0, math.log(9.0)]])
         )
         np.testing.assert_allclose(lat.covariance_matrix(0), [[1.0, 0.0], [0.0, 9.0]], atol=1e-14)
 
     def test_full_llt(self):
         lat = GaussianLatent(
-            "full", Tensor([[0.0, 0.0]]), chol_raw=Tensor([[1.0, math.log(2.0), 0.0]])
+            "full", Tensor([[0.0, 0.0]]), Tensor([[1.0, math.log(2.0), 0.0]])
         )
         np.testing.assert_allclose(lat.covariance_matrix(0), [[4.0, 2.0], [2.0, 2.0]], atol=1e-14)
 
@@ -234,11 +230,8 @@ class TestCovarianceMatrix:
         rng = np.random.default_rng(13)
         parts = [random_latent(head, rng, q=3) for _ in range(6)]
 
-        def stacked(block):
-            blocks = [getattr(p, block) for p in parts]
-            return None if blocks[0] is None else Tensor(np.concatenate([b.data for b in blocks]))
-
-        lat = GaussianLatent(head, stacked("mu"), log_var=stacked("log_var"), chol_raw=stacked("chol_raw"))
+        lat = GaussianLatent(head, Tensor(np.concatenate([p.mu.data for p in parts])),
+                             Tensor(np.concatenate([p.params.data for p in parts])))
         rows = [4, 0, 4, 2]
         covs = lat.covariance_matrices(rows)
         assert covs.shape == (4, 3, 3)
@@ -249,11 +242,13 @@ class TestCovarianceMatrix:
     def test_exactly_one_param_block(self):
         mu = Tensor([[0.0, 0.0]])
         with pytest.raises(ContractError):
-            GaussianLatent("isotropic", mu, chol_raw=Tensor([[1.0, 0.0, 0.0]]))
+            GaussianLatent("isotropic", mu, Tensor([[1.0, 0.0, 0.0]]))
         with pytest.raises(ContractError):
-            GaussianLatent("none", mu, log_var=Tensor([[0.0]]))
+            GaussianLatent("none", mu, Tensor([[0.0]]))
         with pytest.raises(ContractError):
-            GaussianLatent("full", mu, log_var=Tensor([[0.0]]))
+            GaussianLatent("full", mu, Tensor([[0.0]]))
+        with pytest.raises(ContractError):
+            GaussianLatent("diagonal", mu)
 
 
 class TestEllipse:

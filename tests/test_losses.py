@@ -120,7 +120,7 @@ class TestProjLoss:
 
 class TestEntLoss:
     def test_unit_isotropic(self):
-        lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), log_var=Tensor([[0.0]]))
+        lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), Tensor([[0.0]]))
         assert ent_loss(lat).item() == pytest.approx(-2.8378770664093453, abs=1e-12)
 
     def test_none_head_contributes_exactly_zero(self):
@@ -128,13 +128,13 @@ class TestEntLoss:
         assert ent_loss(lat).item() == 0.0
 
     def test_full_hand_example(self):
-        lat = GaussianLatent("full", Tensor([[0.0, 0.0]]), chol_raw=Tensor([[1.0, math.log(2.0), 0.0]]))
+        lat = GaussianLatent("full", Tensor([[0.0, 0.0]]), Tensor([[1.0, math.log(2.0), 0.0]]))
         assert ent_loss(lat).item() == pytest.approx(-3.5310242469692906, abs=1e-12)
 
     def test_growing_sigma_strictly_lowers_ent_loss(self):
         values = []
         for lv in (-1.0, 0.0, 1.0, 2.0):
-            lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), log_var=Tensor([[lv]]))
+            lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), Tensor([[lv]]))
             values.append(ent_loss(lat).item())
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -204,7 +204,7 @@ class TestLossGradients:
         assert gradient_check(lambda: recon_bce(x, x_hat), [x_hat]) < 1e-4
         assert gradient_check(lambda: proj_loss(y, mu), [mu]) < 1e-4
         assert (
-            gradient_check(lambda: ent_loss(GaussianLatent("diagonal", mu, log_var=lv)), [lv])
+            gradient_check(lambda: ent_loss(GaussianLatent("diagonal", mu, lv)), [lv])
             < 1e-4
         )
 
@@ -218,7 +218,7 @@ class TestLossGradients:
         lv = Tensor(rng.uniform(-1, 1, size=(2, 2)), requires_grad=True)
 
         def build():
-            lat = GaussianLatent("diagonal", mu, log_var=lv)
+            lat = GaussianLatent("diagonal", mu, lv)
             return w.combine(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat))
 
         assert gradient_check(build, [x_hat, mu, lv]) < 1e-4

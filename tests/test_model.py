@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import MALFORMED_CONFIGS, checkpoint_with_config, tiny_config
 from devae.errors import (
     CheckpointError,
     CheckpointMagicError,
@@ -25,12 +25,12 @@ class TestEncodeDecode:
         x = np.random.default_rng(0).uniform(-2, 2, size=(5, 10))
         latent = model.encode(x)
         assert np.all(np.isfinite(latent.mu.data))
-        assert np.all(np.isfinite(latent.chol_raw.data))
+        assert np.all(np.isfinite(latent.params.data))
 
     def test_none_head_carries_only_mu(self):
         model = DeVae(tiny_config(head="none"))
         latent = model.encode(np.zeros((2, 10)))
-        assert latent.log_var is None and latent.chol_raw is None
+        assert latent.params is None
 
     def test_bce_decoder_output_in_open_unit_interval(self):
         model = DeVae(tiny_config(recon_kind="bce"))
@@ -219,6 +219,13 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", MALFORMED_CONFIGS)
+    def test_malformed_config_block(self, tmp_path, block):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_with_config(block))
+        with pytest.raises(CheckpointError, match="invalid config block"):
             load_checkpoint(path)
 
     def test_envelope_layout(self, tmp_path):

@@ -133,7 +133,7 @@ class TestFusedLinear:
         monkeypatch.setattr(T, "_node", counting_node)
         latent = model.encode(Tensor(np.random.default_rng(2).uniform(0, 1, size=(6, 10))))
         x_hat = model.decode(latent.mu)
-        assert len(nodes) == len(model._layers())
+        assert len(nodes) == len(model.layers)
         assert all(n._backward is not None for n in nodes)
         assert x_hat._parents[1:] == (model.decoder[-1].weight, model.decoder[-1].bias)
 
@@ -401,7 +401,7 @@ class TestNoGrad:
         taped = forward_train(model, bundle.X, bundle.Y, eps)
         with no_grad():
             bare = forward_train(model, bundle.X, bundle.Y, eps)
-        for t in (bare.total, bare.x_hat, bare.latent.mu, bare.latent.chol_raw):
+        for t in (bare.total, bare.x_hat, bare.latent.mu, bare.latent.params):
             assert t._parents == () and t._backward is None
         np.testing.assert_array_equal(bare.x_hat.data, taped.x_hat.data)
         np.testing.assert_array_equal(bare.total.data, taped.total.data)
