@@ -35,22 +35,26 @@ LN_2PI = math.log(2.0 * math.pi)
 HEADS = ("none", "isotropic", "diagonal", "full")
 
 
-def head_param_names(head: str, q: int) -> list[str]:
-    """Names of the covariance head's output columns, as ``project`` writes them."""
+def head_param_count(head: str, q: int) -> int:
+    """Width of the covariance head output for one sample (0 for "none")."""
     if head == "none":
-        return []
+        return 0
     if head == "isotropic":
-        return ["log_var"]
+        return 1
     if head == "diagonal":
-        return [f"log_var_{i}" for i in range(q)]
+        return q
     if head == "full":
-        return [f"chol_raw_{i}" for i in range(q * (q + 1) // 2)]
+        return q * (q + 1) // 2
     raise ContractError(f"unknown head {head!r}")
 
 
-def head_param_count(head: str, q: int) -> int:
-    """Width of the covariance head output for one sample (0 for "none")."""
-    return len(head_param_names(head, q))
+def head_param_names(head: str, q: int) -> list[str]:
+    """Names of the covariance head's output columns, as ``project`` writes them."""
+    n = head_param_count(head, q)
+    if head == "isotropic":
+        return ["log_var"]
+    prefix = "chol_raw" if head == "full" else "log_var"
+    return [f"{prefix}_{i}" for i in range(n)]
 
 
 def _tri_lower_count(q: int) -> int:

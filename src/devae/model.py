@@ -306,7 +306,7 @@ def load_checkpoint(path) -> DeVae:
         config_blob = _read_exact(fh, config_len, "config body")
         try:
             config = ModelConfig.from_dict(json.loads(config_blob.decode("utf-8")))
-        except (ValueError, KeyError, TypeError, ContractError) as exc:  # missing keys, wrong types or values
+        except (ValueError, KeyError, TypeError, OverflowError, ContractError) as exc:  # missing keys, wrong types or values
             raise CheckpointError(f"invalid config block: {exc}") from exc
         # Check the declared size against the file before allocating it.
         n_bytes = 8 * parameter_count(config)

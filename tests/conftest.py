@@ -61,14 +61,14 @@ def tile_latent(latent: GaussianLatent, i: int, n: int) -> GaussianLatent:
 
 
 def random_latent(head: str, rng: np.random.Generator, q: int = 2) -> GaussianLatent:
-    """One random latent with every raw head parameter drawn in [-1, 1].
+    """One random latent with every raw head parameter drawn in [-2, 2].
 
-    For full that is log-variance 2 ln L_ii in [-2, 2]; for isotropic and
-    diagonal the log-variances themselves lie in [-1, 1].
+    For isotropic and diagonal those are log-variances; for full, the
+    off-diagonal entries of L and ln L_ii (log-variance in [-4, 4]).
     """
     mu = Tensor(rng.uniform(-3.0, 3.0, size=(1, q)))
     width = head_param_count(head, q)
-    return GaussianLatent(head, mu, Tensor(rng.uniform(-1.0, 1.0, size=(1, width))) if width else None)
+    return GaussianLatent(head, mu, Tensor(rng.uniform(-2.0, 2.0, size=(1, width))) if width else None)
 
 
 def write_idx(path, magic: int, dims: tuple[int, ...], payload: bytes) -> None:
@@ -88,6 +88,7 @@ MALFORMED_CONFIGS = [
     pytest.param([], id="list"),
     pytest.param({**GOOD_CONFIG, "encoder_widths": None}, id="null-widths"),
     pytest.param({**GOOD_CONFIG, "encoder_widths": "ab"}, id="string-widths"),
+    pytest.param({**GOOD_CONFIG, "input_dim": float("inf")}, id="inf-input-dim"),
 ]
 
 
@@ -97,12 +98,13 @@ def checkpoint_with_config(config) -> bytes:
     return b"DEVAE\x01" + len(blob).to_bytes(4, "little") + blob
 
 
-def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
+def run_cli(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "devae", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 

@@ -215,6 +215,20 @@ def test_checkpoint_declaring_huge_model_exits_two(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("head,latent_dim", [("full", 10**6), ("diagonal", 10**9)])
+def test_checkpoint_declaring_huge_latent_exits_two(tmp_path, head, latent_dim):
+    # Sizing the declared model must not build anything per latent dimension.
+    config = {"input_dim": 10, "latent_dim": latent_dim, "encoder_widths": [4], "decoder_widths": [4],
+              "head": head, "recon_kind": "mse", "lambda_proj": 1.0, "lambda_ent": 0.1, "seed": 0}
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(checkpoint_with_config(config))
+    r = run_cli(["project", "--model", ckpt, "--data", tmp_path / "absent.csv",
+                 "--out", tmp_path / "coords.csv"], timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "parameter block" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("block", MALFORMED_CONFIGS)
 def test_checkpoint_with_malformed_config_exits_two(tmp_path, block):
     ckpt = tmp_path / "bad.ckpt"
