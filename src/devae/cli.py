@@ -15,18 +15,7 @@ import sys
 import numpy as np
 
 from . import data as dio
-from .errors import (
-    CheckpointError,
-    ContractError,
-    DataError,
-    DevaeError,
-    DimensionError,
-    DivergenceError,
-    DomainError,
-    GeometryError,
-    ParseError,
-    UsageError,
-)
+from .errors import ContractError, DataError, DevaeError, DivergenceError, UsageError
 from .evaluation import class_ellipses, evaluate, format_metrics_table, metrics_to_json
 from .gaussian import HEADS, head_param_names
 from .gradsuite import run_gradient_suite
@@ -232,15 +221,9 @@ def _cmd_project(args) -> int:
     model = load_checkpoint(args.model)
     X, _ = _load_matrix(args.data)
     latent = model.encode_rows(X)
-    cols = ["id", "mu_x", "mu_y"] + head_param_names(model.config.head, latent.q)
-    params = np.empty((latent.batch, 0)) if latent.params is None else latent.params.data
-    lines = [",".join(cols)]
-    for i in range(latent.batch):
-        cells = [str(i), repr(float(latent.mu.data[i, 0])), repr(float(latent.mu.data[i, 1]))]
-        cells += [repr(float(v)) for v in params[i]]
-        lines.append(",".join(cells))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    blocks = [latent.mu.data] if latent.params is None else [latent.mu.data, latent.params.data]
+    names = ["mu_x", "mu_y"] + head_param_names(model.config.head, latent.q)
+    dio.write_csv(args.out, names, np.hstack(blocks), ids=True)
     return 0
 
 
@@ -372,14 +355,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, DataError, DimensionError, DomainError, GeometryError,
-            CheckpointError, ContractError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except DevaeError as exc:  # anything else from the package
+    except (DevaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

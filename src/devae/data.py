@@ -1,4 +1,4 @@
-"""Dataset ingestion and generation.
+"""Dataset ingestion and generation, and every CSV the package reads or writes.
 
 File formats:
 
@@ -6,8 +6,14 @@ File formats:
   tensors (dims n, rows, cols) or 0x00000801 for u8 label vectors.
 * Vector CSV: optional header, one numeric row per sample; a final column
   literally named "label" is split off as integer labels.
-* Projection CSV: header ``id,x,y`` with an optional ``label`` column; ids
-  must cover 0..n-1 exactly once and rows may appear in any order.
+* Projection CSV: header ``id,x,y`` with an optional ``label`` column found by
+  name; other columns are ignored. Ids must cover 0..n-1 exactly once and rows
+  may appear in any order.
+
+All CSV tables go through one parser (``_read_csv``: header detection, ragged
+rows and non-numeric cells as line-numbered ParseErrors) and one writer
+(``write_csv``: an optional id column, float64 cells as ``repr`` so values
+read back exactly, an optional integer label column).
 
 Also provides the synthetic blob generator used for desk-scale runs and a
 dependency-free PCA (power iteration with deflation) so the full pipeline
@@ -124,30 +130,47 @@ def scale_pixels(raw: np.ndarray) -> np.ndarray:
 # -- CSV -----------------------------------------------------------------------
 
 
-def _parse_float(token: str, line_no: int) -> float:
+def _is_float(cell: str) -> bool:
     try:
-        return float(token)
+        float(cell)
     except ValueError:
-        raise ParseError(f"non-numeric cell {token!r} at line {line_no}") from None
-
-
-def _split_lines(path) -> list[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    rows = []
-    for i, line in enumerate(raw, start=1):
-        if line.strip():
-            rows.append((i, [cell.strip() for cell in line.split(",")]))
-    return rows
-
-
-def _looks_numeric(cells: list[str]) -> bool:
-    for cell in cells:
-        try:
-            float(cell)
-        except ValueError:
-            return False
+        return False
     return True
+
+
+def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
+    """(header, float64 cells, each row's line number) of a CSV file.
+
+    Blank lines are skipped. The first line is the header unless every cell
+    of it is a number. Every row must be as wide as the header (or, without
+    one, the first row). ``pick(header)`` chooses the columns to parse, in
+    order; by default all of them, and the others are not looked at. A
+    ragged row or a cell that is not a number is a ParseError naming its line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0][1].split(",")]
+    if all(map(_is_float, header)):
+        header = None
+    else:
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header without data rows")
+    width = len(header if header is not None else rows[0][1].split(","))
+    cols = range(width) if pick is None else pick(header)
+    values = np.empty((len(rows), len(cols)))
+    for r, (line_no, line) in enumerate(rows):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {width}")
+        try:
+            values[r] = [float(cells[c]) for c in cols]
+        except ValueError:
+            bad = next(cells[c].strip() for c in cols if not _is_float(cells[c]))
+            raise ParseError(f"non-numeric cell {bad!r} at line {line_no}") from None
+    return header, values, np.array([line_no for line_no, _ in rows])
 
 
 def _int_labels(values: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
@@ -156,114 +179,113 @@ def _int_labels(values: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
     the Python int 2**63 takes a slow path."""
     ok = (values == np.rint(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
     if not ok.all():
-        i = min(np.flatnonzero(~ok), key=lambda j: line_nos[j])
+        i = np.argmin(ok)
         raise ParseError(f"label {float(values[i])} at line {line_nos[i]} is not an int64 integer")
     return values.astype(np.int64)
 
 
-def _read_numeric_csv(path) -> tuple[np.ndarray, bool, np.ndarray]:
-    """(values, whether the last column is headed "label", each row's line number)."""
-    rows = _split_lines(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header: list[str] | None = None
-    if not _looks_numeric(rows[0][1]):
-        header = rows[0][1]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header without data rows")
-    width = len(header) if header is not None else len(rows[0][1])
-    has_labels = header is not None and header[-1].lower() == "label"
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for r, (line_no, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {width}")
-        for c, cell in enumerate(cells):
-            data[r, c] = _parse_float(cell, line_no)
-    return data, has_labels, np.array([line_no for line_no, _ in rows])
+def _has_label_column(header: list[str] | None) -> bool:
+    return header is not None and header[-1].lower() == "label"
 
 
 def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Numeric matrix from CSV; a trailing "label" column is split off."""
-    data, has_labels, line_nos = _read_numeric_csv(path)
-    if has_labels:
-        return np.ascontiguousarray(data[:, :-1]), _int_labels(data[:, -1], line_nos)
-    return data, None
+    header, values, line_nos = _read_csv(path)
+    if _has_label_column(header):
+        return np.ascontiguousarray(values[:, :-1]), _int_labels(values[:, -1], line_nos)
+    return values, None
 
 
 def read_labels_csv(path) -> np.ndarray:
     """Integer labels from a CSV: its trailing "label" column, or its only column."""
-    data, has_labels, line_nos = _read_numeric_csv(path)
-    if not has_labels and data.shape[1] != 1:
+    header, values, line_nos = _read_csv(path)
+    if not _has_label_column(header) and values.shape[1] != 1:
         raise DataError(f"{path}: a labels CSV must have exactly one column")
-    return _int_labels(data[:, -1], line_nos)
+    return _int_labels(values[:, -1], line_nos)
 
 
-def write_csv_vectors(path, X: np.ndarray, labels: np.ndarray | None = None) -> None:
-    """Write the vector CSV format the readers above understand."""
-    X = np.asarray(X, dtype=np.float64)
-    cols = [f"f{i}" for i in range(X.shape[1])]
-    if labels is not None:
-        cols.append("label")
-    lines = [",".join(cols)]
-    for i in range(X.shape[0]):
-        cells = [repr(float(v)) for v in X[i]]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _projection_columns(header: list[str] | None) -> list[int]:
+    """id, x, y and, when present, the label column."""
+    lowered = [h.lower() for h in header or []]
+    if lowered[:3] != ["id", "x", "y"]:
+        raise ParseError(f"projection header must start with id,x,y, got {header or 'a numeric row'}")
+    cols = [0, 1, 2]
+    if "label" in lowered[3:]:
+        cols.append(lowered.index("label", 3))
+    return cols
+
+
+def _row_ids(ids: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
+    """Id cells as int64 row positions; they must be 0..n-1, each exactly once.
+
+    With n rows that rule covers every id, so only bad and repeated ids need
+    finding; the error names the earliest such line."""
+    n = ids.size
+    ok = (ids >= 0) & (ids < n) & (ids == np.rint(ids))
+    idx = np.where(ok, ids, n).astype(np.int64)
+    repeat = np.ones(n, dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    bad = ~ok | repeat
+    if bad.any():
+        i = np.argmax(bad)
+        if not ok[i]:
+            raise ParseError(f"id {float(ids[i])} at line {line_nos[i]} not in 0..{n - 1}")
+        raise ParseError(f"duplicate id {idx[i]} at line {line_nos[i]}")
+    return idx
 
 
 def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """2-D coordinates keyed by id columns; returns (Y ordered by id, labels)."""
-    rows = _split_lines(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = rows[0][1]
-    lowered = [h.lower() for h in header]
-    if lowered[:3] != ["id", "x", "y"]:
-        raise ParseError(f"projection header must start with id,x,y, got {header}")
-    has_labels = "label" in lowered[3:]
-    label_at = lowered.index("label") if has_labels else -1
-    body = rows[1:]
-    n = len(body)
-    Y = np.empty((n, 2), dtype=np.float64)
-    labels = np.empty(n) if has_labels else None
-    label_lines = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for line_no, cells in body:
-        if len(cells) != len(header):
-            raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {len(header)}")
-        idx_f = _parse_float(cells[0], line_no)
-        if not (idx_f.is_integer() and 0 <= idx_f < n):
-            raise ParseError(f"id {cells[0]!r} at line {line_no} not in 0..{n - 1}")
-        idx = int(idx_f)
-        if seen[idx]:
-            raise ParseError(f"duplicate id {idx} at line {line_no}")
-        seen[idx] = True
-        Y[idx, 0] = _parse_float(cells[1], line_no)
-        Y[idx, 1] = _parse_float(cells[2], line_no)
-        if labels is not None:
-            labels[idx] = _parse_float(cells[label_at], line_no)
-            label_lines[idx] = line_no
-    if not np.all(seen):
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ParseError(f"missing id {missing}: ids must cover 0..{n - 1} exactly once")
-    return Y, None if labels is None else _int_labels(labels, label_lines)
+    _, values, line_nos = _read_csv(path, _projection_columns)
+    idx = _row_ids(values[:, 0], line_nos)
+    Y = np.empty((idx.size, 2))
+    Y[idx] = values[:, 1:3]
+    if values.shape[1] == 3:
+        return Y, None
+    labels = np.empty(idx.size, dtype=np.int64)
+    labels[idx] = _int_labels(values[:, 3], line_nos)
+    return Y, labels
+
+
+# Cells ``write_csv`` formats per block, so a table is never held whole as text.
+_WRITE_CELLS = 1 << 14
+
+
+def write_csv(path, names: list[str], values: np.ndarray, ids: bool = False,
+              labels: np.ndarray | None = None) -> None:
+    """Write ``values`` under the header ``names``, each cell as its float64 ``repr``.
+
+    ``ids`` adds a leading ``id`` column 0..n-1 and ``labels`` a trailing
+    integer ``label`` column, so every table the package writes reads back
+    exactly.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape[0] != values.shape[0]:
+            raise DataError(f"labels cover {labels.shape[0]} of {values.shape[0]} rows")
+    header = (["id"] if ids else []) + list(names) + (["label"] if labels is not None else [])
+    step = max(1, _WRITE_CELLS // max(1, values.shape[1]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, values.shape[0], step):
+            lines = [",".join(map(repr, row)) for row in values[start : start + step].tolist()]
+            if ids:
+                lines = [f"{i},{line}" for i, line in enumerate(lines, start)]
+            if labels is not None:
+                lines = [f"{line},{int(v)}" for line, v in zip(lines, labels[start : start + step].tolist())]
+            # Line by line: a block-sized string per write raises peak RSS by a few MB.
+            fh.writelines(line + "\n" for line in lines)
+
+
+def write_csv_vectors(path, X: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """Write the vector CSV format ``read_csv_vectors`` understands."""
+    write_csv(path, [f"f{i}" for i in range(np.shape(X)[1])], X, labels=labels)
 
 
 def write_projection_csv(path, Y: np.ndarray, labels: np.ndarray | None = None) -> None:
-    Y = np.asarray(Y, dtype=np.float64)
-    header = "id,x,y" + (",label" if labels is not None else "")
-    lines = [header]
-    for i in range(Y.shape[0]):
-        cells = [str(i), repr(float(Y[i, 0])), repr(float(Y[i, 1]))]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the projection CSV format ``read_projection_csv`` understands."""
+    write_csv(path, ["x", "y"], Y, ids=True, labels=labels)
 
 
 # -- synthetic data ---------------------------------------------------------------

@@ -77,7 +77,6 @@ def _entropy_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
 def _small_config(head: str, recon_kind: str, seed: int) -> ModelConfig:
     return ModelConfig(
         input_dim=6,
-        latent_dim=2,
         encoder_widths=(8, 7),
         decoder_widths=(7, 8),
         head=head,

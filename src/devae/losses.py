@@ -53,18 +53,18 @@ class LossBreakdown:
         return {"recon": self.recon, "proj": self.proj, "ent": self.ent, "total": self.total}
 
 
-def _require_same_shape(what: str, a: Tensor, b: Tensor) -> None:
+def _squared_error(what: str, a, b) -> Tensor:
+    """``sum((a - b)**2) / batch`` for two same-shape [batch, k] operands."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
     if a.shape != b.shape:
         raise DimensionError.mismatch(what, a.shape, b.shape)
+    return T.tsum(T.square(T.sub(a, b))) * (1.0 / a.shape[0])
 
 
 def recon_mse(x: Tensor, x_hat: Tensor) -> Tensor:
     """Squared error summed over features, averaged over the batch."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    x_hat = x_hat if isinstance(x_hat, Tensor) else Tensor(x_hat)
-    _require_same_shape("recon_mse", x, x_hat)
-    batch = x.shape[0]
-    return T.tsum(T.square(T.sub(x, x_hat))) * (1.0 / batch)
+    return _squared_error("recon_mse", x, x_hat)
 
 
 def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
@@ -83,11 +83,7 @@ def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
 
 def proj_loss(y: Tensor, mu: Tensor) -> Tensor:
     """Mean squared Euclidean distance between targets y and latent means."""
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    mu = mu if isinstance(mu, Tensor) else Tensor(mu)
-    _require_same_shape("proj_loss", y, mu)
-    batch = y.shape[0]
-    return T.tsum(T.square(T.sub(y, mu))) * (1.0 / batch)
+    return _squared_error("proj_loss", y, mu)
 
 
 def ent_loss(latent: GaussianLatent) -> Tensor:

@@ -53,6 +53,10 @@ INFER_CHUNK = 4096
 
 RECON_KINDS = ("mse", "bce")
 
+# The projection space is 2-D: every latent mean is regressed onto a 2-D
+# embedding, so no other latent width can be trained.
+LATENT_DIM = 2
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -60,7 +64,6 @@ class ModelConfig:
 
     input_dim: int
     weights: LossWeights
-    latent_dim: int = 2
     encoder_widths: tuple[int, ...] = (512, 128)
     decoder_widths: tuple[int, ...] = (128, 512)
     head: str = "full"
@@ -68,8 +71,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise ContractError("input_dim and latent_dim must be positive")
+        if self.input_dim < 1:
+            raise ContractError("input_dim must be positive")
         if not self.encoder_widths or not self.decoder_widths:
             raise ContractError("encoder and decoder need at least one hidden layer")
         if any(w < 1 for w in self.encoder_widths) or any(w < 1 for w in self.decoder_widths):
@@ -86,7 +89,7 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
-            "latent_dim": self.latent_dim,
+            "latent_dim": LATENT_DIM,
             "encoder_widths": list(self.encoder_widths),
             "decoder_widths": list(self.decoder_widths),
             "head": self.head,
@@ -98,9 +101,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if int(d["latent_dim"]) != LATENT_DIM:
+            raise ContractError(f"latent_dim must be {LATENT_DIM}, got {d['latent_dim']}: "
+                                f"the parameter block is laid out for a {LATENT_DIM}-D latent")
         return cls(
             input_dim=int(d["input_dim"]),
-            latent_dim=int(d["latent_dim"]),
             encoder_widths=tuple(d["encoder_widths"]),
             decoder_widths=tuple(d["decoder_widths"]),
             head=str(d["head"]),
@@ -112,7 +117,7 @@ class ModelConfig:
 
 def _layer_specs(config: ModelConfig) -> list[tuple[int, int, str]]:
     """(out_dim, in_dim, activation) of every dense layer, in topology order."""
-    q = config.latent_dim
+    q = LATENT_DIM
     specs = []
     prev = config.input_dim
     for width in config.encoder_widths:
@@ -162,7 +167,7 @@ class DeVae:
         n_trunk = len(config.encoder_widths)
         self.trunk: list[DenseLayer] = layers[:n_trunk]
         self.mu_head = layers[n_trunk]
-        self.var_head = layers[n_trunk + 1] if head_param_count(config.head, config.latent_dim) else None
+        self.var_head = layers[n_trunk + 1] if head_param_count(config.head, LATENT_DIM) else None
         self.decoder: list[DenseLayer] = layers[len(layers) - len(config.decoder_widths) - 1 :]
 
     # -- parameter plumbing ---------------------------------------------------
@@ -217,12 +222,10 @@ class DeVae:
         return GaussianLatent(self.config.head, joined("mu"), joined("params"))
 
     def _decoder_hidden(self, z) -> Tensor:
-        """Every decoder layer but the last, applied to [batch, latent_dim] points."""
+        """Every decoder layer but the last, applied to [batch, LATENT_DIM] points."""
         z = z if isinstance(z, Tensor) else Tensor(z)
-        if z.data.ndim != 2 or z.shape[1] != self.config.latent_dim:
-            raise DimensionError(
-                f"decode: input shape {z.shape} does not match model latent_dim {self.config.latent_dim}"
-            )
+        if z.data.ndim != 2 or z.shape[1] != LATENT_DIM:
+            raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
         h = z
         for layer in self.decoder[:-1]:
             h = layer(h)
@@ -260,7 +263,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
         raise DimensionError.mismatch("row-aligned x vs y", x.shape, y.shape)
     latent = model.encode(x)
     if eps is None:
-        eps = np.zeros((x.shape[0], model.config.latent_dim))
+        eps = np.zeros((x.shape[0], LATENT_DIM))
     z = latent.sample(eps)
     x_hat = model.decode_logits(z)
     recon = recon_bce(x, x_hat) if model.config.recon_kind == "bce" else recon_mse(x, x_hat)

@@ -453,14 +453,6 @@ class DenseLayer:
         if self.weight.shape[0] != self.bias.shape[0]:
             raise DimensionError.mismatch("dense weight vs bias", self.weight.shape, self.bias.shape)
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
         """activation(x @ weight.T + bias) for a [batch, in] input, one tape node."""
         return linear(x, self.weight, self.bias, act=self.activation)

@@ -20,7 +20,7 @@ from .data import DatasetBundle
 from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import MetricsRow, evaluate
 from .losses import total_loss
-from .model import DeVae, forward_train
+from .model import LATENT_DIM, DeVae, forward_train
 from .tensor import Tensor
 
 
@@ -193,7 +193,6 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
     rng = np.random.default_rng(settings.seed)
     adam = Adam(model.parameters(), lr=settings.learning_rate)
     stopper = EarlyStopping(settings.patience)
-    q = model.config.latent_dim
     best_snapshot = model.snapshot()
     epoch_records: list[dict] = []
 
@@ -202,7 +201,7 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
         sums = np.zeros(3)
         for batch_no, start in enumerate(range(0, order.size, settings.batch_size)):
             rows = order[start : start + settings.batch_size]
-            eps = rng.standard_normal((rows.size, q))
+            eps = rng.standard_normal((rows.size, LATENT_DIM))
             model.zero_grad()
             try:
                 result = forward_train(model, bundle.X[rows], bundle.Y[rows], eps)

@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import write_csv
 from .errors import DataError
 from .gaussian import EllipseSpec
 from .model import DeVae
@@ -151,13 +152,9 @@ def grid_inverse_sheet(model: DeVae, coords: np.ndarray, grid_n: int, path) -> s
     s = math.isqrt(d)
     points = grid_lattice(coords, grid_n)
     if s * s != d:
-        lines = [",".join(["x", "y"] + [f"f{i}" for i in range(d)])]
         with no_grad():
-            for p in points:
-                flat = model.decode(p.reshape(1, 2)).data[0]
-                lines.append(",".join([repr(float(p[0])), repr(float(p[1]))] + [repr(float(v)) for v in flat]))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            decoded = [model.decode(p.reshape(1, 2)).data for p in points]
+        write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, np.vstack(decoded)]))
         return "csv"
     sheet = np.zeros((grid_n * s, grid_n * s), dtype=np.uint8)
     with no_grad():

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from conftest import MALFORMED_CONFIGS, checkpoint_with_config, run_cli
+from conftest import GOOD_CONFIG, MALFORMED_CONFIGS, checkpoint_with_config, run_cli
 
 FAST_TRAIN = [
     "--encoder-widths", "16,8",
@@ -126,6 +127,15 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "seed" in r.stderr
 
+    def test_pca_label_count_mismatch_is_data_error(self, tmp_path):
+        data, labels = tmp_path / "x.csv", tmp_path / "labels.csv"
+        data.write_text("1,2\n3,5\n4,4\n")
+        labels.write_text("0\n1\n")
+        r = run_cli(["pca", "--data", data, "--labels", labels, "--out", tmp_path / "proj.csv"])
+        assert r.returncode == 2, r.stderr
+        assert "labels cover 2 of 3 rows" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_dimension_mismatch_is_data_error(self, pipeline, tmp_path):
         wide = tmp_path / "wide.csv"
         r = run_cli(["synth", "--out", wide, "--n", 80, "--dims", 12, "--blobs", 3,
@@ -227,6 +237,22 @@ def test_checkpoint_declaring_huge_latent_exits_two(tmp_path, head, latent_dim):
     assert r.returncode == 2, r.stderr
     assert "parameter block" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_checkpoint_declaring_three_latent_dims_exits_two(tmp_path):
+    # A complete, well-formed checkpoint of a 3-D diagonal model: 10 -> 4 -> (mu 3, log_var 3) -> 4 -> 10.
+    n_params = 4 * 11 + 3 * 5 + 3 * 5 + 4 * 4 + 10 * 5
+    ckpt = tmp_path / "q3.ckpt"
+    ckpt.write_bytes(checkpoint_with_config({**GOOD_CONFIG, "head": "diagonal", "latent_dim": 3})
+                     + np.zeros(n_params).tobytes())
+    data = tmp_path / "x.csv"
+    data.write_text("\n".join(",".join(["0.5"] * 10) for _ in range(3)) + "\n")
+    out = tmp_path / "coords.csv"
+    r = run_cli(["project", "--model", ckpt, "--data", data, "--out", out])
+    assert r.returncode == 2, r.stderr
+    assert "latent_dim" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", MALFORMED_CONFIGS)

@@ -1,10 +1,14 @@
 """IDX and CSV parsing, blob generation, and the built-in PCA."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import devae.data
 from conftest import write_idx
 from devae.data import (
     IDX_IMAGES_MAGIC,
@@ -17,10 +21,12 @@ from devae.data import (
     read_labels_csv,
     read_projection_csv,
     scale_pixels,
+    write_csv,
     write_csv_vectors,
     write_projection_csv,
 )
 from devae.errors import DataError, ParseError
+from devae.gaussian import HEADS, head_param_count, head_param_names
 from devae.trainer import split_dataset
 
 
@@ -230,6 +236,19 @@ class TestProjectionCsv:
         Y, labels = read_projection_csv(path)
         np.testing.assert_array_equal(labels, [1, 0])
 
+    def test_extra_columns_are_ignored(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("id,x,y,name,label\n1,0.5,1.5,bob,3\n0,2,3,,4\n")
+        Y, labels = read_projection_csv(path)
+        np.testing.assert_array_equal(Y, [[2.0, 3.0], [0.5, 1.5]])
+        np.testing.assert_array_equal(labels, [4, 3])
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("id,x,y\n")
+        with pytest.raises(ParseError, match="header without data rows"):
+            read_projection_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("x,y\n1,2\n")
@@ -264,6 +283,76 @@ class TestProjectionCsv:
             return
         assert float(id_cell) == 0 and float(label_cell) == int(labels[0])
         assert Y.shape == (2, 2) and labels.dtype == np.int64 and labels[1] == 0
+
+
+# Finite float64 values, with the edge cases repr must carry exactly.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                               1.7976931348623157e308, 0.1, -1 / 3])
+CSV_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+# Label cells are parsed as float64, so integers beyond 2**53 lose their low bits.
+CSV_LABELS = st.integers(-(2**53), 2**53)
+
+
+def _tables(min_cols: int, max_cols: int):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(np.float64, st.tuples(st.just(n), st.integers(min_cols, max_cols)), elements=CSV_FLOATS),
+            hnp.arrays(np.int64, n, elements=CSV_LABELS),
+        )
+    )
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Cells per write: one row per write, rows split across writes, the default.
+WRITE_CELLS = st.sampled_from([1, 3, devae.data._WRITE_CELLS])
+
+
+class TestCsvRoundTrip:
+    """Every table written by ``data`` reads back bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(1, 5), cells=WRITE_CELLS)
+    def test_vectors_with_labels(self, tmp_path_factory, table, cells):
+        X, labels = table
+        path = tmp_path_factory.mktemp("rt") / "v.csv"
+        with mock.patch.object(devae.data, "_WRITE_CELLS", cells):
+            write_csv_vectors(path, X, labels)
+        X2, labels2 = read_csv_vectors(path)
+        _assert_same_bits(X2, X)
+        assert labels2.dtype == np.int64
+        np.testing.assert_array_equal(labels2, labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(2, 2), cells=WRITE_CELLS)
+    def test_projection_with_labels(self, tmp_path_factory, table, cells):
+        Y, labels = table
+        path = tmp_path_factory.mktemp("rt") / "p.csv"
+        with mock.patch.object(devae.data, "_WRITE_CELLS", cells):
+            write_projection_csv(path, Y, labels)
+        Y2, labels2 = read_projection_csv(path)
+        _assert_same_bits(Y2, Y)
+        assert labels2.dtype == np.int64
+        np.testing.assert_array_equal(labels2, labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(head=st.sampled_from(HEADS), cells=WRITE_CELLS, data=st.data())
+    def test_project_output(self, tmp_path_factory, head, cells, data):
+        """The ``project`` table: ids, mu_x, mu_y, then the head's parameters."""
+        width = 2 + head_param_count(head, 2)
+        values, _ = data.draw(_tables(width, width))
+        path = tmp_path_factory.mktemp("rt") / "coords.csv"
+        names = ["mu_x", "mu_y"] + head_param_names(head, 2)
+        with mock.patch.object(devae.data, "_WRITE_CELLS", cells):
+            write_csv(path, names, values, ids=True)
+        table, labels = read_csv_vectors(path)
+        assert labels is None
+        assert path.read_text().split("\n", 1)[0] == ",".join(["id"] + names)
+        np.testing.assert_array_equal(table[:, 0], np.arange(values.shape[0]))
+        _assert_same_bits(np.ascontiguousarray(table[:, 1:]), values)
 
 
 class TestMakeBlobs:

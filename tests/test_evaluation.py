@@ -31,7 +31,6 @@ def _identity_model() -> DeVae:
     """A 2-D model that reproduces its input exactly via relu(x) - relu(-x)."""
     cfg = ModelConfig(
         input_dim=2,
-        latent_dim=2,
         encoder_widths=(4,),
         decoder_widths=(4,),
         head="none",
