@@ -174,13 +174,16 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
 
 
 def _int_labels(values: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
-    """Label cells as int64; a non-finite, fractional or out-of-int64 value is a
-    ParseError naming its line. The bounds are floats: comparing a float with
-    the Python int 2**63 takes a slow path."""
-    ok = (values == np.rint(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+    """Label cells as int64; a value that is not an integer below 2**53 in
+    magnitude is a ParseError naming its line. Cells arrive as float64, which
+    holds every integer of that size exactly and no larger one: a cell of
+    2**53 + 1 reads as 2**53. The bound is a float, because comparing a float
+    with a Python int takes a slow path."""
+    ok = (values == np.rint(values)) & (np.abs(values) < 2.0**53)
     if not ok.all():
         i = np.argmin(ok)
-        raise ParseError(f"label {float(values[i])} at line {line_nos[i]} is not an int64 integer")
+        raise ParseError(f"label {float(values[i])} at line {line_nos[i]} "
+                         f"is not an integer of magnitude below 2**53")
     return values.astype(np.int64)
 
 

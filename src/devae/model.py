@@ -175,6 +175,15 @@ class DeVae:
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
+    def parameter_names(self) -> list[str]:
+        """Names of ``parameters()``, in the same (checkpoint) order: layers
+        ``enc{i}``, ``mu``, ``var`` (heads with a variance layer), ``dec{i}``
+        and ``out``, each as ``.weight`` then ``.bias``."""
+        layers = [f"enc{i}" for i in range(len(self.trunk))] + ["mu"]
+        layers += [] if self.var_head is None else ["var"]
+        layers += [f"dec{i}" for i in range(len(self.decoder) - 1)] + ["out"]
+        return [f"{layer}.{part}" for layer in layers for part in ("weight", "bias")]
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()

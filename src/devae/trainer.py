@@ -48,23 +48,43 @@ class TrainSettings:
 
 
 # Elements per block of the in-place Adam update: one block of each operand
-# and the two scratch vectors stay in cache across the update's passes.
+# and the scratch vector stay in cache across the update's passes.
 ADAM_BLOCK = 32768
 
 
 class Adam:
     """Bias-corrected Adam with the usual defaults (b1=0.9, b2=0.999, eps=1e-8).
 
-    The moments ``m`` and ``v`` are flat vectors; parameter ``i`` owns
-    ``[offsets[i], offsets[i + 1])`` of each. Parameters are updated in place,
-    so their ``.data`` must be C-contiguous.
+    The update runs in the efficient form of Kingma & Ba (2015, end of
+    section 2), which folds both bias corrections into scalars. With
+    ``c1 = 1 - b1**t`` and ``r = sqrt((1 - b2) / (1 - b2**t))``, each element
+    takes eleven numpy passes and one division:
+
+    - ``m = b1*m + (1-b1)*g`` (3 passes);
+    - ``v = b2*v + g*g`` (3 passes);
+    - ``a = (sqrt(v) + eps/r) * (c1*r/lr)`` (3 passes);
+    - ``p -= m / a`` (2 passes).
+
+    ``m`` is the textbook first moment. ``v`` holds the textbook second
+    moment divided by ``1 - b2``. In exact arithmetic the step equals the
+    textbook ``lr*(m/c1) / (sqrt(v_textbook/c2) + eps)``; in float64 it
+    differs by rounding only.
+
+    The moments are flat vectors; parameter ``i`` owns
+    ``[offsets[i], offsets[i + 1])`` of each. ``names``, when given, label
+    the parameters in error messages. Parameters are updated in place, so
+    their ``.data`` must be C-contiguous.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 names: list[str] | None = None):
         self.params = list(params)
         if not all(p.data.flags.c_contiguous for p in self.params):
             raise ContractError("adam needs C-contiguous parameter arrays")
+        if names is not None and len(names) != len(self.params):
+            raise ContractError(f"adam got {len(names)} names for {len(self.params)} parameters")
+        self.names = names
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -73,7 +93,7 @@ class Adam:
         self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self.m = np.zeros(self.offsets[-1])
         self.v = np.zeros(self.offsets[-1])
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self._scratch = np.empty(ADAM_BLOCK)
 
     def _gradients(self) -> list[np.ndarray]:
         """Every parameter's gradient, flattened, once all have been checked."""
@@ -87,38 +107,38 @@ class Adam:
             # A sum is finite whenever every element is; only when it is not
             # (overflow can make it so) decide element by element.
             if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in parameter {i} of shape {g.shape}")
+                where = "" if self.names is None else f"{self.names[i]}: "
+                raise DivergenceError(f"non-finite gradient in {where}parameter {i} of shape {g.shape}")
             grads.append(g.reshape(-1))
         return grads
 
     def step(self) -> None:
         """Apply one update in place, or none at all when any gradient is bad.
 
-        Each element goes through ``m = b1*m + (1-b1)*g``,
-        ``v = b2*v + (1-b2)*(g*g)`` and ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``
-        in that order, in blocks of ``ADAM_BLOCK`` elements.
+        The passes of the class docstring run in blocks of ``ADAM_BLOCK``
+        elements, in that order.
         """
         grads = self._gradients()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        s1, s2 = self._scratch
+        r = math.sqrt((1.0 - b2) / (1.0 - b2 ** self.t))
+        eps_r, scale = self.eps / r, c1 * r / self.lr
         for p, g, lo, hi in zip(self.params, grads, self.offsets, self.offsets[1:]):
             flat = p.data.reshape(-1)
             for j in range(0, hi - lo, ADAM_BLOCK):
                 k = min(j + ADAM_BLOCK, hi - lo)
                 gb, pb = g[j:k], flat[j:k]
                 m, v = self.m[lo + j : lo + k], self.v[lo + j : lo + k]
-                a, b = s1[: k - j], s2[: k - j]
+                a = self._scratch[: k - j]
                 m *= b1
                 m += np.multiply(gb, 1.0 - b1, out=a)
                 v *= b2
-                v += np.multiply(np.multiply(gb, gb, out=a), 1.0 - b2, out=a)
-                np.sqrt(np.divide(v, c2, out=a), out=a)
-                a += self.eps
-                np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
-                pb -= np.divide(b, a, out=b)
+                v += np.square(gb, out=a)
+                np.sqrt(v, out=a)
+                a += eps_r
+                a *= scale
+                pb -= np.divide(m, a, out=a)
 
 
 class EarlyStopping:
@@ -191,7 +211,7 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
         )
 
     rng = np.random.default_rng(settings.seed)
-    adam = Adam(model.parameters(), lr=settings.learning_rate)
+    adam = Adam(model.parameters(), lr=settings.learning_rate, names=model.parameter_names())
     stopper = EarlyStopping(settings.patience)
     best_snapshot = model.snapshot()
     epoch_records: list[dict] = []

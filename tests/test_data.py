@@ -115,7 +115,35 @@ def _label_parsed_or_rejected(read, path, cell, line):
     except ParseError as exc:
         assert f"line {line}" in str(exc)
         return
-    assert labels.dtype == np.int64 and float(cell) == int(labels[0]) and labels[1] == 0
+    want = int(cell) if cell.lstrip("+-").isdigit() else float(cell)
+    assert labels.dtype == np.int64 and int(labels[0]) == want and labels[1] == 0
+
+
+# Integers float64 cannot hold exactly: each would read as a neighbour.
+BEYOND_2_53 = ["9007199254740993", "-9007199254740993", "9223372036854775807"]
+LABEL_READERS = {
+    "vectors": ("a,label\n1,0\n2,0\n3,{}\n", lambda p: read_csv_vectors(p)[1]),
+    "labels": ("label\n0\n0\n{}\n", read_labels_csv),
+    "projection": ("id,x,y,label\n0,1,2,0\n1,1,2,0\n2,1,2,{}\n", lambda p: read_projection_csv(p)[1]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+class TestLabelBound:
+    @pytest.mark.parametrize("cell", BEYOND_2_53)
+    def test_inexact_integer_is_rejected_naming_the_bound(self, tmp_path, reader, cell):
+        text, read = LABEL_READERS[reader]
+        path = tmp_path / "l.csv"
+        path.write_text(text.format(cell))
+        with pytest.raises(ParseError, match=r"line 4 .*2\*\*53"):
+            read(path)
+
+    @pytest.mark.parametrize("label", [2**53 - 1, -(2**53 - 1)])
+    def test_largest_exact_integer_reads_back(self, tmp_path, reader, label):
+        text, read = LABEL_READERS[reader]
+        path = tmp_path / "l.csv"
+        path.write_text(text.format(label))
+        assert read(path).tolist() == [0, 0, label]
 
 
 class TestCsvVectors:
@@ -289,8 +317,8 @@ class TestProjectionCsv:
 EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                                1.7976931348623157e308, 0.1, -1 / 3])
 CSV_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
-# Label cells are parsed as float64, so integers beyond 2**53 lose their low bits.
-CSV_LABELS = st.integers(-(2**53), 2**53)
+# Label cells are parsed as float64, so only integers below 2**53 in magnitude are labels.
+CSV_LABELS = st.integers(-(2**53 - 1), 2**53 - 1)
 
 
 def _tables(min_cols: int, max_cols: int):

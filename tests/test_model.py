@@ -13,6 +13,7 @@ from devae.errors import (
     CheckpointVersionError,
     ContractError,
     DimensionError,
+    DivergenceError,
 )
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
@@ -159,6 +160,29 @@ class TestParameterArena:
         assert [p.data.tobytes() for p in model.parameters()] != before
         model.restore(snap)
         assert [p.data.tobytes() for p in model.parameters()] == before
+
+
+class TestParameterNames:
+    @pytest.mark.parametrize("head", ["none", "isotropic", "diagonal", "full"])
+    def test_names_follow_parameters(self, head):
+        model = DeVae(tiny_config(head=head))
+        layers = ["enc0", "enc1", "mu"] + ([] if head == "none" else ["var"]) + ["dec0", "dec1", "out"]
+        names = model.parameter_names()
+        assert names == [f"{layer}.{part}" for layer in layers for part in ("weight", "bias")]
+        params = model.parameters()
+        assert len(names) == len(params)
+        shapes = dict(zip(names, (p.shape for p in params)))
+        assert shapes["enc0.weight"] == (32, 10) and shapes["mu.bias"] == (2,)
+        assert shapes["dec0.weight"] == (16, 2) and shapes["out.weight"] == (10, 32)
+
+    def test_named_adam_reports_the_layer(self):
+        model = DeVae(tiny_config())
+        adam = Adam(model.parameters(), names=model.parameter_names())
+        for p in model.parameters():
+            p.grad = np.zeros(p.shape)
+        model.parameters()[6].grad[0, 1] = np.nan
+        with pytest.raises(DivergenceError, match=r"in var\.weight: parameter 6 of shape \(3, 16\)"):
+            adam.step()
 
 
 class TestCheckpoint:

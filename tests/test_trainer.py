@@ -71,25 +71,58 @@ class TestAdam:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum and g*g overflow
     def test_finite_gradient_with_overflowing_sum_is_accepted(self):
-        p = Tensor([0.0, 0.0], requires_grad=True)
-        p.grad = np.array([1e308, 1e308])
-        Adam([p]).step()
-        assert np.all(np.isfinite(p.data))
+        p = Tensor([0.0, 0.0, 0.5], requires_grad=True)
+        opt = Adam([p])
+        for sign in (1.0, -1.0, 1.0):
+            p.grad = sign * np.array([1e308, 1e308, -1e308])
+            opt.step()
+            assert np.all(np.isfinite(p.data)) and np.all(np.isfinite(opt.m))
+
+    def test_names_must_match_parameters(self):
+        with pytest.raises(ContractError):
+            Adam([Tensor([1.0], requires_grad=True)], names=["a", "b"])
+
+    @staticmethod
+    def _random_run(steps: int, shapes: list[tuple[int, ...]]):
+        """Parameters, their Adam, and per-step gradients spanning 9 decades."""
+        rng = np.random.default_rng(0)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes] for _ in range(steps)]
+        return params, Adam(params, lr=0.001), grads
 
     def test_bit_identical_to_per_parameter_expression(self):
-        # The textbook update, one whole-array expression per parameter, is
+        # The eleven-pass update, one whole-array expression per parameter, is
         # the oracle; shapes cover one element, exactly one block, and
         # several blocks with a ragged tail.
         shapes = [(1,), (ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 77), (5, 4)]
-        rng = np.random.default_rng(0)
-        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        params, opt, steps = self._random_run(20, shapes)
         ref = [p.data.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr)
-        for t in range(1, 21):
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        for t, grads in enumerate(steps, start=1):
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            c1 = 1.0 - b1 ** t
+            r = np.sqrt((1.0 - b2) / (1.0 - b2 ** t))
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + np.square(g)
+                ref[i] -= m[i] / ((np.sqrt(v[i]) + eps / r) * (c1 * r / lr))
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.tobytes()
+        assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+
+    def test_drift_from_textbook_update_is_rounding(self):
+        shapes = [(7,), (3, 50)]
+        params, opt, steps = self._random_run(200, shapes)
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+        for t, grads in enumerate(steps, start=1):
             for p, g in zip(params, grads):
                 p.grad = g
             opt.step()
@@ -99,9 +132,8 @@ class TestAdam:
                 v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
                 ref[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
         for p, r in zip(params, ref):
-            assert p.data.tobytes() == r.tobytes()
-        assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
-        assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+            np.testing.assert_allclose(p.data, r, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(opt.v * (1.0 - b2), np.concatenate([a.ravel() for a in v]), rtol=1e-14)
 
 
 class TestSplit:
