@@ -23,6 +23,7 @@ works without any precomputed embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -173,16 +174,33 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
     return header, values, np.array([line_no for line_no, _ in rows])
 
 
-def _int_labels(values: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
-    """Label cells as int64; a value that is not an integer below 2**53 in
-    magnitude is a ParseError naming its line. Cells arrive as float64, which
-    holds every integer of that size exactly and no larger one: a cell of
-    2**53 + 1 reads as 2**53. The bound is a float, because comparing a float
-    with a Python int takes a slow path."""
-    ok = (values == np.rint(values)) & (np.abs(values) < 2.0**53)
+def _cell_texts(path, line_nos, col: int) -> list[str]:
+    """The stripped text of cell ``col`` on each of the given lines of ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [lines[line_no - 1].split(",")[col].strip() for line_no in line_nos]
+
+
+def _int_labels(values: np.ndarray, line_nos: np.ndarray, path, col: int) -> np.ndarray:
+    """Label cells (column ``col`` of ``path``) as int64; a cell that is not
+    an integer below 2**53 in magnitude is a ParseError naming its line.
+
+    Cells arrive as float64, which holds every integer of that size exactly
+    and no larger one: a cell of 2**53 + 1 reads as 2**53. From 2**52 on it
+    holds no fractions either, so 4503599627370496.5 reads as an integer; the
+    text of those rare cells decides. The bounds are floats, because
+    comparing a float with a Python int takes a slow path."""
+    integral = values == np.rint(values)
+    ok = integral & (np.abs(values) < 2.0**52)
+    if ok.all():
+        return values.astype(np.int64)
+    wide = np.flatnonzero(integral & ~ok & (np.abs(values) < 2.0**53))
+    for i, text in zip(wide, _cell_texts(path, line_nos[wide], col)):
+        ok[i] = Decimal(text) == int(values[i])
     if not ok.all():
         i = np.argmin(ok)
-        raise ParseError(f"label {float(values[i])} at line {line_nos[i]} "
+        text = _cell_texts(path, line_nos[i : i + 1], col)[0]
+        raise ParseError(f"label {text} at line {line_nos[i]} "
                          f"is not an integer of magnitude below 2**53")
     return values.astype(np.int64)
 
@@ -195,7 +213,7 @@ def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Numeric matrix from CSV; a trailing "label" column is split off."""
     header, values, line_nos = _read_csv(path)
     if _has_label_column(header):
-        return np.ascontiguousarray(values[:, :-1]), _int_labels(values[:, -1], line_nos)
+        return np.ascontiguousarray(values[:, :-1]), _int_labels(values[:, -1], line_nos, path, -1)
     return values, None
 
 
@@ -204,7 +222,7 @@ def read_labels_csv(path) -> np.ndarray:
     header, values, line_nos = _read_csv(path)
     if not _has_label_column(header) and values.shape[1] != 1:
         raise DataError(f"{path}: a labels CSV must have exactly one column")
-    return _int_labels(values[:, -1], line_nos)
+    return _int_labels(values[:, -1], line_nos, path, -1)
 
 
 def _projection_columns(header: list[str] | None) -> list[int]:
@@ -239,14 +257,14 @@ def _row_ids(ids: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
 
 def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """2-D coordinates keyed by id columns; returns (Y ordered by id, labels)."""
-    _, values, line_nos = _read_csv(path, _projection_columns)
+    header, values, line_nos = _read_csv(path, _projection_columns)
     idx = _row_ids(values[:, 0], line_nos)
     Y = np.empty((idx.size, 2))
     Y[idx] = values[:, 1:3]
     if values.shape[1] == 3:
         return Y, None
     labels = np.empty(idx.size, dtype=np.int64)
-    labels[idx] = _int_labels(values[:, 3], line_nos)
+    labels[idx] = _int_labels(values[:, 3], line_nos, path, _projection_columns(header)[3])
     return Y, labels
 
 

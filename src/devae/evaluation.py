@@ -3,6 +3,12 @@
 Evaluation always runs with zero reparameterization noise, so repeated
 calls on the same model give identical numbers. The projection loss is
 always squared error; the reconstruction loss follows the model config.
+
+A class medoid is the member with the least summed Euclidean distance to its
+classmates. It is found exactly by a bounded search that evaluates a few
+distance rows per class instead of all n (``_medoid``); the sums it compares
+are bit-identical to a full pairwise scan's, exact ties go to the lowest
+sample index, and a class with a NaN or infinite point is a DataError.
 """
 
 from __future__ import annotations
@@ -37,37 +43,72 @@ def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test",
     return total_loss(means[0], means[1], means[2], model.config.weights)
 
 
-# Elements of one [rows, n] block of a class's distance matrix; each
-# temporary of distance_sums stays at 2 MB whatever the class size.
-MEDOID_BLOCK = 1 << 18
+def _distance_row(cols: list[np.ndarray], i: int) -> np.ndarray:
+    """Euclidean distances from member i to every member, given the columns.
 
-
-def distance_sums(points: np.ndarray) -> np.ndarray:
-    """Each point's summed Euclidean distance to all points, a row block at a time.
-
-    Bit-identical to the one-shot
-    ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2)).sum(axis=1)``: squared
-    coordinate differences are added in the same order and every row sum
-    reduces the same n values, but no n x n x dim temporary is built.
+    Squared coordinate differences are added in column order, so
+    ``_distance_row(cols, i).sum()`` is bit-identical to entry i of the
+    one-shot ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2)).sum(axis=1)``.
     """
-    n = points.shape[0]
-    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
-    rows = max(1, MEDOID_BLOCK // n)
-    sums = np.empty(n)
-    for start in range(0, n, rows):
-        block = None
-        for col in cols:
-            d = col[start : start + rows, None] - col[None, :]
-            d *= d
-            block = d if block is None else np.add(block, d, out=block)
-        sums[start : start + rows] = np.sqrt(block, out=block).sum(axis=1)
-    return sums
+    row = None
+    for col in cols:
+        d = col[i] - col
+        d *= d
+        row = d if row is None else np.add(row, d, out=row)
+    return np.sqrt(row, out=row)
+
+
+def _medoid(points: np.ndarray) -> int:
+    """Position of the point with the least summed distance S to all points.
+
+    An exact bounded search after trimed (Newling & Fleuret, AISTATS 2017).
+    Each evaluated row i raises a lower bound on every S(k):
+      - the triangle bound S(k) >= |S(i) - n d(i,k)|;
+      - the convexity bound S(k) >= S(i) + g . (p_k - p_i), with the
+        subgradient g = sum over d(i,j) > 0 of (p_i - p_j) / d(i,j);
+    each lowered by a relative slack that covers rounding. The search starts
+    at the point nearest the centroid, then evaluates the point with the
+    lowest bound until every bound left is above the best S. An exact tie is
+    never pruned, so the lowest index among equal sums wins.
+    """
+    n, dim = points.shape
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(dim)]
+    # Relative slack per dimension and per bit of n: thousands of times the
+    # rounding error of a row, its sum and the bounds built from them. A
+    # distance below tiny may have underflowed, so it joins no subgradient
+    # and costs every bound an absolute n * tiny.
+    slack, tiny = 1e-12 * (dim + n.bit_length()), 1e-140
+    lower = np.zeros(n)
+    best, best_sum = 0, np.inf
+    i = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
+    for _ in range(n):
+        row = _distance_row(cols, i)
+        s = row.sum()
+        if s < best_sum or (s == best_sum and i < best):
+            best, best_sum = i, s
+        if np.isfinite(s):  # an overflowed row bounds nothing
+            n_row = n * row
+            lower = np.maximum(lower, np.abs(s - n_row) - slack * (s + n_row) - n * tiny)
+            inv = np.divide(1.0, row, out=np.zeros(n), where=row > tiny)
+            along, l1 = np.zeros(n), np.zeros(n)  # g . (p_k - p_i), |p_k - p_i|_1
+            for col in cols:
+                v = col - col[i]
+                along -= (v @ inv) * v
+                l1 += np.abs(v)
+            lower = np.maximum(lower, s + along - slack * (s + n * l1) - n * tiny)
+        lower[i] = np.inf
+        i = int(np.argmin(lower))
+        if lower[i] > best_sum:
+            break
+    return best
 
 
 def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, int]:
     """Global index of each class's medoid (min total distance to classmates).
 
-    Exact ties go to the lowest sample index.
+    Exact: the sums that decide it are bit-identical to a full pairwise
+    scan's, and exact ties go to the lowest sample index. A class with a NaN
+    or infinite point is a DataError.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -76,8 +117,11 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
         member_idx = np.flatnonzero(labels == label)
         if member_idx.size == 0:
             raise DataError(f"class {label} is empty")
-        dist_sums = distance_sums(points[member_idx])
-        out[int(label)] = int(member_idx[int(np.argmin(dist_sums))])
+        members = points[member_idx]
+        finite = np.isfinite(members).all(axis=1)
+        if not finite.all():
+            raise DataError(f"class {label}: point {member_idx[np.argmin(finite)]} is not finite")
+        out[int(label)] = int(member_idx[_medoid(members)])
     return out
 
 

@@ -93,6 +93,20 @@ class TestPipelineSmoke:
         assert rows == [16] * 5  # the 80 rows once, no second encode for the ellipses
         assert svg.read_text().count("<ellipse") == 9
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_latent_plot_rejects_non_finite_means(self, pipeline, tmp_path, value):
+        from devae.model import load_checkpoint, save_checkpoint
+
+        model = load_checkpoint(pipeline["ckpt"])
+        model.parameters()[model.parameter_names().index("mu.bias")].data[0] = value
+        ckpt, svg = tmp_path / "bad.ckpt", tmp_path / "plot.svg"
+        save_checkpoint(model, ckpt)
+        r = run_cli(["latent-plot", "--model", ckpt, "--data", pipeline["data"],
+                     "--proj", pipeline["proj"], "--split", "all", "--out", svg])
+        assert r.returncode == 2
+        assert "class 0: point 0 is not finite" in r.stderr
+        assert not svg.exists()
+
     def test_matrix_json(self, pipeline):
         r = run_cli(["matrix", "--data", pipeline["data"], "--proj", pipeline["proj"],
                      "--runs", 1, "--heads", "none,full", "--lambda-proj", 5,

@@ -1,5 +1,6 @@
 """IDX and CSV parsing, blob generation, and the built-in PCA."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -143,6 +144,24 @@ class TestLabelBound:
         text, read = LABEL_READERS[reader]
         path = tmp_path / "l.csv"
         path.write_text(text.format(label))
+        assert read(path).tolist() == [0, 0, label]
+
+    # From 2**52 on float64 holds no fractions, so each cell rounds to an integer.
+    @pytest.mark.parametrize("cell", ["4503599627370496.5", "-4503599627370497.5", "6.0000000000000005e15"])
+    def test_fraction_beyond_2_52_is_rejected(self, tmp_path, reader, cell):
+        text, read = LABEL_READERS[reader]
+        path = tmp_path / "l.csv"
+        path.write_text(text.format(cell))
+        with pytest.raises(ParseError, match=rf"label {re.escape(cell)} at line 4 .*2\*\*53"):
+            read(path)
+
+    @pytest.mark.parametrize("cell, label", [("4503599627370496", 2**52),
+                                             (" -4503599627370497.0 ", -(2**52 + 1)),
+                                             ("4.503599627370497e15", 2**52 + 1)])
+    def test_integer_beyond_2_52_reads_back(self, tmp_path, reader, cell, label):
+        text, read = LABEL_READERS[reader]
+        path = tmp_path / "l.csv"
+        path.write_text(text.format(cell))
         assert read(path).tolist() == [0, 0, label]
 
 

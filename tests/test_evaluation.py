@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import devae.evaluation
 from conftest import tiny_config
 from devae.data import DatasetBundle
 from devae.errors import ContractError, DataError
 from devae.evaluation import (
-    MEDOID_BLOCK,
     MetricsRow,
+    _distance_row,
     class_ellipses,
     class_medoid,
     class_medoid_indices,
-    distance_sums,
     evaluate,
     format_metrics_table,
     metrics_to_json,
@@ -133,32 +136,98 @@ class TestClassMedoid:
 
 
 def _one_shot_sums(pts: np.ndarray) -> np.ndarray:
-    """The one-shot n x n x dim formula the row blocks replace."""
+    """Every point's summed distance, by the one-shot n x n x dim formula."""
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2)).sum(axis=1)
 
 
+def _oracle_medoids(pts: np.ndarray, labels: np.ndarray) -> dict[int, int]:
+    """Per class, the first member whose one-shot sum is least."""
+    out = {}
+    for label in np.unique(labels):
+        member_idx = np.flatnonzero(labels == label)
+        out[int(label)] = int(member_idx[np.argmin(_one_shot_sums(pts[member_idx]))])
+    return out
+
+
+@st.composite
+def labelled_clouds(draw):
+    """Integer grids (exact ties) or real points, some rows repeated, axes
+    scaled 1e-9 to 1e6 apart, 1-3 dimensions; up to five labels on as few as
+    one point, so singleton classes occur."""
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    cells = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    ]))
+    pts = draw(hnp.arrays(np.float64, (n, dim), elements=cells))
+    if draw(st.booleans()):
+        pts = pts[draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+    pts = pts * draw(hnp.arrays(np.float64, dim, elements=st.sampled_from([1e-9, 1.0, 1e6])))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 4)))
+    return pts, labels
+
+
+class TestMedoidSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_clouds())
+    def test_equals_brute_force_oracle(self, cloud):
+        pts, labels = cloud
+        assert class_medoid_indices(pts, labels) == _oracle_medoids(pts, labels)
+
+    def test_tie_not_nearest_the_centroid_goes_to_lowest_index(self):
+        # Every point between the middle two of an even 1-D set is a medoid:
+        # 1 and 2 both sum to 11. The search starts at 2, nearest the centroid
+        # 3.25, and must still evaluate and return 1.
+        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
+        assert class_medoid_indices(pts, np.zeros(4, dtype=int)) == {0: 1}
+
+    def test_far_from_centroid(self):
+        # On a noisy ring the centroid is empty space, far from every member.
+        t = np.random.default_rng(4).uniform(0, 2 * np.pi, 500)
+        pts = 10 * np.c_[np.cos(t), np.sin(t)] + np.random.default_rng(5).normal(scale=0.01, size=(500, 2))
+        labels = np.zeros(500, dtype=int)
+        assert class_medoid_indices(pts, labels) == _oracle_medoids(pts, labels)
+
+    def test_evaluates_few_rows(self, monkeypatch):
+        rows = []
+
+        def counting(cols, i):
+            rows.append(i)
+            return _distance_row(cols, i)
+
+        monkeypatch.setattr(devae.evaluation, "_distance_row", counting)
+        pts = np.random.default_rng(0).normal(size=(2000, 2))
+        labels = np.zeros(2000, dtype=int)
+        assert class_medoid_indices(pts, labels) == _oracle_medoids(pts, labels)
+        assert len(rows) <= 100  # a full scan evaluates 2000
+        assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_its_class(self, value):
+        pts = np.random.default_rng(6).normal(size=(30, 2))
+        labels = np.repeat([5, 9], 15)
+        pts[20, 1] = value
+        with pytest.raises(DataError, match="class 9: point 20 is not finite"):
+            class_medoid_indices(pts, labels)
+
+
 class TestDistanceSums:
-    # One block, exactly one block (n * n == MEDOID_BLOCK), and several
-    # blocks whose last one is ragged; 2-D latents plus one 3-D case.
+    # A singleton, small and large classes; 2-D latents plus one 3-D case.
     @pytest.mark.parametrize("n, dim", [(1, 2), (37, 2), (512, 2), (1500, 2), (700, 3)])
     def test_bit_identical_to_one_shot_formula(self, n, dim):
         pts = np.random.default_rng(n).normal(scale=3.0, size=(n, dim))
-        np.testing.assert_array_equal(distance_sums(pts), _one_shot_sums(pts))
+        cols = [np.ascontiguousarray(pts[:, j]) for j in range(dim)]
+        sums = _one_shot_sums(pts)
+        np.testing.assert_array_equal([_distance_row(cols, i).sum() for i in range(n)], sums)
+        assert class_medoid_indices(pts, np.zeros(n, dtype=int)) == {0: int(np.argmin(sums))}
 
-    def test_block_sizes_cover_the_cases(self):
-        assert 512 * 512 == MEDOID_BLOCK
-        rows = MEDOID_BLOCK // 1500
-        assert 1500 > 2 * rows and 1500 % rows != 0
-
-    def test_exact_tie_across_blocks_goes_to_lowest_index(self):
+    def test_exact_tie_goes_to_lowest_index(self):
         # A centrally symmetric cloud has its medoid at the centre; the
-        # centre appears first and again as the last point, in another block.
+        # centre appears first and again as the last point.
         half = np.random.default_rng(8).uniform(-4, 4, size=(749, 2))
         pts = np.concatenate([[[0.0, 0.0]], half, -half, [[0.0, 0.0]]])
-        assert pts.shape[0] - 1 >= MEDOID_BLOCK // pts.shape[0]
-        sums = distance_sums(pts)
-        np.testing.assert_array_equal(sums, _one_shot_sums(pts))
+        sums = _one_shot_sums(pts)
         assert sums[0] == sums[-1] == sums.min()
         labels = np.full(pts.shape[0], 4)
         assert class_medoid_indices(pts, labels) == {4: 0}
