@@ -84,11 +84,12 @@ def _sniff_idx_magic(path) -> int | None:
 
 
 def _load_matrix(path):
-    """Sample matrix from a vector CSV or an IDX image file (pixels scaled)."""
+    """Sample matrix from a vector CSV (float64) or an IDX image file (uint8 pixels,
+    scaled per batch by ``gather_rows``)."""
     magic = _sniff_idx_magic(path)
     if magic == dio.IDX_IMAGES_MAGIC:
         _, values = dio.read_idx(path)
-        return dio.scale_pixels(values), None
+        return values, None
     if magic == dio.IDX_LABELS_MAGIC:
         raise DataError(f"{path} is an IDX label file; pass it via --labels")
     return dio.read_csv_vectors(path)

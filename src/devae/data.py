@@ -11,17 +11,22 @@ File formats:
   may appear in any order.
 
 All CSV tables go through one parser (``_read_csv``: header detection, ragged
-rows and non-numeric cells as line-numbered ParseErrors) and one writer
-(``write_csv``: an optional id column, float64 cells as ``repr`` so values
-read back exactly, an optional integer label column).
+rows, non-numeric cells and bytes that are not UTF-8 as line-numbered
+ParseErrors) and one writer (``write_csv``: an optional id column, float64
+cells as ``repr`` so values read back exactly, an optional integer label
+column).
+
+IDX pixels stay uint8 in memory; ``gather_rows`` scales the rows a batch
+needs, so no float64 copy of a whole image file is ever made.
 
 Also provides the synthetic blob generator used for desk-scale runs and a
-dependency-free PCA (power iteration with deflation) so the full pipeline
-works without any precomputed embedding.
+PCA (``np.linalg.eigh`` on the covariance of the non-constant columns) so
+the full pipeline works without any precomputed embedding.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -40,7 +45,11 @@ SPLIT_NAMES = ("train", "val", "test")
 
 @dataclass
 class DatasetBundle:
-    """Samples, optional labels, projection targets, and split assignment."""
+    """Samples, optional labels, projection targets, and split assignment.
+
+    ``X`` is float64, or uint8 pixels read from an IDX file; read its rows
+    through ``gather_rows``, which scales pixels onto [0, 1].
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -56,7 +65,7 @@ class DatasetBundle:
             raise DataError(f"split assignment covers {self.split.shape[0]} of {n} rows")
         if self.labels is not None and self.labels.shape[0] != n:
             raise DataError(f"labels cover {self.labels.shape[0]} of {n} rows")
-        if not np.all(np.isfinite(self.X)):
+        if self.X.dtype != np.uint8 and not np.all(np.isfinite(self.X)):
             raise DataError("samples contain non-finite values")
         if not np.all(np.isfinite(self.Y)):
             raise DataError("projection targets contain non-finite values")
@@ -84,48 +93,58 @@ def read_idx(path) -> tuple[tuple[int, ...], np.ndarray]:
     """Parse one IDX file into (dims, values).
 
     Image files come back flattened row-major to [n, rows*cols] uint8;
-    label files come back as a length-n int vector.
+    label files come back as a length-n int vector. The payload is read
+    straight into the result, so the file is never held twice.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)  # magic and up to three dimensions
 
-    def need(offset: int, count: int, what: str) -> bytes:
-        if len(blob) < offset + count:
-            raise ParseError(
-                f"truncated {what} at byte {offset}: need {count} bytes, file has {len(blob) - offset}"
-            )
-        return blob[offset : offset + count]
+        def need(offset: int, count: int, what: str) -> bytes:
+            if size < offset + count:
+                raise ParseError(
+                    f"truncated {what} at byte {offset}: need {count} bytes, file has {size - offset}"
+                )
+            return head[offset : offset + count]
 
-    magic = int.from_bytes(need(0, 4, "magic"), "big")
-    if magic not in (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC):
-        raise ParseError(f"bad magic 0x{magic:08x} at byte 0")
-    ndim = 3 if magic == IDX_IMAGES_MAGIC else 1
-    dims = []
-    for i in range(ndim):
-        dims.append(int.from_bytes(need(4 + 4 * i, 4, f"dimension {i}"), "big"))
-    total = 1
-    for d in dims:
-        total *= d
-    if total > MAX_IDX_ELEMENTS:
-        raise ParseError(f"dimension product {total} overflows sane bounds at byte 4")
-    payload_at = 4 + 4 * ndim
-    expected = payload_at + total
-    if len(blob) < expected:
-        raise ParseError(
-            f"truncated payload at byte {payload_at}: expected {total} bytes, got {len(blob) - payload_at}"
-        )
-    payload = np.frombuffer(blob, dtype=np.uint8, count=total, offset=payload_at)
+        magic = int.from_bytes(need(0, 4, "magic"), "big")
+        if magic not in (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC):
+            raise ParseError(f"bad magic 0x{magic:08x} at byte 0")
+        ndim = 3 if magic == IDX_IMAGES_MAGIC else 1
+        dims = []
+        for i in range(ndim):
+            dims.append(int.from_bytes(need(4 + 4 * i, 4, f"dimension {i}"), "big"))
+        total = 1
+        for d in dims:
+            total *= d
+        if total > MAX_IDX_ELEMENTS:
+            raise ParseError(f"dimension product {total} overflows sane bounds at byte 4")
+        payload_at = 4 + 4 * ndim
+        got = size - payload_at
+        if got >= total:
+            payload = np.empty(total, dtype=np.uint8)
+            fh.seek(payload_at)
+            got = fh.readinto(payload)
+        if got < total:
+            raise ParseError(f"truncated payload at byte {payload_at}: expected {total} bytes, got {got}")
     if magic == IDX_IMAGES_MAGIC:
         n, rows, cols = dims
-        values = payload.reshape(n, rows * cols).copy()
-    else:
-        values = payload.astype(np.int64)
-    return tuple(dims), values
+        return tuple(dims), payload.reshape(n, rows * cols)
+    return tuple(dims), payload.astype(np.int64)
 
 
 def scale_pixels(raw: np.ndarray) -> np.ndarray:
     """Map byte values 0..255 onto [0, 1] by exact division."""
     return np.asarray(raw, dtype=np.float64) / 255.0
+
+
+def gather_rows(X: np.ndarray, rows) -> np.ndarray:
+    """``X[rows]`` as float64 samples: uint8 pixels are scaled onto [0, 1] here.
+
+    ``raw[rows] / 255.0`` is bit-identical to ``scale_pixels(raw)[rows]``, so
+    scaling a batch at a time gives the same numbers as scaling the file.
+    """
+    return X[rows] / 255.0 if X.dtype == np.uint8 else X[rows]
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -148,8 +167,7 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
     order; by default all of them, and the others are not looked at. A
     ragged row or a cell that is not a number is a ParseError naming its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+    rows = [(i, line) for i, line in enumerate(_text_lines(path), start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0][1].split(",")]
@@ -174,10 +192,23 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
     return header, values, np.array([line_no for line_no, _ in rows])
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The text before the first bad byte decodes; "x" counts its last, unterminated line.
+        line_no = len((blob[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: byte 0x{blob[exc.start]:02x} at line {line_no} is not UTF-8") from None
+    del blob  # not held while the lines are built
+    return text.splitlines()
+
+
 def _cell_texts(path, line_nos, col: int) -> list[str]:
     """The stripped text of cell ``col`` on each of the given lines of ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _text_lines(path)
     return [lines[line_no - 1].split(",")[col].strip() for line_no in line_nos]
 
 
@@ -336,34 +367,6 @@ def make_blobs(n: int, d: int, k: int, spread: float, seed: int) -> tuple[np.nda
 # -- PCA ---------------------------------------------------------------------------
 
 
-def _power_iterate(C: np.ndarray, v0: np.ndarray, ortho_to: np.ndarray | None,
-                   tol: float, max_iter: int) -> np.ndarray:
-    v = v0 / np.linalg.norm(v0)
-    if ortho_to is not None:
-        v -= (v @ ortho_to) * ortho_to
-        v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        w = C @ v
-        if ortho_to is not None:
-            w -= (w @ ortho_to) * ortho_to
-        norm = np.linalg.norm(w)
-        if norm < 1e-14:
-            # Deflated matrix is (numerically) zero: any unit vector in the
-            # remaining subspace is an eigenvector. Pick one deterministically.
-            basis = np.eye(C.shape[0])
-            for e in basis:
-                cand = e - ((e @ ortho_to) * ortho_to if ortho_to is not None else 0.0)
-                cn = np.linalg.norm(cand)
-                if cn > 1e-8:
-                    return cand / cn
-            raise DataError("degenerate data: no principal direction found")
-        w /= norm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            return w
-        v = w
-    return v
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     nz = np.flatnonzero(np.abs(v) > 1e-12)
     if nz.size and v[nz[0]] < 0:
@@ -371,25 +374,77 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def pca_project(X: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
-    """Top-2 principal-component coordinates via power iteration.
+def _principal_axes(C: np.ndarray) -> np.ndarray:
+    """[d, 2] top-two eigenvectors of a covariance, by ``eigh``, each sign-fixed;
+    with d = 1 the second axis is zero."""
+    if not np.all(np.isfinite(C)):
+        raise DataError("the covariance of the samples overflows float64")
+    vecs = np.linalg.eigh(C)[1][:, ::-1]
+    second = vecs[:, 1] if C.shape[0] > 1 else np.zeros(1)
+    return np.column_stack([_fix_sign(vecs[:, 0]), _fix_sign(second)])
 
-    Components are deflated to orthogonality and sign-fixed so that each
-    axis's first nonzero loading is positive, making output deterministic.
+
+# Rows per block of a uint8 PCA; each block is converted to float64 once per pass.
+PCA_BLOCK = 4096
+
+
+def _integer_times(R: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``R @ V`` for integers 0..255 in ``R``, rounded alike whatever rows ``R`` has.
+
+    BLAS orders a row's sum by the matrix shape, so ``V`` (|V| <= 1) is split
+    into integer parts ``hi`` and ``lo``, ``V ~ (hi + lo * 2**-h) * 2**-h``,
+    small enough that every partial sum of ``R @ hi`` and ``R @ lo`` is an
+    integer below 2**52: exact in any order. Only the final sum rounds.
     """
-    X = np.asarray(X, dtype=np.float64)
+    h = 52 - 8 - R.shape[1].bit_length()
+    hi = np.rint(V * 2.0**h)
+    lo = np.rint((V * 2.0**h - hi) * 2.0**h)
+    P = R @ np.hstack([hi, lo])
+    return P[:, :2] * 2.0**-h + P[:, 2:] * 2.0 ** (-2 * h)
+
+
+def _pixel_pca(raw: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """PCA of ``scale_pixels(raw)`` over the columns ``keep``, one row block at a time.
+
+    The Gram matrix of the bytes, summed over blocks, is exact in float64
+    (every partial sum is an integer below 255**2 * n < 2**53) and the column
+    sums are exact int64, so neither the covariance made from them nor the
+    projection depends on the block size. No float copy of ``raw`` is held.
+    """
+    n = raw.shape[0]
+    blocks = [slice(start, start + PCA_BLOCK) for start in range(0, n, PCA_BLOCK)]
+    G = np.zeros((keep.size, keep.size))
+    for b in blocks:
+        R = raw[b, keep].astype(np.float64)
+        G += R.T @ R
+    s = raw.sum(axis=0, dtype=np.int64)[keep].astype(np.float64)
+    V = _principal_axes((G - np.outer(s, s) / n) / ((n - 1) * 255.0**2))
+    offset = (s / n) @ V
+    return np.concatenate([(_integer_times(raw[b, keep].astype(np.float64), V) - offset) / 255.0
+                           for b in blocks])
+
+
+def pca_project(X: np.ndarray) -> np.ndarray:
+    """Top-2 principal-component coordinates, by ``np.linalg.eigh``.
+
+    Only the non-constant columns (max != min) enter: a constant column gets
+    loading 0. uint8 input is taken as pixels and projected exactly as
+    ``scale_pixels(X)`` would be (``_pixel_pca``). Each axis is sign-fixed so
+    that its first nonzero loading is positive, making output deterministic.
+    """
+    X = np.asarray(X)
+    if X.dtype != np.uint8:
+        X = X.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(X)):
+            raise DataError("samples contain non-finite values")
     n, d = X.shape
     if n < 3 or d < 2:
         raise DataError(f"pca needs n >= 3 and d >= 2, got {n}x{d}")
-    Xc = X - X.mean(axis=0)
-    # Two comparisons instead of np.abs(Xc): no temporary the size of X.
-    if not (np.any(Xc > 1e-12) or np.any(Xc < -1e-12)):
+    keep = np.flatnonzero(X.max(axis=0) != X.min(axis=0))
+    if keep.size == 0:
         raise DataError("degenerate data: zero variance in every dimension")
-    C = (Xc.T @ Xc) / (n - 1)
-    rng = np.random.default_rng(0)
-    v1 = _power_iterate(C, rng.standard_normal(d), None, tol, max_iter)
-    lam1 = float(v1 @ C @ v1)
-    C2 = C - lam1 * np.outer(v1, v1)
-    v2 = _power_iterate(C2, rng.standard_normal(d), v1, tol, max_iter)
-    v1, v2 = _fix_sign(v1), _fix_sign(v2)
-    return np.stack([Xc @ v1, Xc @ v2], axis=1)
+    if X.dtype == np.uint8:
+        return _pixel_pca(X, keep)
+    Xc = X[:, keep]
+    Xc -= Xc.mean(axis=0)
+    return Xc @ _principal_axes((Xc.T @ Xc) / (n - 1))

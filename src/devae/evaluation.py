@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetBundle
+from .data import DatasetBundle, gather_rows
 from .errors import ContractError, DataError
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, total_loss
@@ -36,7 +36,7 @@ def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test",
     with no_grad():
         for start in range(0, idx.size, chunk_size):
             rows = idx[start : start + chunk_size]
-            result = forward_train(model, bundle.X[rows], bundle.Y[rows], eps=None)
+            result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps=None)
             b = result.breakdown
             sums += np.array([b.recon, b.proj, b.ent]) * rows.size
     means = sums / idx.size

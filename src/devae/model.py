@@ -32,6 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import tensor as T
+from .data import gather_rows
 from .errors import (
     CheckpointError,
     CheckpointMagicError,
@@ -213,15 +214,17 @@ class DeVae:
     def encode_rows(self, X: np.ndarray, rows: np.ndarray | None = None) -> GaussianLatent:
         """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None) without a tape.
 
-        Rows are gathered and encoded ``INFER_CHUNK`` at a time, so neither a
-        copy of the whole selection nor its activations are held at once.
+        Rows are gathered (``gather_rows``: uint8 pixels are scaled) and
+        encoded ``INFER_CHUNK`` at a time, so neither a float copy of the
+        whole selection nor its activations are held at once.
         """
         n = X.shape[0] if rows is None else len(rows)
         parts: list[GaussianLatent] = []
         with no_grad():
             for start in range(0, max(n, 1), INFER_CHUNK):  # no rows: one empty chunk
                 stop = start + INFER_CHUNK
-                parts.append(self.encode(X[start:stop] if rows is None else X[rows[start:stop]]))
+                chunk = slice(start, stop) if rows is None else rows[start:stop]
+                parts.append(self.encode(gather_rows(X, chunk)))
 
         def joined(block: str) -> Tensor | None:
             if getattr(parts[0], block) is None:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import DatasetBundle
+from .data import DatasetBundle, gather_rows
 from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import MetricsRow, evaluate
 from .losses import total_loss
@@ -224,7 +224,7 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
             eps = rng.standard_normal((rows.size, LATENT_DIM))
             model.zero_grad()
             try:
-                result = forward_train(model, bundle.X[rows], bundle.Y[rows], eps)
+                result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps)
                 result.total.backward()
                 adam.step()
             except DivergenceError as exc:

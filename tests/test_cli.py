@@ -185,6 +185,16 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "line 2" in r.stderr and "Traceback" not in r.stderr
 
+    def test_non_utf8_projection_is_parse_error(self, pipeline, tmp_path):
+        proj = tmp_path / "p.csv"
+        lines = pipeline["proj"].read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b",", b",\xff", 1)
+        proj.write_bytes(b"\n".join(lines))
+        r = run_cli(["reconstruct", "--model", pipeline["ckpt"], "--proj", proj,
+                     "--out", tmp_path / "sheet.csv"])
+        assert r.returncode == 2, r.stderr
+        assert "line 6 is not UTF-8" in r.stderr and "Traceback" not in r.stderr
+
     def test_missing_file_is_data_error(self, tmp_path):
         r = run_cli(["pca", "--data", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
         assert r.returncode == 2
@@ -329,6 +339,44 @@ class TestIdxWorkflow:
                      idx_files["root"] / "p.csv"])
         assert r.returncode == 2
         assert "--labels" in r.stderr
+
+    def test_pixels_match_a_float_csv_of_scaled_pixels(self, idx_files, tmp_path):
+        # IDX pixels stay uint8 and are scaled per batch; every output must
+        # equal the one from a vector CSV holding scale_pixels(raw) exactly.
+        from devae.data import read_idx, scale_pixels, write_csv_vectors
+
+        images, labels, proj = idx_files["images"], idx_files["labels"], tmp_path / "proj.csv"
+        floats = tmp_path / "floats.csv"
+        write_csv_vectors(floats, scale_pixels(read_idx(images)[1]))
+        assert run_cli(["pca", "--data", images, "--out", proj]).returncode == 0
+        outputs = {}
+        for name, data in (("idx", images), ("csv", floats)):
+            ckpt = tmp_path / f"{name}.ckpt"
+            runs = [
+                ["train", "--data", data, "--proj", proj, "--labels", labels, "--recon", "bce",
+                 "--seed", 4, "--out", ckpt, *FAST_TRAIN],
+                ["eval", "--model", ckpt, "--data", data, "--proj", proj, "--split", "all"],
+                ["project", "--model", ckpt, "--data", data, "--out", tmp_path / f"{name}.csv"],
+                ["latent-plot", "--model", ckpt, "--data", data, "--proj", proj, "--labels", labels,
+                 "--split", "all", "--out", tmp_path / f"{name}.svg"],
+            ]
+            stdout = []
+            for argv in runs:
+                r = run_cli(argv)
+                assert r.returncode == 0, r.stderr
+                stdout.append(r.stdout)
+            outputs[name] = [stdout] + [(tmp_path / f"{name}{ext}").read_bytes()
+                                        for ext in (".ckpt", ".csv", ".svg")]
+        assert outputs["idx"] == outputs["csv"]
+
+    def test_label_file_with_broken_magic_is_parse_error(self, idx_files, tmp_path):
+        # A corrupted magic is not sniffed as IDX: the file is read as a CSV.
+        broken = tmp_path / "labels.idx"
+        broken.write_bytes(b"\xff" + idx_files["labels"].read_bytes()[1:])
+        r = run_cli(["pca", "--data", idx_files["images"], "--labels", broken,
+                     "--out", tmp_path / "p.csv"])
+        assert r.returncode == 2, r.stderr
+        assert "line 1 is not UTF-8" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestGradcheckCommand:

@@ -15,6 +15,7 @@ from devae.data import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     DatasetBundle,
+    gather_rows,
     make_blobs,
     pca_project,
     read_csv_vectors,
@@ -358,6 +359,34 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 WRITE_CELLS = st.sampled_from([1, 3, devae.data._WRITE_CELLS])
 
 
+class TestNonUtf8Csv:
+    """A byte that is not UTF-8 is a ParseError naming its line, in every reader."""
+
+    @pytest.mark.parametrize("reader, text, line", [
+        (read_csv_vectors, b"a,b\r\n1,2\r\n3,\xff\r\n", 3),
+        (read_labels_csv, b"label\n1\n\n\xfe2\n", 4),
+        (read_projection_csv, b"id,x,y\n0,1,2\n1,1\xc3,2\n", 3),
+    ])
+    def test_names_the_line(self, tmp_path, reader, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"at line {line} is not UTF-8"):
+            reader(path)
+
+    def test_bad_first_byte(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\x00\x08\x01\x00\x00\x00\x02\x01\x02")
+        with pytest.raises(ParseError, match="byte 0xff at line 1 is not UTF-8"):
+            read_labels_csv(path)
+
+    def test_utf8_text_still_reads(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("größe,label\n1.5,2\n", encoding="utf-8")
+        X, labels = read_csv_vectors(path)
+        np.testing.assert_array_equal(X, [[1.5]])
+        np.testing.assert_array_equal(labels, [2])
+
+
 class TestCsvRoundTrip:
     """Every table written by ``data`` reads back bit for bit."""
 
@@ -483,6 +512,97 @@ class TestPcaProject:
         X = rng.standard_normal((40, 5))
         np.testing.assert_array_equal(pca_project(X), pca_project(X))
 
+    def test_small_eigengap_matches_svd(self):
+        # The top two variances differ by 1e-3 relative: an iterative solver
+        # converges slowly here; eigh does not care.
+        rng = np.random.default_rng(12)
+        n, d = 2000, 50
+        Q = np.linalg.qr(rng.standard_normal((n, d)))[0]
+        Q -= Q.mean(axis=0)
+        Q = np.linalg.qr(Q)[0]
+        sigma = np.concatenate([[1.0, np.sqrt(1 - 1e-3)], np.linspace(0.9, 0.1, d - 2)])
+        W = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        X = (Q * sigma) @ W.T * np.sqrt(n - 1) + rng.uniform(-3, 3, size=d)
+        np.testing.assert_allclose(pca_project(X), _svd_coordinates(X), rtol=0, atol=1e-9)
+
+    def test_non_finite_rejected(self):
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        X[4, 1] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            pca_project(X)
+
+    def test_overflowing_covariance_rejected(self):
+        X = np.random.default_rng(0).standard_normal((10, 3)) * 1e200
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflows"):
+            pca_project(X)
+
+    def test_constant_columns_get_zero_loading(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((50, 4))
+        wide = np.column_stack([np.full(50, 2.5), X[:, :2], np.zeros(50), X[:, 2:], np.full(50, -1e300)])
+        np.testing.assert_array_equal(pca_project(wide), pca_project(X))
+
+    def test_one_varying_column_has_no_second_axis(self):
+        X = np.column_stack([np.arange(6.0), np.ones(6)])
+        Y = pca_project(X)
+        np.testing.assert_allclose(Y[:, 0], np.arange(6.0) - 2.5, atol=1e-12)
+        np.testing.assert_array_equal(Y[:, 1], 0.0)
+
+
+def _svd_coordinates(X: np.ndarray) -> np.ndarray:
+    """Top-2 principal coordinates from an SVD of the centred data, signs fixed
+    as ``pca_project`` fixes them: each axis's first nonzero loading positive."""
+    Xc = X - X.mean(axis=0)
+    Vt = np.linalg.svd(Xc, full_matrices=False)[2][:2]
+    signs = [np.sign(v[np.flatnonzero(np.abs(v) > 1e-12)[0]]) for v in Vt]
+    return Xc @ (Vt.T * signs)
+
+
+def _pixels(n: int, seed: int) -> np.ndarray:
+    """n x 64 bytes: mostly zeros, two always-zero columns and one constant 255 column."""
+    rng = np.random.default_rng(seed)
+    raw = (rng.random((n, 64)) < 0.3) * rng.integers(0, 256, size=(n, 64)) * rng.uniform(0.2, 1, 64)
+    raw = raw.astype(np.uint8)
+    raw[:, [0, 9]] = 0
+    raw[:, 40] = 255
+    return raw
+
+
+class TestPixelPca:
+    def test_block_size_does_not_change_a_bit(self, monkeypatch):
+        raw = _pixels(300, 0)
+        runs = []
+        for block in (1, 7, raw.shape[0]):
+            monkeypatch.setattr(devae.data, "PCA_BLOCK", block)
+            runs.append(pca_project(raw))
+        for Y in runs[1:]:
+            assert Y.tobytes() == runs[0].tobytes()
+
+    def test_matches_svd_of_scaled_pixels(self):
+        raw = _pixels(500, 1)
+        np.testing.assert_allclose(pca_project(raw), _svd_coordinates(scale_pixels(raw)), rtol=0, atol=1e-9)
+
+    def test_constant_columns_get_zero_loading(self):
+        raw = _pixels(120, 3)
+        varying = np.flatnonzero(raw.max(axis=0) != raw.min(axis=0))
+        assert varying.size == 61
+        np.testing.assert_array_equal(pca_project(raw), pca_project(np.ascontiguousarray(raw[:, varying])))
+
+    def test_all_constant_rejected(self):
+        raw = np.full((10, 16), 7, dtype=np.uint8)
+        with pytest.raises(DataError, match="zero variance"):
+            pca_project(raw)
+
+
+class TestGatherRows:
+    def test_bit_identical_to_scaling_the_file(self):
+        raw = np.arange(256 * 3, dtype=np.int64).reshape(-1, 4).astype(np.uint8)
+        rows = np.array([5, 0, 191, 5, 77])
+        got = gather_rows(raw, rows)
+        assert got.dtype == np.float64
+        assert got.tobytes() == scale_pixels(raw)[rows].tobytes()
+        assert gather_rows(raw, slice(3, 9)).tobytes() == scale_pixels(raw)[3:9].tobytes()
+
 
 class TestDatasetBundle:
     def test_row_count_validation(self):
@@ -497,6 +617,11 @@ class TestDatasetBundle:
         X[0, 0] = np.nan
         with pytest.raises(DataError):
             DatasetBundle(X=X, Y=np.zeros((4, 2)), split=np.array(["train"] * 4))
+
+    def test_pixels_stay_uint8(self):
+        raw = np.full((4, 3), 255, dtype=np.uint8)
+        bundle = DatasetBundle(X=raw, Y=np.zeros((4, 2)), split=np.array(["train"] * 4))
+        assert bundle.X is raw and bundle.dim == 3
 
     def test_indices_by_split(self):
         n = 40
