@@ -17,7 +17,7 @@ import numpy as np
 from . import data as dio
 from .errors import ContractError, DataError, DevaeError, DivergenceError, UsageError
 from .evaluation import class_ellipses, evaluate, format_metrics_table, metrics_to_json
-from .gaussian import HEADS, head_param_names
+from .gaussian import HEAD_PARAMS, HEADS
 from .gradsuite import run_gradient_suite
 from .losses import LossWeights
 from .model import RECON_KINDS, DeVae, ModelConfig, load_checkpoint, save_checkpoint
@@ -223,7 +223,7 @@ def _cmd_project(args) -> int:
     X, _ = _load_matrix(args.data)
     latent = model.encode_rows(X)
     blocks = [latent.mu.data] if latent.params is None else [latent.mu.data, latent.params.data]
-    names = ["mu_x", "mu_y"] + head_param_names(model.config.head, latent.q)
+    names = ["mu_x", "mu_y", *HEAD_PARAMS[model.config.head]]
     dio.write_csv(args.out, names, np.hstack(blocks), ids=True)
     return 0
 

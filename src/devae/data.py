@@ -10,11 +10,12 @@ File formats:
   name; other columns are ignored. Ids must cover 0..n-1 exactly once and rows
   may appear in any order.
 
-All CSV tables go through one parser (``_read_csv``: header detection, ragged
-rows, non-numeric cells and bytes that are not UTF-8 as line-numbered
+All CSV tables go through one parser (``_read_csv``: header detection,
+ragged rows, non-numeric cells and bytes that are not UTF-8 as line-numbered
 ParseErrors) and one writer (``write_csv``: an optional id column, float64
 cells as ``repr`` so values read back exactly, an optional integer label
-column).
+column). A NaN or infinite sample value or coordinate is a line-numbered
+ParseError too.
 
 IDX pixels stay uint8 in memory; ``gather_rows`` scales the rows a batch
 needs, so no float64 copy of a whole image file is ever made.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -158,14 +159,17 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
-    """(header, float64 cells, each row's line number) of a CSV file.
+def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray, list[str]]:
+    """(header, float64 cells, each row's line number, each row's last picked
+    cell as text) of a CSV file.
 
     Blank lines are skipped. The first line is the header unless every cell
     of it is a number. Every row must be as wide as the header (or, without
     one, the first row). ``pick(header)`` chooses the columns to parse, in
     order; by default all of them, and the others are not looked at. A
     ragged row or a cell that is not a number is a ParseError naming its line.
+    The texts of the last picked column let a label column be judged by what
+    was written rather than by its nearest float64.
     """
     rows = [(i, line) for i, line in enumerate(_text_lines(path), start=1) if line.strip()]
     if not rows:
@@ -180,6 +184,7 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
     width = len(header if header is not None else rows[0][1].split(","))
     cols = range(width) if pick is None else pick(header)
     values = np.empty((len(rows), len(cols)))
+    last, texts = cols[-1], []
     for r, (line_no, line) in enumerate(rows):
         cells = line.split(",")
         if len(cells) != width:
@@ -189,7 +194,8 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
         except ValueError:
             bad = next(cells[c].strip() for c in cols if not _is_float(cells[c]))
             raise ParseError(f"non-numeric cell {bad!r} at line {line_no}") from None
-    return header, values, np.array([line_no for line_no, _ in rows])
+        texts.append(cells[last])
+    return header, values, np.array([line_no for line_no, _ in rows]), texts
 
 
 def _text_lines(path) -> list[str]:
@@ -206,34 +212,37 @@ def _text_lines(path) -> list[str]:
     return text.splitlines()
 
 
-def _cell_texts(path, line_nos, col: int) -> list[str]:
-    """The stripped text of cell ``col`` on each of the given lines of ``path``."""
-    lines = _text_lines(path)
-    return [lines[line_no - 1].split(",")[col].strip() for line_no in line_nos]
+def _is_label(text: str) -> bool:
+    """Whether a cell's text is an integer below 2**53 in magnitude.
+
+    float64 holds each such integer exactly and no larger one, and the text
+    decides: 1.0000000000000000001 and 2**53 + 1 both round to an integer
+    float64, and neither is a label."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        return False
+    return d.is_finite() and abs(d) < 2**53 and d == d.to_integral_value()
 
 
-def _int_labels(values: np.ndarray, line_nos: np.ndarray, path, col: int) -> np.ndarray:
-    """Label cells (column ``col`` of ``path``) as int64; a cell that is not
-    an integer below 2**53 in magnitude is a ParseError naming its line.
-
-    Cells arrive as float64, which holds every integer of that size exactly
-    and no larger one: a cell of 2**53 + 1 reads as 2**53. From 2**52 on it
-    holds no fractions either, so 4503599627370496.5 reads as an integer; the
-    text of those rare cells decides. The bounds are floats, because
-    comparing a float with a Python int takes a slow path."""
-    integral = values == np.rint(values)
-    ok = integral & (np.abs(values) < 2.0**52)
-    if ok.all():
-        return values.astype(np.int64)
-    wide = np.flatnonzero(integral & ~ok & (np.abs(values) < 2.0**53))
-    for i, text in zip(wide, _cell_texts(path, line_nos[wide], col)):
-        ok[i] = Decimal(text) == int(values[i])
-    if not ok.all():
-        i = np.argmin(ok)
-        text = _cell_texts(path, line_nos[i : i + 1], col)[0]
-        raise ParseError(f"label {text} at line {line_nos[i]} "
-                         f"is not an integer of magnitude below 2**53")
+def _int_labels(values: np.ndarray, texts: list[str], line_nos: np.ndarray) -> np.ndarray:
+    """Label cells as int64, each judged by its text (``_is_label``); the first
+    that is not a label is a ParseError naming its line."""
+    # At most 15 plain digits is a label below 10**15; only other cells need Decimal.
+    for i in [i for i, text in enumerate(texts) if not (len(text) < 16 and text.isdigit())]:
+        text = texts[i].strip()
+        if not _is_label(text):
+            raise ParseError(f"label {text} at line {line_nos[i]} "
+                             f"is not an integer of magnitude below 2**53")
     return values.astype(np.int64)
+
+
+def _check_finite(values: np.ndarray, line_nos: np.ndarray) -> None:
+    """A NaN or infinite cell is a ParseError naming its line."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ParseError(f"cell {values[r, c]} at line {line_nos[r]} is not finite")
 
 
 def _has_label_column(header: list[str] | None) -> bool:
@@ -241,19 +250,24 @@ def _has_label_column(header: list[str] | None) -> bool:
 
 
 def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Numeric matrix from CSV; a trailing "label" column is split off."""
-    header, values, line_nos = _read_csv(path)
+    """Numeric matrix from CSV; a trailing "label" column is split off.
+
+    A NaN or infinite value is a ParseError naming its line."""
+    header, values, line_nos, texts = _read_csv(path)
+    labels = None
     if _has_label_column(header):
-        return np.ascontiguousarray(values[:, :-1]), _int_labels(values[:, -1], line_nos, path, -1)
-    return values, None
+        labels = _int_labels(values[:, -1], texts, line_nos)
+        values = np.ascontiguousarray(values[:, :-1])
+    _check_finite(values, line_nos)
+    return values, labels
 
 
 def read_labels_csv(path) -> np.ndarray:
     """Integer labels from a CSV: its trailing "label" column, or its only column."""
-    header, values, line_nos = _read_csv(path)
+    header, values, line_nos, texts = _read_csv(path)
     if not _has_label_column(header) and values.shape[1] != 1:
         raise DataError(f"{path}: a labels CSV must have exactly one column")
-    return _int_labels(values[:, -1], line_nos, path, -1)
+    return _int_labels(values[:, -1], texts, line_nos)
 
 
 def _projection_columns(header: list[str] | None) -> list[int]:
@@ -287,15 +301,18 @@ def _row_ids(ids: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
 
 
 def read_projection_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """2-D coordinates keyed by id columns; returns (Y ordered by id, labels)."""
-    header, values, line_nos = _read_csv(path, _projection_columns)
+    """2-D coordinates keyed by id columns; returns (Y ordered by id, labels).
+
+    A NaN or infinite coordinate is a ParseError naming its line."""
+    _, values, line_nos, texts = _read_csv(path, _projection_columns)
     idx = _row_ids(values[:, 0], line_nos)
+    _check_finite(values[:, 1:3], line_nos)
     Y = np.empty((idx.size, 2))
     Y[idx] = values[:, 1:3]
     if values.shape[1] == 3:
         return Y, None
     labels = np.empty(idx.size, dtype=np.int64)
-    labels[idx] = _int_labels(values[:, 3], line_nos, path, _projection_columns(header)[3])
+    labels[idx] = _int_labels(values[:, 3], texts, line_nos)
     return Y, labels
 
 

@@ -131,52 +131,23 @@ def class_medoid(points: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray
     return {label: points[i].copy() for label, i in class_medoid_indices(points, labels).items()}
 
 
-def _mean_full_covariance(L: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean of L_i L_i^T over a stack of Cholesky factors, and its determinant.
-
-    With A the factors' transposes stacked into an [n q, q] array, the mean
-    is A^T A / n, and A = QR gives its determinant as prod(diag R)^2 / n^q.
-    That stays positive for near-singular members, where the eigenvalues of
-    the averaged entries cancel.
-    """
-    n, q = L.shape[0], L.shape[1]
-    Lt = L.transpose(0, 2, 1)
-    R = np.linalg.qr(Lt.reshape(n * q, q), mode="r")
-    return (L @ Lt).mean(axis=0), float(np.prod(np.diag(R))) ** 2 / n**q
-
-
-def class_ellipses(
-    latent: GaussianLatent,
-    labels: np.ndarray,
-    k_list: tuple[int, ...] = (1, 2, 3),
-    average_cov: bool = False,
-) -> dict[int, list[EllipseSpec]]:
-    """Per-class uncertainty ellipses around the medoids of the encoded means.
+def class_ellipses(latent: GaussianLatent, labels: np.ndarray) -> dict[int, list[EllipseSpec]]:
+    """Per-class k = 1, 2, 3 uncertainty ellipses around the medoids of the encoded means.
 
     ``latent`` is the encoding of the labelled rows, for example
-    ``model.encode_rows(X)``. The ellipse covariance is the one the encoder
-    predicts for the medoid sample; set ``average_cov`` to use the mean class
-    covariance instead.
+    ``model.encode_rows(X)``. A class's ellipses are drawn from the
+    covariance the encoder predicts for its medoid sample
+    (``GaussianLatent.covariance``).
     """
     if latent.head == "none":
         raise ContractError('head "none" carries no covariance to draw')
     if labels is None:
         raise ContractError("class ellipses need labels")
     mu = latent.mu.data
-    medoids = class_medoid_indices(mu, labels)
     out: dict[int, list[EllipseSpec]] = {}
-    for label, medoid_idx in medoids.items():
-        rows = np.flatnonzero(np.asarray(labels) == label) if average_cov else [medoid_idx]
-        if latent.head != "full":
-            cov = latent.covariance_matrices(rows).mean(axis=0)
-            det = float(np.prod(np.diag(cov)))  # diagonal: the product of the variances
-        elif average_cov:
-            cov, det = _mean_full_covariance(latent.chol_matrices(rows))
-        else:
-            cov = latent.covariance_matrix(medoid_idx)
-            det = float(np.prod(np.diag(latent.chol_matrix(medoid_idx)))) ** 2
-        center = mu[medoid_idx]
-        out[label] = [ellipse_from_cov(center, cov, k, det) for k in k_list]
+    for label, i in class_medoid_indices(mu, labels).items():
+        cov, det = latent.covariance(i)
+        out[label] = [ellipse_from_cov(mu[i], cov, k, det) for k in (1, 2, 3)]
     return out
 
 

@@ -1,10 +1,12 @@
-"""Latent Gaussian families: parameterization, differential entropy, sampling.
+"""The 2-D latent Gaussian families: parameterization, entropy, sampling.
 
+The latent is the projection plane, so it is fixed at ``LATENT_DIM = 2``.
 Three covariance structures are supported, in increasing order of freedom:
 
 * isotropic  — one shared variance, sigma^2 * I
 * diagonal   — one variance per latent dimension
-* full       — Sigma = L L^T with a lower-triangular Cholesky factor L
+* full       — Sigma = L L^T with a lower-triangular Cholesky factor
+               L = [[L00, 0], [L10, L11]]
 
 plus the deterministic "none" head (a plain autoencoder that predicts only
 the latent mean). Each head's parameters carry the log standard deviation
@@ -13,10 +15,11 @@ isotropic, one per dimension for diagonal) or s_i = ln L_ii (full, whose
 diagonal passes through exp). Positivity holds by construction, and every
 head's differential entropy has one form:
 
-    H = (q/2) * (1 + ln 2pi) + sum_i s_i
+    H = (1 + ln 2pi) + s_0 + s_1
 
 Entropy and sampling are built from tape ops, so gradients flow to the raw
-head parameters.
+head parameters. ``GaussianLatent.covariance`` materializes one sample's
+2x2 Sigma, with its determinant, for drawing ellipses.
 """
 
 from __future__ import annotations
@@ -32,53 +35,38 @@ from .tensor import Tensor
 
 LN_2PI = math.log(2.0 * math.pi)
 
-HEADS = ("none", "isotropic", "diagonal", "full")
+# The projection space is 2-D: every latent mean is regressed onto a 2-D
+# embedding, so no other latent width can be trained.
+LATENT_DIM = 2
 
-
-def head_param_count(head: str, q: int) -> int:
-    """Width of the covariance head output for one sample (0 for "none")."""
-    if head == "none":
-        return 0
-    if head == "isotropic":
-        return 1
-    if head == "diagonal":
-        return q
-    if head == "full":
-        return q * (q + 1) // 2
-    raise ContractError(f"unknown head {head!r}")
-
-
-def head_param_names(head: str, q: int) -> list[str]:
-    """Names of the covariance head's output columns, as ``project`` writes them."""
-    n = head_param_count(head, q)
-    if head == "isotropic":
-        return ["log_var"]
-    prefix = "chol_raw" if head == "full" else "log_var"
-    return [f"{prefix}_{i}" for i in range(n)]
-
-
-def _tri_lower_count(q: int) -> int:
-    return q * (q - 1) // 2
+# The raw covariance-head outputs of one sample, named as ``project`` writes
+# them: log-variances for isotropic (one, shared) and diagonal; for full, L10
+# and then ln L00, ln L11.
+HEAD_PARAMS = {
+    "none": (),
+    "isotropic": ("log_var",),
+    "diagonal": ("log_var_0", "log_var_1"),
+    "full": ("chol_raw_0", "chol_raw_1", "chol_raw_2"),
+}
+HEADS = tuple(HEAD_PARAMS)
 
 
 # -- the latent value type -----------------------------------------------------
 
 
 class GaussianLatent:
-    """A batch of per-sample latent Gaussians sharing one head variant.
+    """A batch of per-sample 2-D latent Gaussians sharing one head variant.
 
-    ``mu`` is [batch, q]. ``params`` is the covariance head's raw output,
-    [batch, head_param_count(head, q)], or None for head "none":
-    log-variances for isotropic (one) and diagonal (q); for full, the strict
-    lower triangle of L in row-major order, then the q values ln L_ii.
+    ``mu`` is [batch, 2]. ``params`` is the covariance head's raw output,
+    [batch, len(HEAD_PARAMS[head])], or None for head "none".
     """
 
     def __init__(self, head: str, mu: Tensor, params: Tensor | None = None):
         if head not in HEADS:
             raise ContractError(f"unknown head {head!r}")
         mu = mu if isinstance(mu, Tensor) else Tensor(mu)
-        if mu.data.ndim != 2:
-            raise ContractError(f"mu must be [batch, q], got shape {mu.shape}")
+        if mu.data.ndim != 2 or mu.shape[1] != LATENT_DIM:
+            raise ContractError(f"mu must be [batch, {LATENT_DIM}], got shape {mu.shape}")
         if head == "none":
             if params is not None:
                 raise ContractError('head "none" carries only mu')
@@ -86,7 +74,7 @@ class GaussianLatent:
             if params is None:
                 raise ContractError(f"head {head!r} needs params")
             params = params if isinstance(params, Tensor) else Tensor(params)
-            want = (mu.shape[0], head_param_count(head, mu.shape[1]))
+            want = (mu.shape[0], len(HEAD_PARAMS[head]))
             if params.shape != want:
                 raise ContractError(f"params for head {head!r} must be {list(want)}, got {params.shape}")
         self.head = head
@@ -97,85 +85,60 @@ class GaussianLatent:
     def batch(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.mu.shape[1]
-
     # -- graph-building pieces ---------------------------------------------
 
     def _log_std(self) -> Tensor:
-        """Log standard deviations s: [batch, 1] for isotropic, [batch, q] otherwise."""
+        """Log standard deviations s: [batch, 1] for isotropic, [batch, 2] otherwise."""
         if self.head == "full":
-            nl = _tri_lower_count(self.q)
-            return T.slice_cols(self.params, nl, nl + self.q)
+            return T.slice_cols(self.params, 1, 3)
         return 0.5 * self.params
 
     def entropy(self) -> Tensor:
         """Per-sample differential entropy, [batch, 1]; zeros for head "none".
 
-        The isotropic head's one s stands for all q dimensions.
+        The isotropic head's one s stands for both dimensions.
         """
         if self.head == "none":
             return Tensor(np.zeros((self.batch, 1)))
         s = self._log_std()
-        sum_s = T.tsum(s, axis=1, keepdims=True) * (self.q / s.shape[1])
-        return T.add(sum_s, (0.5 * self.q) * (1.0 + LN_2PI))
+        sum_s = T.tsum(s, axis=1, keepdims=True) * (LATENT_DIM / s.shape[1])
+        return T.add(sum_s, (0.5 * LATENT_DIM) * (1.0 + LN_2PI))
 
     def sample(self, eps) -> Tensor:
         """Reparameterized draw: mu + scale(eps), differentiable in the params.
 
-        ``eps`` is a [batch, q] block of standard-normal draws; it is ignored
+        ``eps`` is a [batch, 2] block of standard-normal draws; it is ignored
         for head "none", which returns mu unchanged.
         """
         if self.head == "none":
             return self.mu
         eps = eps if isinstance(eps, Tensor) else Tensor(eps)
-        if eps.shape != (self.batch, self.q):
-            raise ContractError(
-                f"eps must be [batch, q] = {(self.batch, self.q)}, got {eps.shape}"
-            )
-        scale = T.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over q
+        if eps.shape != self.mu.shape:
+            raise ContractError(f"eps must be [batch, 2] = {self.mu.shape}, got {eps.shape}")
+        scale = T.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over both dimensions
         if self.head == "full":
-            strict = T.slice_cols(self.params, 0, _tri_lower_count(self.q))
-            return T.add(self.mu, T.tril_matvec(strict, scale, eps))
+            return T.add(self.mu, T.tril_matvec(T.slice_cols(self.params, 0, 1), scale, eps))
         return T.add(self.mu, T.mul(scale, eps))
 
     # -- numpy-side materialization -----------------------------------------
 
-    def chol_matrices(self, rows) -> np.ndarray:
-        """Lower-triangular L of each sample in ``rows``, [len(rows), q, q] (full head only)."""
-        q = self.q
-        nl = _tri_lower_count(q)
-        raw = self.params.data[rows]
-        L = np.zeros((raw.shape[0], q, q))
-        r, c = np.tril_indices(q, -1)  # row-major, the order params stores them
-        L[:, r, c] = raw[:, :nl]
-        d = np.arange(q)
-        L[:, d, d] = np.exp(raw[:, nl:])
-        return L
+    def covariance(self, i: int) -> tuple[np.ndarray, float]:
+        """Sample i's 2x2 covariance Sigma and its determinant.
 
-    def chol_matrix(self, i: int) -> np.ndarray:
-        """Lower-triangular L for sample i (full head only)."""
-        return self.chol_matrices([i])[0]
-
-    def covariance_matrices(self, rows) -> np.ndarray:
-        """Covariance of each sample in ``rows``, [len(rows), q, q]; symmetric positive definite."""
+        The determinant comes from the factors Sigma is built from: var^2
+        (isotropic), v0 v1 (diagonal) or (L00 L11)^2 (full). It stays
+        positive for a near-singular Sigma, whose entries would cancel.
+        """
         if self.head == "none":
             raise ContractError('head "none" has no covariance')
+        raw = self.params.data[i]
         if self.head == "full":
-            L = self.chol_matrices(rows)
-            return L @ L.transpose(0, 2, 1)
-        var = np.exp(self.params.data[rows])
-        if self.head == "isotropic":
-            return var[:, :, None] * np.eye(self.q)
-        cov = np.zeros((var.shape[0], self.q, self.q))
-        d = np.arange(self.q)
-        cov[:, d, d] = var
-        return cov
-
-    def covariance_matrix(self, i: int = 0) -> np.ndarray:
-        """Materialized covariance of sample i; symmetric positive definite."""
-        return self.covariance_matrices([i])[0]
+            l00, l11 = np.exp(raw[1:])
+            L = np.array([[l00, 0.0], [raw[0], l11]])
+            return L @ L.T, float(l00 * l11) ** 2
+        var = np.exp(raw)
+        v0, v1 = (var[0], var[0]) if self.head == "isotropic" else var
+        return np.diag([v0, v1]), float(v0 * v1)
 
 
 # -- ellipse geometry ---------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .gaussian import GaussianLatent, head_param_count
+from .gaussian import HEAD_PARAMS, GaussianLatent
 from .losses import LossWeights, ent_loss, proj_loss, recon_bce, recon_mse
 from .model import DeVae, ModelConfig, forward_train
 from .tensor import Tensor, gradient_check
@@ -42,11 +42,12 @@ def _rand(rng, shape):
 def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     a = _rand(rng, (2, 3))
     b = _rand(rng, (2, 3))
-    strict = _rand(rng, (2, 3))
+    strict, diag, v = _rand(rng, (2, 1)), _rand(rng, (2, 2)), _rand(rng, (2, 2))
     w = _rand(rng, (4, 3))
     bias = _rand(rng, (4,))
     mix = _rand(rng, (2, 4))
     probe = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3)))
+    probe_2d = Tensor(probe.data[:, :2])
     target = Tensor(rng.uniform(0.0, 1.0, size=(2, 3)))
     return [
         ("add", lambda: T.tsum(T.mul(T.add(a, b), probe)), [a, b]),
@@ -60,7 +61,7 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1, keepdims=True))), [a]),
         ("mean", lambda: T.square(T.tmean(a)), [a]),
         ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
-        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, a, b), probe)), [strict, a, b]),
+        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, diag, v), probe_2d)), [strict, diag, v]),
         ("bce_logits", lambda: T.bce_logits(a, target), [a]),
     ]
 
@@ -69,7 +70,7 @@ def _entropy_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     mu = Tensor(np.zeros((3, 2)))
     cases = []
     for head in ("isotropic", "diagonal", "full"):
-        p = _rand(rng, (3, head_param_count(head, 2)))
+        p = _rand(rng, (3, len(HEAD_PARAMS[head])))
         cases.append((f"entropy:{head}", lambda head=head, p=p: T.tsum(GaussianLatent(head, mu, p).entropy()), [p]))
     return cases
 

@@ -41,7 +41,7 @@ from .errors import (
     ContractError,
     DimensionError,
 )
-from .gaussian import HEADS, GaussianLatent, head_param_count
+from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .tensor import DenseLayer, Tensor, no_grad
 
@@ -53,10 +53,6 @@ VERSION = 1
 INFER_CHUNK = 4096
 
 RECON_KINDS = ("mse", "bce")
-
-# The projection space is 2-D: every latent mean is regressed onto a 2-D
-# embedding, so no other latent width can be trained.
-LATENT_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -118,17 +114,16 @@ class ModelConfig:
 
 def _layer_specs(config: ModelConfig) -> list[tuple[int, int, str]]:
     """(out_dim, in_dim, activation) of every dense layer, in topology order."""
-    q = LATENT_DIM
     specs = []
     prev = config.input_dim
     for width in config.encoder_widths:
         specs.append((width, prev, "relu"))
         prev = width
-    specs.append((q, prev, "identity"))
-    n_var = head_param_count(config.head, q)
+    specs.append((LATENT_DIM, prev, "identity"))
+    n_var = len(HEAD_PARAMS[config.head])
     if n_var:
         specs.append((n_var, prev, "identity"))
-    prev = q
+    prev = LATENT_DIM
     for width in config.decoder_widths:
         specs.append((width, prev, "relu"))
         prev = width
@@ -168,7 +163,7 @@ class DeVae:
         n_trunk = len(config.encoder_widths)
         self.trunk: list[DenseLayer] = layers[:n_trunk]
         self.mu_head = layers[n_trunk]
-        self.var_head = layers[n_trunk + 1] if head_param_count(config.head, LATENT_DIM) else None
+        self.var_head = layers[n_trunk + 1] if HEAD_PARAMS[config.head] else None
         self.decoder: list[DenseLayer] = layers[len(layers) - len(config.decoder_widths) - 1 :]
 
     # -- parameter plumbing ---------------------------------------------------
@@ -266,7 +261,7 @@ class ForwardResult:
 def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     """Encode, sample, decode, and assemble the composite loss.
 
-    ``eps`` supplies the reparameterization noise, [batch, q]; pass zeros
+    ``eps`` supplies the reparameterization noise, [batch, 2]; pass zeros
     (or None) for deterministic evaluation. Head "none" always decodes mu.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)

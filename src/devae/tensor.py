@@ -6,9 +6,9 @@ back onto them. ``backward()`` walks the tape in reverse topological order.
 The op set is what the model uses: the fused dense layer ``linear``,
 ``add``/``sub``/``mul``, the elementwise ``exp``/``square``, the
 reductions ``tsum``/``tmean``, ``slice_cols`` to split a head's output into
-parameter blocks, ``tril_matvec``, which applies a batch of lower-triangular
-factors to a batch of vectors for the full-covariance sample, and
-``bce_logits``, the binary cross-entropy computed from logits.
+parameter blocks, ``tril_matvec``, which applies a batch of 2x2
+lower-triangular factors to a batch of 2-D vectors for the full-covariance
+sample, and ``bce_logits``, the binary cross-entropy computed from logits.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
 and the activation (identity, relu, or a one-exp sigmoid) run in place on
@@ -407,29 +407,25 @@ def slice_cols(a, j0: int, j1: int) -> Tensor:
 
 
 def tril_matvec(strict, diag, v) -> Tensor:
-    """``L_n @ v[n]`` for each row n of a batch, one tape node.
+    """``L_n @ v[n]`` for each row n of a batch of 2-D vectors, one tape node.
 
-    The lower-triangular L_n has ``diag[n]`` on its diagonal and
-    ``strict[n]`` below it, in row-major order (``np.tril_indices(q, -1)``);
-    ``v`` and ``diag`` are [batch, q]. Entry i of a row is
-    ``diag_i v_i + L_i0 v_0 + ... + L_i,i-1 v_i-1``, summed in that order.
+    L_n = [[diag[n, 0], 0], [strict[n, 0], diag[n, 1]]]; ``diag`` and ``v``
+    are [batch, 2] and ``strict`` is [batch, 1]. The second entry of a row is
+    ``diag_1 v_1 + L_10 v_0``, summed in that order.
     """
     strict, diag, v = _lift(strict), _lift(diag), _lift(v)
-    n, q = v.shape if v.data.ndim == 2 else (-1, -1)
-    if q < 0 or diag.shape != v.shape or strict.shape != (n, q * (q - 1) // 2):
+    n = v.shape[0] if v.data.ndim == 2 else -1
+    if v.shape != (n, 2) or diag.shape != v.shape or strict.shape != (n, 1):
         raise DimensionError(
             f"tril_matvec: strict {strict.shape}, diag {diag.shape} and v {v.shape} do not agree"
         )
-    rows, cols = np.tril_indices(q, -1)
-    all_rows = slice(None)
     data = diag.data * v.data
-    np.add.at(data, (all_rows, rows), strict.data * v.data[:, cols])
+    data[:, 1] += strict.data[:, 0] * v.data[:, 0]
 
     def backward(g):
-        g_rows = g[:, rows]
         gv = g * diag.data
-        np.add.at(gv, (all_rows, cols), g_rows * strict.data)
-        return ((strict, g_rows * v.data[:, cols]), (diag, g * v.data), (v, gv))
+        gv[:, 0] += g[:, 1] * strict.data[:, 0]
+        return ((strict, g[:, 1:] * v.data[:, :1]), (diag, g * v.data), (v, gv))
 
     return _node(data, (strict, diag, v), backward)
 

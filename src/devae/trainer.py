@@ -19,8 +19,9 @@ import numpy as np
 from .data import DatasetBundle, gather_rows
 from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import MetricsRow, evaluate
+from .gaussian import LATENT_DIM
 from .losses import total_loss
-from .model import LATENT_DIM, DeVae, forward_train
+from .model import DeVae, forward_train
 from .tensor import Tensor
 
 

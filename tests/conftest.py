@@ -21,7 +21,7 @@ from devae import (
     split_dataset,
     train,
 )
-from devae.gaussian import GaussianLatent, head_param_count
+from devae.gaussian import HEAD_PARAMS, GaussianLatent
 from devae.tensor import Tensor
 
 
@@ -45,12 +45,11 @@ def mc_entropy(latent: GaussianLatent, i: int, n: int, seed: int) -> float:
     the materialized covariance and numpy linear algebra, independent of
     the closed-form entropy under test.
     """
-    q = latent.q
     mu = latent.mu.data[i]
     big = tile_latent(latent, i, n)
-    eps = np.random.default_rng(seed).standard_normal((n, q))
+    eps = np.random.default_rng(seed).standard_normal((n, 2))
     z = big.sample(Tensor(eps)).data
-    cov = latent.covariance_matrix(i)
+    cov, _ = latent.covariance(i)
     return float(-gaussian_logpdf(z, mu, cov).mean())
 
 
@@ -60,14 +59,14 @@ def tile_latent(latent: GaussianLatent, i: int, n: int) -> GaussianLatent:
     return GaussianLatent(latent.head, Tensor(np.tile(latent.mu.data[i], (n, 1))), params)
 
 
-def random_latent(head: str, rng: np.random.Generator, q: int = 2) -> GaussianLatent:
+def random_latent(head: str, rng: np.random.Generator) -> GaussianLatent:
     """One random latent with every raw head parameter drawn in [-2, 2].
 
     For isotropic and diagonal those are log-variances; for full, the
     off-diagonal entries of L and ln L_ii (log-variance in [-4, 4]).
     """
-    mu = Tensor(rng.uniform(-3.0, 3.0, size=(1, q)))
-    width = head_param_count(head, q)
+    mu = Tensor(rng.uniform(-3.0, 3.0, size=(1, 2)))
+    width = len(HEAD_PARAMS[head])
     return GaussianLatent(head, mu, Tensor(rng.uniform(-2.0, 2.0, size=(1, width))) if width else None)
 
 

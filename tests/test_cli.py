@@ -177,6 +177,19 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "line 2" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_projection_coordinate_is_parse_error(self, pipeline, tmp_path, cell):
+        proj = tmp_path / "proj.csv"
+        lines = pipeline["proj"].read_text().split("\n")
+        cells = lines[3].split(",")
+        lines[3] = ",".join([cells[0], cell, *cells[2:]])
+        proj.write_text("\n".join(lines))
+        out = tmp_path / "sheet.csv"
+        r = run_cli(["reconstruct", "--model", pipeline["ckpt"], "--proj", proj, "--out", out])
+        assert r.returncode == 2, r.stderr
+        assert f"cell {cell} at line 4 is not finite" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_non_integer_labels_csv_is_data_error(self, pipeline, tmp_path):
         labels = tmp_path / "labs.csv"
         labels.write_text("0\n1.5\nnan\n" + "0\n" * 77)

@@ -28,7 +28,7 @@ from devae.data import (
     write_projection_csv,
 )
 from devae.errors import DataError, ParseError
-from devae.gaussian import HEADS, head_param_count, head_param_names
+from devae.gaussian import HEAD_PARAMS, HEADS
 from devae.trainer import split_dataset
 
 
@@ -121,8 +121,9 @@ def _label_parsed_or_rejected(read, path, cell, line):
     assert labels.dtype == np.int64 and int(labels[0]) == want and labels[1] == 0
 
 
-# Integers float64 cannot hold exactly: each would read as a neighbour.
-BEYOND_2_53 = ["9007199254740993", "-9007199254740993", "9223372036854775807"]
+# Integers from 2**53 on: float64 cannot hold them all exactly (2**53 + 1
+# would read as 2**53), so none is a label.
+BEYOND_2_53 = ["9007199254740992", "9007199254740993", "-9007199254740993", "9223372036854775807"]
 LABEL_READERS = {
     "vectors": ("a,label\n1,0\n2,0\n3,{}\n", lambda p: read_csv_vectors(p)[1]),
     "labels": ("label\n0\n0\n{}\n", read_labels_csv),
@@ -150,6 +151,15 @@ class TestLabelBound:
     # From 2**52 on float64 holds no fractions, so each cell rounds to an integer.
     @pytest.mark.parametrize("cell", ["4503599627370496.5", "-4503599627370497.5", "6.0000000000000005e15"])
     def test_fraction_beyond_2_52_is_rejected(self, tmp_path, reader, cell):
+        text, read = LABEL_READERS[reader]
+        path = tmp_path / "l.csv"
+        path.write_text(text.format(cell))
+        with pytest.raises(ParseError, match=rf"label {re.escape(cell)} at line 4 .*2\*\*53"):
+            read(path)
+
+    # Below 2**52 too, a fraction with more digits than float64 keeps rounds to an integer.
+    @pytest.mark.parametrize("cell", ["1.0000000000000000001", "4503599627370495.2"])
+    def test_fraction_that_rounds_to_an_integer_is_rejected(self, tmp_path, reader, cell):
         text, read = LABEL_READERS[reader]
         path = tmp_path / "l.csv"
         path.write_text(text.format(cell))
@@ -198,6 +208,15 @@ class TestCsvVectors:
         path = tmp_path / "v.csv"
         path.write_text("a,b\n1,2\n3,oops\n")
         with pytest.raises(ParseError, match="line 3"):
+            read_csv_vectors(path)
+
+    @pytest.mark.parametrize("cell, value", [("nan", "nan"), ("-inf", "-inf"), ("1e400", "inf")])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_non_finite_value_reports_line(self, tmp_path, cell, value, labelled):
+        path = tmp_path / "v.csv"
+        label = ",0" if labelled else ""
+        path.write_text(f"a,b{',label' if labelled else ''}\n1,2{label}\n3,{cell}{label}\n")
+        with pytest.raises(ParseError, match=f"cell {value} at line 3 is not finite"):
             read_csv_vectors(path)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -310,6 +329,16 @@ class TestProjectionCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_projection_csv(path)
 
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, column, cell):
+        path = tmp_path / "p.csv"
+        row = ["1", "1", "2", "0"]
+        row[column] = cell
+        path.write_text("id,x,y,label\n0,1,2,3\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError, match=f"cell {cell} at line 3 is not finite"):
+            read_projection_csv(path)
+
     @pytest.mark.parametrize("cell", BAD_LABELS)
     def test_non_integer_label_reports_line(self, tmp_path, cell):
         path = tmp_path / "p.csv"
@@ -418,10 +447,10 @@ class TestCsvRoundTrip:
     @given(head=st.sampled_from(HEADS), cells=WRITE_CELLS, data=st.data())
     def test_project_output(self, tmp_path_factory, head, cells, data):
         """The ``project`` table: ids, mu_x, mu_y, then the head's parameters."""
-        width = 2 + head_param_count(head, 2)
+        width = 2 + len(HEAD_PARAMS[head])
         values, _ = data.draw(_tables(width, width))
         path = tmp_path_factory.mktemp("rt") / "coords.csv"
-        names = ["mu_x", "mu_y"] + head_param_names(head, 2)
+        names = ["mu_x", "mu_y", *HEAD_PARAMS[head]]
         with mock.patch.object(devae.data, "_WRITE_CELLS", cells):
             write_csv(path, names, values, ids=True)
         table, labels = read_csv_vectors(path)

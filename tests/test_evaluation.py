@@ -1,7 +1,6 @@
 """Split metrics, medoids, and per-class ellipse summaries."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,75 +278,28 @@ class TestClassEllipses:
             assert a == pytest.approx(spec.k * major, rel=1e-12)
             assert a * b == pytest.approx(spec.k**2 * L[0, 0] * L[1, 1], rel=1e-12)
 
-    @pytest.mark.parametrize("average_cov", [False, True])
-    def test_diagonal_head_variance_ratio_1e17(self, average_cov):
+    @pytest.mark.parametrize("head, width", [("isotropic", 1), ("diagonal", 2), ("full", 3)])
+    def test_each_class_draws_its_medoid_covariance(self, head, width):
+        rng = np.random.default_rng(14)
+        n = 300
+        latent = GaussianLatent(head, Tensor(rng.standard_normal((n, 2))),
+                                Tensor(rng.uniform(-3.0, 3.0, size=(n, width))))
+        labels = rng.integers(0, 4, size=n)
+        medoids = class_medoid_indices(latent.mu.data, labels)
+        ellipses = class_ellipses(latent, labels)
+        assert sorted(ellipses) == sorted(medoids) == [0, 1, 2, 3]
+        for label, i in medoids.items():
+            cov, det = latent.covariance(i)
+            assert ellipses[label] == [ellipse_from_cov(latent.mu.data[i], cov, k, det) for k in (1, 2, 3)]
+
+    def test_diagonal_head_variance_ratio_1e17(self):
         # tr = 1 + 1e-17 rounds to 1, so (tr - sqrt(disc)) / 2 is 0; the minor
         # axis comes from the product of the variances.
         log_var = np.log([[1.0, 1e-17], [1.0, 1e-17]])
         latent = GaussianLatent("diagonal", Tensor([[0.0, 0.0], [1.0, 1.0]]), Tensor(log_var))
-        (specs,) = class_ellipses(latent, np.array([0, 0]), average_cov=average_cov).values()
+        (specs,) = class_ellipses(latent, np.array([0, 0])).values()
         for spec in specs:
             assert spec.semi_axes == pytest.approx((spec.k, spec.k * math.sqrt(1e-17)), rel=1e-12)
-
-    def test_average_cov_near_singular_members(self):
-        # Class 0 averages to roughly [[5e-20, -2.6e-11], [-2.6e-11, 0.43]], the
-        # shape seen on a trained full head: positive definite, but the minor
-        # eigenvalue of the averaged entries cancels to 0. Class 1 is ordinary.
-        l10 = np.array([-0.11, -0.09, -0.12, 0.4, 0.1])
-        l00 = np.array([2e-10, 3e-10, 1.5e-10, 0.5, 0.8])
-        l11 = np.array([0.65, 0.6, 0.7, 0.3, 0.6])
-        chol_raw = np.column_stack([l10, np.log(l00), np.log(l11)])
-        mu = np.arange(10.0).reshape(5, 2)
-        labels = np.array([0, 0, 0, 1, 1])
-        latent = GaussianLatent("full", Tensor(mu), Tensor(chol_raw))
-        ellipses = class_ellipses(latent, labels, average_cov=True)
-        for label, members in ((0, [0, 1, 2]), (1, [3, 4])):
-            L = [np.array([[np.exp(chol_raw[i, 1]), 0.0], [l10[i], np.exp(chol_raw[i, 2])]])
-                 for i in members]
-            cov = np.mean([m @ m.T for m in L], axis=0)
-            exact = [[sum(Fraction(m[r, 0]) * Fraction(m[c, 0]) + Fraction(m[r, 1]) * Fraction(m[c, 1])
-                          for m in L) / len(L) for c in range(2)] for r in range(2)]
-            det = float(exact[0][0] * exact[1][1] - exact[0][1] * exact[1][0])
-            major = math.sqrt(np.linalg.eigvalsh(cov)[-1])
-            for spec in ellipses[label]:
-                a, b = spec.semi_axes
-                assert a == pytest.approx(spec.k * major, rel=1e-12)
-                assert a * b == pytest.approx(spec.k**2 * math.sqrt(det), rel=1e-9)
-            if label == 0:  # the eigenvalue formula on the averaged entries cancels
-                tr = cov[0, 0] + cov[1, 1]
-                disc = tr * tr - 4.0 * (cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0])
-                assert tr - math.sqrt(max(disc, 0.0)) <= 0.0
-
-    @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
-    def test_average_cov_bit_identical_to_per_member_mean(self, head):
-        rng = np.random.default_rng(14)
-        n = 300
-        width = 1 if head == "isotropic" else 2
-        log_var = rng.uniform(-3.0, 3.0, size=(n, width))
-        latent = GaussianLatent(head, Tensor(rng.standard_normal((n, 2))), Tensor(log_var))
-        labels = rng.integers(0, 4, size=n)
-
-        def member_cov(i):  # one covariance per Python call, as first written
-            if head == "isotropic":
-                return float(np.exp(log_var[i, 0])) * np.eye(2)
-            return np.diag(np.exp(log_var[i]))
-
-        ellipses = class_ellipses(latent, labels, average_cov=True)
-        medoids = class_medoid_indices(latent.mu.data, labels)
-        for label, specs in ellipses.items():
-            cov = np.mean([member_cov(i) for i in np.flatnonzero(labels == label)], axis=0)
-            det = float(np.prod(np.diag(cov)))
-            want = [ellipse_from_cov(latent.mu.data[medoids[label]], cov, k, det) for k in (1, 2, 3)]
-            assert specs == want
-
-    def test_average_cov_flag(self, bundle, trained):
-        model, _ = trained
-        default = class_ellipses(model.encode_rows(bundle.X), bundle.labels)
-        averaged = class_ellipses(model.encode_rows(bundle.X), bundle.labels, average_cov=True)
-        assert default.keys() == averaged.keys()
-        assert any(
-            default[c][0].semi_axes != averaged[c][0].semi_axes for c in default
-        )
 
 
 def _quick_train(bundle, head):

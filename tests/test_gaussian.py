@@ -15,9 +15,9 @@ import devae.tensor as T
 UNIT_H2 = 1.0 + math.log(2.0 * math.pi)  # entropy of N(0, I) in 2-D: 2.8378771
 
 
-def entropy(head: str, params, q: int = 2) -> float:
-    """Entropy of one latent of width q with the given raw head parameters."""
-    return GaussianLatent(head, Tensor(np.zeros((1, q))), Tensor([params])).entropy().item()
+def entropy(head: str, params) -> float:
+    """Entropy of one latent with the given raw head parameters."""
+    return GaussianLatent(head, Tensor(np.zeros((1, 2))), Tensor([params])).entropy().item()
 
 
 class TestEntropyValues:
@@ -27,9 +27,6 @@ class TestEntropyValues:
     def test_isotropic_variance_e(self):
         # Closed form; cross-checked against the Monte-Carlo oracle below.
         assert entropy("isotropic", [1.0]) == pytest.approx(3.8378770664093453, abs=1e-12)
-
-    def test_isotropic_one_dimension(self):
-        assert entropy("isotropic", [0.0], q=1) == pytest.approx(1.4189385332046727, abs=1e-12)
 
     def test_diagonal_unit_matches_isotropic(self):
         d = entropy("diagonal", [0.0, 0.0])
@@ -142,11 +139,10 @@ class TestSampling:
         z = lat.sample(Tensor([[1.0, 1.0]]))
         np.testing.assert_allclose(z.data, [[2.0, 2.0]], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
-    def test_full_sample_records_at_most_five_nodes(self, monkeypatch, q):
-        rng = np.random.default_rng(q)
-        mu = Tensor(rng.standard_normal((4, q)), requires_grad=True)
-        raw = Tensor(rng.uniform(-1, 1, size=(4, q * (q + 1) // 2)), requires_grad=True)
+    def test_full_sample_records_at_most_five_nodes(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        mu = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        raw = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
         lat = GaussianLatent("full", mu, raw)
         nodes = []
         record = T._node
@@ -156,17 +152,19 @@ class TestSampling:
             return nodes[-1]
 
         monkeypatch.setattr(T, "_node", counting_node)
-        z = lat.sample(rng.standard_normal((4, q)))
+        z = lat.sample(rng.standard_normal((4, 2)))
         assert len(nodes) <= 5 and nodes[-1] is z
         T.tsum(z).backward()
         assert mu.grad is not None and raw.grad is not None
 
     def test_full_sample_is_mu_plus_l_eps(self):
         rng = np.random.default_rng(12)
-        lat = random_latent("full", rng, q=4)
-        eps = rng.standard_normal((1, 4))
+        lat = random_latent("full", rng)
+        l10, s0, s1 = lat.params.data[0]
+        L = np.array([[math.exp(s0), 0.0], [l10, math.exp(s1)]])
+        eps = rng.standard_normal((1, 2))
         z = lat.sample(Tensor(eps)).data
-        np.testing.assert_allclose(z[0], lat.mu.data[0] + lat.chol_matrix(0) @ eps[0], rtol=1e-13)
+        np.testing.assert_allclose(z[0], lat.mu.data[0] + L @ eps[0], rtol=1e-13)
 
     def test_isotropic_componentwise_affine(self):
         lat = GaussianLatent("isotropic", Tensor([[1.0, 1.0]]), Tensor([[math.log(9.0)]]))
@@ -192,7 +190,7 @@ class TestSampling:
         lat = random_latent(head, rng)
         big = tile_latent(lat, 0, n)
         z = big.sample(Tensor(rng.standard_normal((n, 2)))).data
-        cov_true = lat.covariance_matrix(0)
+        cov_true, _ = lat.covariance(0)
         sigma_max = math.sqrt(cov_true.diagonal().max())
         assert np.all(np.abs(z.mean(axis=0) - lat.mu.data[0]) < 5.0 * sigma_max / math.sqrt(n))
         cov_emp = np.cov(z.T)
@@ -204,40 +202,59 @@ class TestSampling:
 class TestCovarianceMatrix:
     def test_isotropic(self):
         lat = GaussianLatent("isotropic", Tensor([[0.0, 0.0]]), Tensor([[math.log(4.0)]]))
-        np.testing.assert_allclose(lat.covariance_matrix(0), [[4.0, 0.0], [0.0, 4.0]], atol=1e-14)
+        cov, det = lat.covariance(0)
+        np.testing.assert_allclose(cov, [[4.0, 0.0], [0.0, 4.0]], atol=1e-14)
+        assert det == pytest.approx(16.0, rel=1e-14)
 
     def test_diagonal(self):
         lat = GaussianLatent(
             "diagonal", Tensor([[0.0, 0.0]]), Tensor([[0.0, math.log(9.0)]])
         )
-        np.testing.assert_allclose(lat.covariance_matrix(0), [[1.0, 0.0], [0.0, 9.0]], atol=1e-14)
+        cov, det = lat.covariance(0)
+        np.testing.assert_allclose(cov, [[1.0, 0.0], [0.0, 9.0]], atol=1e-14)
+        assert det == pytest.approx(9.0, rel=1e-14)
 
     def test_full_llt(self):
         lat = GaussianLatent(
             "full", Tensor([[0.0, 0.0]]), Tensor([[1.0, math.log(2.0), 0.0]])
         )
-        np.testing.assert_allclose(lat.covariance_matrix(0), [[4.0, 2.0], [2.0, 2.0]], atol=1e-14)
+        cov, det = lat.covariance(0)
+        np.testing.assert_allclose(cov, [[4.0, 2.0], [2.0, 2.0]], atol=1e-14)
+        assert det == pytest.approx(4.0, rel=1e-14)
+
+    def test_full_determinant_comes_from_the_factor(self):
+        # L = [[1e-10, 0], [1, 1e-9]]: a d - b^2 cancels in Sigma's entries,
+        # but det = (L00 L11)^2 = 1e-38 stays exact.
+        lat = GaussianLatent("full", Tensor([[0.0, 0.0]]),
+                             Tensor([[1.0, math.log(1e-10), math.log(1e-9)]]))
+        cov, det = lat.covariance(0)
+        assert det == pytest.approx(1e-38, rel=1e-12, abs=0.0)
+        assert cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0] <= 0.0
 
     def test_none_head_unsupported(self):
         lat = GaussianLatent("none", Tensor([[0.0, 0.0]]))
         with pytest.raises(ContractError):
-            lat.covariance_matrix(0)
-        with pytest.raises(ContractError):
-            lat.covariance_matrices([0])
+            lat.covariance(0)
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal", "full"])
     def test_batch_matches_each_sample(self, head):
         rng = np.random.default_rng(13)
-        parts = [random_latent(head, rng, q=3) for _ in range(6)]
+        parts = [random_latent(head, rng) for _ in range(6)]
 
         lat = GaussianLatent(head, Tensor(np.concatenate([p.mu.data for p in parts])),
                              Tensor(np.concatenate([p.params.data for p in parts])))
-        rows = [4, 0, 4, 2]
-        covs = lat.covariance_matrices(rows)
-        assert covs.shape == (4, 3, 3)
-        for cov, i in zip(covs, rows):
-            np.testing.assert_array_equal(cov, parts[i].covariance_matrix(0))
+        for i in [4, 0, 4, 2]:
+            cov, det = lat.covariance(i)
+            want_cov, want_det = parts[i].covariance(0)
+            np.testing.assert_array_equal(cov, want_cov)
             np.testing.assert_array_equal(cov, cov.T)
+            assert det == want_det
+            assert det == pytest.approx(np.linalg.det(cov), rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [[[0.0]], [[0.0, 0.0, 0.0]], [0.0, 0.0]])
+    def test_mu_must_be_batch_by_two(self, mu):
+        with pytest.raises(ContractError, match=r"mu must be \[batch, 2\]"):
+            GaussianLatent("none", Tensor(mu))
 
     def test_exactly_one_param_block(self):
         mu = Tensor([[0.0, 0.0]])
