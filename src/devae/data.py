@@ -15,7 +15,11 @@ ragged rows, non-numeric cells and bytes that are not UTF-8 as line-numbered
 ParseErrors) and one writer (``write_csv``: an optional id column, float64
 cells as ``repr`` so values read back exactly, an optional integer label
 column). A NaN or infinite sample value or coordinate is a line-numbered
-ParseError too.
+ParseError too. A numeric cell is exactly what Python's ``float()``
+accepts. Blank lines, whitespace-only ones too, are skipped, and line
+numbers count every line the way ``str.splitlines`` splits them. numpy's C
+reader is only a fast path: where it refuses a file or could read it
+otherwise, a line walk reads it, with the same values and messages.
 
 IDX pixels stay uint8 in memory; ``gather_rows`` scales the rows a batch
 needs, so no float64 copy of a whole image file is ever made.
@@ -27,6 +31,7 @@ the full pipeline works without any precomputed embedding.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -151,6 +156,13 @@ def gather_rows(X: np.ndarray, rows) -> np.ndarray:
 # -- CSV -----------------------------------------------------------------------
 
 
+# Bytes per block that ``_fast_csv`` reads and splits into lines.
+_READ_BYTES = 1 << 20
+# Characters numpy keeps of each last picked cell; a cell that fills them may
+# have been cut short, so its file goes to the walk.
+_TEXT_CHARS = 32
+
+
 def _is_float(cell: str) -> bool:
     try:
         float(cell)
@@ -159,18 +171,91 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray, list[str]]:
+def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.ndarray]:
     """(header, float64 cells, each row's line number, each row's last picked
     cell as text) of a CSV file.
 
     Blank lines are skipped. The first line is the header unless every cell
     of it is a number. Every row must be as wide as the header (or, without
     one, the first row). ``pick(header)`` chooses the columns to parse, in
-    order; by default all of them, and the others are not looked at. A
-    ragged row or a cell that is not a number is a ParseError naming its line.
-    The texts of the last picked column let a label column be judged by what
-    was written rather than by its nearest float64.
+    order; by default all of them, and the others are not looked at. A cell
+    is a number when Python's ``float()`` accepts it. A ragged row or a cell
+    that is not a number is a ParseError naming its line. The texts of the
+    last picked column let a label column be judged by what was written
+    rather than by its nearest float64.
+
+    numpy's C reader parses the file (``_fast_csv``). Wherever it refuses
+    the file, or its result could differ, the line walk (``_walk_csv``)
+    reads the file instead, so the walk alone words every error.
     """
+    try:
+        return _fast_csv(path, pick)
+    except (ValueError, ParseError):  # numpy's reader, UTF-8 or pick refused, or a trap
+        return _walk_csv(path, pick)
+
+
+def _fast_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.ndarray]:
+    """``_read_csv`` by numpy's C reader, or a ValueError wherever its result
+    could differ from the walk's.
+
+    The file is read in blocks that end at a \\n, each decoded as UTF-8 and
+    split by ``str.splitlines``, so numpy gets the very lines the walk reads
+    and every row's line number is known. numpy accepts a cell only where
+    ``float()`` does, with the same value, and refuses ``1_0``, Unicode
+    digits and a whitespace-only line, which the walk reads. What numpy
+    would let through is ruled out here: a row wider than the header, which
+    ``usecols`` accepts (with the last column read no row is narrower, so
+    the commas give it away), and a last picked cell longer than the texts
+    numpy keeps.
+    """
+    commas, count, empty = 0, 0, []
+
+    def lines():
+        nonlocal commas, count
+        with open(path, "rb") as fh:
+            while block := fh.read(_READ_BYTES):
+                block += fh.readline()  # a \n ends a line and no UTF-8 character
+                commas += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(",")))
+                text = block.decode("utf-8").splitlines()
+                if "" in text:
+                    empty.extend(count + i for i, line in enumerate(text, start=1) if not line)
+                count += len(text)
+                yield from text
+
+    stream = lines()
+    for first, line in enumerate(stream, start=1):
+        if line.strip():
+            break
+    else:
+        raise ValueError("no rows")  # the walk words each error
+    cells = line.split(",")
+    header = [cell.strip() for cell in cells]
+    if all(map(_is_float, header)):
+        header, row = None, line
+    else:
+        row = next(filter(None, stream), None)  # numpy skips empty lines too
+        if row is None:
+            raise ValueError("a header without rows")
+    width = len(cells)
+    cols = list(range(width) if pick is None else pick(header))
+    usecols = cols + cols[-1:]  # the last picked column twice: as a number, then as text
+    fields = [("v", np.float64, (len(cols),)), ("t", f"U{_TEXT_CHARS}")]
+    if width - 1 not in cols:  # read the last column too, so no row is narrower than the header
+        usecols.append(width - 1)
+        fields.append(("w", "U1"))
+    table = np.loadtxt(itertools.chain([row], stream), dtype=fields, delimiter=",", comments=None,
+                       quotechar=None, usecols=usecols, ndmin=1)
+    start = first + (header is not None)
+    line_nos = np.setdiff1d(np.arange(start, count + 1), empty, assume_unique=True)
+    texts = table["t"]
+    if (line_nos.size != table.shape[0] or commas != (width - 1) * (table.shape[0] + (header is not None))
+            or (np.char.str_len(texts) == _TEXT_CHARS).any()):
+        raise ValueError("numpy's reader may differ from the walk here")
+    return header, table["v"], line_nos, texts
+
+
+def _walk_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.ndarray]:
+    """``_read_csv`` line by line, with ``float()`` on every picked cell."""
     rows = [(i, line) for i, line in enumerate(_text_lines(path), start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -195,7 +280,7 @@ def _read_csv(path, pick=None) -> tuple[list[str] | None, np.ndarray, np.ndarray
             bad = next(cells[c].strip() for c in cols if not _is_float(cells[c]))
             raise ParseError(f"non-numeric cell {bad!r} at line {line_no}") from None
         texts.append(cells[last])
-    return header, values, np.array([line_no for line_no, _ in rows]), texts
+    return header, values, np.array([line_no for line_no, _ in rows]), np.array(texts)
 
 
 def _text_lines(path) -> list[str]:
@@ -225,12 +310,13 @@ def _is_label(text: str) -> bool:
     return d.is_finite() and abs(d) < 2**53 and d == d.to_integral_value()
 
 
-def _int_labels(values: np.ndarray, texts: list[str], line_nos: np.ndarray) -> np.ndarray:
+def _int_labels(values: np.ndarray, texts: np.ndarray, line_nos: np.ndarray) -> np.ndarray:
     """Label cells as int64, each judged by its text (``_is_label``); the first
     that is not a label is a ParseError naming its line."""
     # At most 15 plain digits is a label below 10**15; only other cells need Decimal.
-    for i in [i for i, text in enumerate(texts) if not (len(text) < 16 and text.isdigit())]:
-        text = texts[i].strip()
+    plain = (np.char.str_len(texts) < 16) & np.char.isdigit(texts)
+    for i in np.flatnonzero(~plain):
+        text = str(texts[i]).strip()
         if not _is_label(text):
             raise ParseError(f"label {text} at line {line_nos[i]} "
                              f"is not an integer of magnitude below 2**53")
@@ -257,7 +343,8 @@ def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
     labels = None
     if _has_label_column(header):
         labels = _int_labels(values[:, -1], texts, line_nos)
-        values = np.ascontiguousarray(values[:, :-1])
+        values = values[:, :-1]
+    values = np.ascontiguousarray(values)
     _check_finite(values, line_nos)
     return values, labels
 

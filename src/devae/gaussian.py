@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, GeometryError
+from .errors import ContractError, DivergenceError, GeometryError
 from .tensor import Tensor
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -49,6 +49,12 @@ HEAD_PARAMS = {
     "full": ("chol_raw_0", "chol_raw_1", "chol_raw_2"),
 }
 HEADS = tuple(HEAD_PARAMS)
+
+# The largest log standard deviation s a covariance head may give: Sigma's
+# entries reach e^(2s) and ``ellipse_from_cov`` squares sums of them, all
+# finite below this bound (a standard deviation near 4e76). The same bound
+# holds for |L10| on the log scale.
+MAX_LOG_STD = math.log(np.finfo(np.float64).max) / 4 - 1
 
 
 # -- the latent value type -----------------------------------------------------
@@ -85,6 +91,21 @@ class GaussianLatent:
     def batch(self) -> int:
         return self.mu.shape[0]
 
+    def _check_params(self, error: type[Exception], start: int = 0, stop: int | None = None) -> None:
+        """``error`` naming the first of samples start..stop-1 whose
+        covariance would overflow: a NaN head output, a log standard
+        deviation above ``MAX_LOG_STD`` or, for "full", |L10| above
+        e**MAX_LOG_STD. Samples are counted within this batch."""
+        raw = self.params.data[start:stop]
+        if self.head == "full":
+            ok = np.column_stack([np.abs(raw[:, 0]) <= math.exp(MAX_LOG_STD), raw[:, 1:] <= MAX_LOG_STD])
+        else:
+            ok = raw <= 2 * MAX_LOG_STD  # log-variances, 2 s
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise error(f"covariance head {self.head!r}: {HEAD_PARAMS[self.head][j]} = {raw[i, j]:g} "
+                        f"of sample {start + i} overflows the covariance")
+
     # -- graph-building pieces ---------------------------------------------
 
     def _log_std(self) -> Tensor:
@@ -108,13 +129,16 @@ class GaussianLatent:
         """Reparameterized draw: mu + scale(eps), differentiable in the params.
 
         ``eps`` is a [batch, 2] block of standard-normal draws; it is ignored
-        for head "none", which returns mu unchanged.
+        for head "none", which returns mu unchanged. A sample whose
+        covariance would overflow leaves no finite loss: a DivergenceError
+        (``_check_params``).
         """
         if self.head == "none":
             return self.mu
         eps = eps if isinstance(eps, Tensor) else Tensor(eps)
         if eps.shape != self.mu.shape:
             raise ContractError(f"eps must be [batch, 2] = {self.mu.shape}, got {eps.shape}")
+        self._check_params(DivergenceError)
         scale = T.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over both dimensions
         if self.head == "full":
             return T.add(self.mu, T.tril_matvec(T.slice_cols(self.params, 0, 1), scale, eps))
@@ -127,10 +151,12 @@ class GaussianLatent:
 
         The determinant comes from the factors Sigma is built from: var^2
         (isotropic), v0 v1 (diagonal) or (L00 L11)^2 (full). It stays
-        positive for a near-singular Sigma, whose entries would cancel.
+        positive for a near-singular Sigma, whose entries would cancel. A
+        covariance that would overflow is a GeometryError (``_check_params``).
         """
         if self.head == "none":
             raise ContractError('head "none" has no covariance')
+        self._check_params(GeometryError, i, i + 1)
         raw = self.params.data[i]
         if self.head == "full":
             l00, l11 = np.exp(raw[1:])

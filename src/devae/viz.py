@@ -76,12 +76,10 @@ def latent_plot_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" height="640" '
         f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">\n',
     ]
-    for i in range(pts.shape[0]):
-        color = PALETTE[int(lab[i]) % len(PALETTE)]
-        parts.append(
-            f'<circle cx="{_fmt(pts[i, 0])}" cy="{_fmt(-pts[i, 1])}" r="{_fmt(dot_r)}" '
-            f'fill="{color}"/>\n'
-        )
+    # One %-template per circle on Python floats: "%.6g" formats as _fmt does.
+    circle = f'<circle cx="%.6g" cy="%.6g" r="{_fmt(dot_r)}" fill="%s"/>\n'
+    parts += [circle % (x, y, PALETTE[label % len(PALETTE)])
+              for x, y, label in zip(pts[:, 0].tolist(), (-pts[:, 1]).tolist(), lab.astype(np.int64).tolist())]
     for label in sorted(ellipses):
         color = PALETTE[int(label) % len(PALETTE)]
         for spec in ellipses[label]:

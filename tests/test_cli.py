@@ -1,6 +1,7 @@
 """Command-line interface: pipeline smoke, exit codes, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ class TestPipelineSmoke:
         assert r.returncode == 2
         assert "class 0: point 0 is not finite" in r.stderr
         assert not svg.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, code, kind, sample", [("eval", 3, "divergence", 0),
+                                                             ("latent-plot", 2, "error", None)])
+    def test_overflowing_covariance_head_names_the_sample(self, pipeline, tmp_path, capsys, command, code, kind,
+                                                          sample):
+        from devae.cli import main
+        from devae.model import load_checkpoint, save_checkpoint
+
+        model = load_checkpoint(pipeline["ckpt"])
+        model.parameters()[model.parameter_names().index("var.bias")].data[1] = 1e200  # ln L00
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(model, ckpt)
+        argv = [command, "--model", str(ckpt), "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"])]
+        assert main(argv + (["--out", str(tmp_path / "plot.svg")] if command == "latent-plot" else [])) == code
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
+        # latent-plot reaches the covariance at a class medoid, the first sample it draws.
+        which = r"\d+" if sample is None else str(sample)
+        assert re.fullmatch(rf"{kind}: covariance head 'full': chol_raw_1 = 1e\+200 of sample {which} "
+                            r"overflows the covariance\n", message), message
 
     def test_matrix_json(self, pipeline):
         r = run_cli(["matrix", "--data", pipeline["data"], "--proj", pipeline["proj"],

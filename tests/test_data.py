@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -458,6 +458,181 @@ class TestCsvRoundTrip:
         assert path.read_text().split("\n", 1)[0] == ",".join(["id"] + names)
         np.testing.assert_array_equal(table[:, 0], np.arange(values.shape[0]))
         _assert_same_bits(np.ascontiguousarray(table[:, 1:]), values)
+
+
+class TestFastPathTraps:
+    """Files where numpy's reader alone would read something else than the line walk."""
+
+    def _read(self, tmp_path, text, reader=read_projection_csv):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        return path, reader
+
+    @pytest.mark.parametrize("text, line, fields", [
+        ("id,x,y,name\n0,1,2,a\n1,3,4,b,c\n", 3, 5),
+        ("id,x,y,label\n0,1,2,0\n1,3,4,1,9\n", 3, 5),
+        ("id,x,y,name\n0,1,2\n1,3,4,b,c\n", 2, 3),  # as many commas as two rows of four cells
+    ])
+    def test_cells_in_unpicked_columns_count(self, tmp_path, text, line, fields):
+        path, read = self._read(tmp_path, text)
+        with pytest.raises(ParseError, match=f"^ragged row at line {line}: {fields} fields, expected 4$"):
+            read(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,x,y,label\n\n0,1,2,0\n\n\n1,nan,2,0\n", "cell nan at line 6 is not finite"),
+        ("\nid,x,y\n0,1,2\n\n0,3,4\n", "duplicate id 0 at line 5"),
+        ("id,x,y,label\n0,1,2,0\n\n\n1,1,2,1.5\n\n", "label 1.5 at line 5 is not an integer"),
+    ])
+    def test_blank_lines_keep_line_numbers(self, tmp_path, text, message):
+        path, read = self._read(tmp_path, text)
+        assert devae.data._fast_csv(path, devae.data._projection_columns) is not None
+        with pytest.raises(ParseError, match=f"^{message}"):
+            read(path)
+
+    def test_whitespace_only_line_is_blank(self, tmp_path):
+        path, read = self._read(tmp_path, "a,b\n1,2\n \t \n3,4\n", read_csv_vectors)
+        np.testing.assert_array_equal(read(path)[0], [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("a,b\n1,2\n \t \n3,nan\n")
+        with pytest.raises(ParseError, match="^cell nan at line 4 is not finite$"):
+            read(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\r\n1,2\r\n3,nan\r\n", 3),
+        ("a,b\x0c1,2\x0c\x0c3,nan", 4),
+        ("a,b\n1,2\x0c\n3,nan\n", 4),
+        ("a,b\u20281,2\u2028\u20283,nan\n", 4),
+    ])
+    def test_every_line_break_counts(self, tmp_path, text, line):
+        path, read = self._read(tmp_path, text, read_csv_vectors)
+        with pytest.raises(ParseError, match=f"^cell nan at line {line} is not finite$"):
+            read(path)
+
+    @pytest.mark.parametrize("br", ["\x0c", "\x1e", "\u2028"])
+    def test_line_break_inside_a_row_splits_it(self, tmp_path, br):
+        path, read = self._read(tmp_path, f"a,b\n1{br},2\n", read_csv_vectors)
+        with pytest.raises(ParseError, match="^ragged row at line 2: 1 fields, expected 2$"):
+            read(path)
+
+    def test_python_float_syntax_still_reads(self, tmp_path):
+        path, read = self._read(tmp_path, "a,b,label\n1_0,\u0663.5,\u0662\n 2 ,1e400,3\n", read_csv_vectors)
+        with pytest.raises(ParseError, match="^cell inf at line 3 is not finite$"):
+            read(path)
+        path.write_text("a,b,label\n1_0,\u0663.5,\u0662\n")
+        X, labels = read(path)
+        np.testing.assert_array_equal(X, [[10.0, 3.5]])
+        np.testing.assert_array_equal(labels, [2])
+
+    def test_non_utf8_byte_keeps_its_message(self, tmp_path):
+        path, read = self._read(tmp_path, b"id,x,y\n\n0,1,2\n1,3,\xff4\n")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: byte 0xff at line 4 is not UTF-8"
+
+    def test_long_label_text_is_judged_whole(self, tmp_path):
+        cell = "1." + "0" * 70 + "1"
+        path, read = self._read(tmp_path, f"label\n0\n{cell}\n", read_labels_csv)
+        with pytest.raises(ParseError, match=f"^label {cell} at line 3"):
+            read(path)
+
+
+# Cells numpy's reader and float() both take, cells only float() takes, and
+# cells neither takes.
+FAST_CELLS = st.sampled_from(["-0.0", "0", "5e-324", "-5e-324", "1e308", "-1e308", "1.7976931348623157e308",
+                              "1e400", "-1e400", "nan", "-nan", "inf", "-Infinity", "+7", " 2 ", "\t3",
+                              "1e5", "0.1", "12", "-12", "9007199254740993", "1.0000000000000000001",
+                              "\xa01", "\u30002", "4\u2007"])
+SLOW_CELLS = st.sampled_from(["1_0", "\u0663", "\u0663.5", "1_000.5"])
+BAD_CELLS = st.sampled_from(["", " ", "x", "1e", "0x1", "nan(1)", "1\x00", "--1", '"1"', "1#"])
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                               "\u2028", "\u2029"])
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, pick, clean): a small table with header or not, a mix of
+    cells, blank and whitespace-only lines, ragged rows, every line break and
+    stray bytes. A clean file holds nothing numpy's reader refuses."""
+    projection = draw(st.booleans())
+    if projection:
+        extra = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(["label", "name", "z"]), max_size=3)))))
+        names = ["id", "x", "y", *extra]
+    else:
+        names = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            names[-1] = "label"
+    width = len(names)
+    kinds = st.sampled_from(["fast"] * 28 + ["slow", "bad"])
+    cells = {"fast": FAST_CELLS | st.floats().map(repr), "slow": SLOW_CELLS, "bad": BAD_CELLS}
+    lines, clean = [], True
+    if draw(st.booleans()) or projection:
+        lines.append(",".join(names))
+    for _ in range(draw(st.integers(1, 5))):
+        row_kinds = [draw(kinds) for _ in range(width)]
+        clean &= set(row_kinds) == {"fast"}
+        row = [draw(cells[kind]) for kind in row_kinds]
+        if draw(st.integers(0, 9)) == 0:  # ragged
+            row = row[:-1] if draw(st.booleans()) and width > 1 else row + [draw(FAST_CELLS)]
+            clean = False
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 0:  # a blank line
+            blank = draw(st.sampled_from(["", "", " ", "\t "]))
+            clean &= blank == ""
+            lines.append(blank)
+    breaks = [draw(LINE_BREAKS) if draw(st.integers(0, 9)) == 0 else "\n" for _ in lines]
+    clean &= set(breaks) <= {"\n", "\r\n", "\r"}
+    text = "".join(line + br for line, br in zip(lines, breaks))
+    if draw(st.booleans()):
+        text = text[: -len(breaks[-1])]
+    blob = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + blob[at:]
+        clean = False
+    return blob, devae.data._projection_columns if projection else None, clean
+
+
+def _outcome(read, path, pick):
+    try:
+        return read(path, pick)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestFastPathAgreesWithWalk:
+    """numpy's reader returns what the line walk returns, or defers to it."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=_csv_files())
+    def test_same_tables_and_messages(self, tmp_path_factory, case):
+        blob, pick, clean = case
+        path = tmp_path_factory.mktemp("fast") / "t.csv"
+        path.write_bytes(blob)
+        walk = _outcome(devae.data._walk_csv, path, pick)
+        try:
+            fast = devae.data._fast_csv(path, pick)
+        except (ValueError, ParseError):
+            assert not clean, "a clean file must take numpy's path"
+            fast = None
+        event("numpy's reader" if fast is not None else "the walk")
+        got = _outcome(devae.data._read_csv, path, pick)
+        if isinstance(walk, str):
+            assert fast is None and got == walk
+            return
+        for table in [got] + ([fast] if fast is not None else []):
+            header, values, line_nos, texts = table
+            assert header == walk[0]
+            assert values.shape == walk[1].shape
+            assert np.ascontiguousarray(values).tobytes() == walk[1].tobytes()
+            assert line_nos.tolist() == walk[2].tolist()
+            assert texts.tolist() == walk[3].tolist()
+
+    def test_written_tables_take_numpy_path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "p.csv"
+        write_projection_csv(path, rng.standard_normal((50, 2)), rng.integers(-5, 5, 50))
+        assert devae.data._fast_csv(path, devae.data._projection_columns) is not None
+        write_csv_vectors(path, rng.standard_normal((20, 7)), rng.integers(0, 3, 20))
+        assert devae.data._fast_csv(path, None) is not None
 
 
 class TestMakeBlobs:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import mc_entropy, random_latent, tile_latent
-from devae.errors import ContractError, GeometryError
-from devae.gaussian import LN_2PI, EllipseSpec, GaussianLatent, ellipse_from_cov
+from devae.errors import ContractError, DivergenceError, GeometryError
+from devae.gaussian import LN_2PI, MAX_LOG_STD, EllipseSpec, GaussianLatent, ellipse_from_cov
 from devae.losses import ent_loss
 from devae.tensor import Tensor, gradient_check
 import devae.tensor as T
@@ -250,6 +250,32 @@ class TestCovarianceMatrix:
             np.testing.assert_array_equal(cov, cov.T)
             assert det == want_det
             assert det == pytest.approx(np.linalg.det(cov), rel=1e-12)
+
+    # The largest raw output of each head at the bound, and a first one past it.
+    EDGE = {"isotropic": ([2 * MAX_LOG_STD], [1e200], "log_var"),
+            "diagonal": ([2 * MAX_LOG_STD, 2 * MAX_LOG_STD], [0.0, np.nan], "log_var_1"),
+            "full": ([-math.exp(MAX_LOG_STD), MAX_LOG_STD, MAX_LOG_STD], [-math.inf, 0.0, 0.0], "chol_raw_0")}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("head", sorted(EDGE))
+    def test_largest_head_output_draws_finite_ellipses(self, head):
+        edge, _, _ = self.EDGE[head]
+        lat = GaussianLatent(head, Tensor([[0.0, 0.0]]), Tensor([edge]))
+        cov, det = lat.covariance(0)
+        spec = ellipse_from_cov((0.0, 0.0), cov, 3, det)
+        assert np.isfinite(cov).all() and np.isfinite(spec.semi_axes).all()
+        assert np.isfinite(lat.sample(np.ones((1, 2))).data).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("head", sorted(EDGE))
+    def test_overflowing_head_output_names_the_sample(self, head):
+        edge, bad, name = self.EDGE[head]
+        lat = GaussianLatent(head, Tensor(np.zeros((3, 2))), Tensor([edge, edge, bad]))
+        with pytest.raises(DivergenceError, match=f"^covariance head '{head}': {name} = .* of sample 2 overflows"):
+            lat.sample(np.zeros((3, 2)))
+        lat.covariance(1)
+        with pytest.raises(GeometryError, match="of sample 2 overflows"):
+            lat.covariance(2)
 
     @pytest.mark.parametrize("mu", [[[0.0]], [[0.0, 0.0, 0.0]], [0.0, 0.0]])
     def test_mu_must_be_batch_by_two(self, mu):

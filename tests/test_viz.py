@@ -11,6 +11,7 @@ from devae.gaussian import ellipse_from_cov
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig
 from devae.viz import (
+    PALETTE,
     decode_to_bytes,
     grid_inverse_sheet,
     grid_lattice,
@@ -51,6 +52,26 @@ class TestLatentPlotSvg:
         latent_plot_svg(pts, labels, specs, a)
         latent_plot_svg(pts, labels, specs, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_circles_match_per_point_formatting(self, tmp_path):
+        """Each circle reads as ``f"{v:.6g}"`` of the numpy scalar and the palette entry
+        of ``int(label)``, also for -0.0, tiny and huge values and negative labels."""
+        values = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 123456.5,
+                  1234567.0, -0.1, 1 / 3, 2.5e-5]
+        pts = np.array([[x, y] for x in values for y in values[::-1]])
+        labels = np.arange(pts.shape[0]) % 23 - 11
+        path = tmp_path / "p.svg"
+        latent_plot_svg(pts, labels, None, path)
+        head, _, _ = path.read_text().partition("<circle")
+        span = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1e-9)
+        r = f"{0.008 * span:.6g}"
+        want = "".join(
+            f'<circle cx="{pts[i, 0]:.6g}" cy="{-pts[i, 1]:.6g}" r="{r}" '
+            f'fill="{PALETTE[int(labels[i]) % len(PALETTE)]}"/>\n'
+            for i in range(pts.shape[0])
+        )
+        assert path.read_text() == head + want + "</svg>\n"
+        assert 'cx="-0" cy="-1e-300"' in want
 
     def test_valid_xml_with_covering_viewbox(self, tmp_path):
         path = tmp_path / "p.svg"
