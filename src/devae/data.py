@@ -35,6 +35,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import Iterator
 
 import numpy as np
 
@@ -156,7 +157,7 @@ def gather_rows(X: np.ndarray, rows) -> np.ndarray:
 # -- CSV -----------------------------------------------------------------------
 
 
-# Bytes per block that ``_fast_csv`` reads and splits into lines.
+# Bytes per block that ``_blocks`` reads and splits into lines.
 _READ_BYTES = 1 << 20
 # Characters numpy keeps of each last picked cell; a cell that fills them may
 # have been cut short, so its file goes to the walk.
@@ -198,9 +199,8 @@ def _fast_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
     """``_read_csv`` by numpy's C reader, or a ValueError wherever its result
     could differ from the walk's.
 
-    The file is read in blocks that end at a \\n, each decoded as UTF-8 and
-    split by ``str.splitlines``, so numpy gets the very lines the walk reads
-    and every row's line number is known. numpy accepts a cell only where
+    numpy gets the lines of ``_blocks``, the very lines the walk reads, so
+    every row's line number is known. numpy accepts a cell only where
     ``float()`` does, with the same value, and refuses ``1_0``, Unicode
     digits and a whitespace-only line, which the walk reads. What numpy
     would let through is ruled out here: a row wider than the header, which
@@ -212,15 +212,12 @@ def _fast_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
 
     def lines():
         nonlocal commas, count
-        with open(path, "rb") as fh:
-            while block := fh.read(_READ_BYTES):
-                block += fh.readline()  # a \n ends a line and no UTF-8 character
-                commas += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord(",")))
-                text = block.decode("utf-8").splitlines()
-                if "" in text:
-                    empty.extend(count + i for i, line in enumerate(text, start=1) if not line)
-                count += len(text)
-                yield from text
+        for block, text in _blocks(path):
+            commas += block.count(b",")
+            if "" in text:
+                empty.extend(count + i for i, line in enumerate(text, start=1) if not line)
+            count += len(text)
+            yield from text
 
     stream = lines()
     for first, line in enumerate(stream, start=1):
@@ -256,7 +253,8 @@ def _fast_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
 
 def _walk_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.ndarray]:
     """``_read_csv`` line by line, with ``float()`` on every picked cell."""
-    rows = [(i, line) for i, line in enumerate(_text_lines(path), start=1) if line.strip()]
+    lines = (line for _, block_lines in _blocks(path) for line in block_lines)
+    rows = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0][1].split(",")]
@@ -283,18 +281,22 @@ def _walk_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
     return header, values, np.array([line_no for line_no, _ in rows]), np.array(texts)
 
 
-def _text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a ParseError naming its line."""
+def _blocks(path) -> Iterator[tuple[bytes, list[str]]]:
+    """Each ``_READ_BYTES`` block of a UTF-8 file, read on to the next \\n (which ends a line and no
+    UTF-8 character), and its ``str.splitlines``. A byte that is not UTF-8 is a ParseError naming its line.
+    """
+    count = 0
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The text before the first bad byte decodes; "x" counts its last, unterminated line.
-        line_no = len((blob[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"{path}: byte 0x{blob[exc.start]:02x} at line {line_no} is not UTF-8") from None
-    del blob  # not held while the lines are built
-    return text.splitlines()
+        while block := fh.read(_READ_BYTES):
+            block += fh.readline()
+            try:
+                lines = block.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                # The text before the first bad byte decodes; "x" counts its last, unterminated line.
+                line_no = count + len((block[: exc.start].decode("utf-8") + "x").splitlines())
+                raise ParseError(f"{path}: byte 0x{block[exc.start]:02x} at line {line_no} is not UTF-8") from None
+            count += len(lines)
+            yield block, lines
 
 
 def _is_label(text: str) -> bool:

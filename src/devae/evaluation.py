@@ -8,7 +8,7 @@ A class medoid is the member with the least summed Euclidean distance to its
 classmates. It is found exactly by a bounded search that evaluates a few
 distance rows per class instead of all n (``_medoid``); the sums it compares
 are bit-identical to a full pairwise scan's, exact ties go to the lowest
-sample index, and a class with a NaN or infinite point is a DataError.
+sample index, and a class with a non-finite point or distance is a DataError.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _distance_row(cols: list[np.ndarray], i: int) -> np.ndarray:
     return np.sqrt(row, out=row)
 
 
-def _medoid(points: np.ndarray) -> int:
+def _medoid(points: np.ndarray) -> int | None:
     """Position of the point with the least summed distance S to all points.
 
     An exact bounded search after trimed (Newling & Fleuret, AISTATS 2017).
@@ -70,6 +70,7 @@ def _medoid(points: np.ndarray) -> int:
     at the point nearest the centroid, then evaluates the point with the
     lowest bound until every bound left is above the best S. An exact tie is
     never pruned, so the lowest index among equal sums wins.
+    None when an evaluated row overflows float64 (a finite row keeps S and every bound finite).
     """
     n, dim = points.shape
     cols = [np.ascontiguousarray(points[:, j]) for j in range(dim)]
@@ -80,22 +81,25 @@ def _medoid(points: np.ndarray) -> int:
     slack, tiny = 1e-12 * (dim + n.bit_length()), 1e-140
     lower = np.zeros(n)
     best, best_sum = 0, np.inf
-    i = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the start is only a heuristic
+        i = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
     for _ in range(n):
-        row = _distance_row(cols, i)
+        with np.errstate(over="ignore"):  # an overflowed square is inf, checked below
+            row = _distance_row(cols, i)
         s = row.sum()
+        if not np.isfinite(s):
+            return None
         if s < best_sum or (s == best_sum and i < best):
             best, best_sum = i, s
-        if np.isfinite(s):  # an overflowed row bounds nothing
-            n_row = n * row
-            lower = np.maximum(lower, np.abs(s - n_row) - slack * (s + n_row) - n * tiny)
-            inv = np.divide(1.0, row, out=np.zeros(n), where=row > tiny)
-            along, l1 = np.zeros(n), np.zeros(n)  # g . (p_k - p_i), |p_k - p_i|_1
-            for col in cols:
-                v = col - col[i]
-                along -= (v @ inv) * v
-                l1 += np.abs(v)
-            lower = np.maximum(lower, s + along - slack * (s + n * l1) - n * tiny)
+        n_row = n * row
+        lower = np.maximum(lower, np.abs(s - n_row) - slack * (s + n_row) - n * tiny)
+        inv = np.divide(1.0, row, out=np.zeros(n), where=row > tiny)
+        along, l1 = np.zeros(n), np.zeros(n)  # g . (p_k - p_i), |p_k - p_i|_1
+        for col in cols:
+            v = col - col[i]
+            along -= (v @ inv) * v
+            l1 += np.abs(v)
+        lower = np.maximum(lower, s + along - slack * (s + n * l1) - n * tiny)
         lower[i] = np.inf
         i = int(np.argmin(lower))
         if lower[i] > best_sum:
@@ -108,7 +112,7 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
 
     Exact: the sums that decide it are bit-identical to a full pairwise
     scan's, and exact ties go to the lowest sample index. A class with a NaN
-    or infinite point is a DataError.
+    or infinite point, or whose member distances overflow, is a DataError.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -121,7 +125,9 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
         finite = np.isfinite(members).all(axis=1)
         if not finite.all():
             raise DataError(f"class {label}: point {member_idx[np.argmin(finite)]} is not finite")
-        out[int(label)] = int(member_idx[_medoid(members)])
+        if (best := _medoid(members)) is None:
+            raise DataError(f"class {label}: distances between members overflow float64")
+        out[int(label)] = int(member_idx[best])
     return out
 
 

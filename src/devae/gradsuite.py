@@ -55,7 +55,6 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
         ("linear", lambda: T.tsum(T.square(T.linear(a, w, bias))), [a, w, bias]),
         ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
-        ("linear_sigmoid", lambda: T.tsum(T.square(T.linear(a, w, bias, act="sigmoid"))), [a, w, bias]),
         ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
         ("square", lambda: T.tsum(T.mul(T.square(a), probe)), [a]),
         ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1, keepdims=True))), [a]),

@@ -2,10 +2,10 @@
 
 The encoder trunk maps inputs through relu hidden layers; parallel linear
 heads emit the latent mean and, when the head variant calls for one, the
-covariance parameters. The decoder mirrors the trunk and ends in sigmoid
-when the reconstruction loss is BCE (``decode`` outputs live in (0, 1)) and
-in identity otherwise. Training computes BCE from the logits, the last
-layer's output before its sigmoid (``decode_logits``).
+covariance parameters. The decoder mirrors the trunk with an identity output
+layer, whose output (``decode_logits``) is MSE's reconstruction and BCE's
+logits. ``decode``, the inverse projection, runs it without a tape and, for
+BCE, applies one sigmoid, so its outputs live in (0, 1).
 
 Checkpoint layout (little-endian):
 
@@ -31,7 +31,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import tensor as T
 from .data import gather_rows
 from .errors import (
     CheckpointError,
@@ -43,7 +42,7 @@ from .errors import (
 )
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
-from .tensor import DenseLayer, Tensor, no_grad
+from .tensor import DenseLayer, Tensor, _sigmoid_, no_grad
 
 MAGIC = b"DEVAE"
 VERSION = 1
@@ -127,8 +126,7 @@ def _layer_specs(config: ModelConfig) -> list[tuple[int, int, str]]:
     for width in config.decoder_widths:
         specs.append((width, prev, "relu"))
         prev = width
-    final_act = "sigmoid" if config.recon_kind == "bce" else "identity"
-    specs.append((config.input_dim, prev, final_act))
+    specs.append((config.input_dim, prev, "identity"))
     return specs
 
 
@@ -200,11 +198,10 @@ class DeVae:
             raise DimensionError(
                 f"encode: input shape {x.shape} does not match model input_dim {self.config.input_dim}"
             )
-        h = x
         for layer in self.trunk:
-            h = layer(h)
-        mu = self.mu_head(h)
-        return GaussianLatent(self.config.head, mu, None if self.var_head is None else self.var_head(h))
+            x = layer(x)
+        mu = self.mu_head(x)
+        return GaussianLatent(self.config.head, mu, None if self.var_head is None else self.var_head(x))
 
     def encode_rows(self, X: np.ndarray, rows: np.ndarray | None = None) -> GaussianLatent:
         """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None) without a tape.
@@ -228,24 +225,22 @@ class DeVae:
 
         return GaussianLatent(self.config.head, joined("mu"), joined("params"))
 
-    def _decoder_hidden(self, z) -> Tensor:
-        """Every decoder layer but the last, applied to [batch, LATENT_DIM] points."""
+    def decode_logits(self, z) -> Tensor:
+        """The decoder stack on [batch, LATENT_DIM] points: MSE's reconstruction, BCE's logits."""
         z = z if isinstance(z, Tensor) else Tensor(z)
         if z.data.ndim != 2 or z.shape[1] != LATENT_DIM:
             raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
-        h = z
-        for layer in self.decoder[:-1]:
-            h = layer(h)
-        return h
+        for layer in self.decoder:
+            z = layer(z)
+        return z
 
     def decode(self, z) -> Tensor:
-        """Reconstruction of latent points; in (0, 1) for BCE, whose sigmoid runs fused in the last layer."""
-        return self.decoder[-1](self._decoder_hidden(z))
-
-    def decode_logits(self, z) -> Tensor:
-        """``decode`` without the last layer's activation: BCE's logits; for MSE, ``decode`` itself."""
-        out = self.decoder[-1]
-        return T.linear(self._decoder_hidden(z), out.weight, out.bias)
+        """Reconstruction of latent points, without a tape; in (0, 1) for BCE."""
+        with no_grad():
+            out = self.decode_logits(z)
+        if self.config.recon_kind == "bce":
+            _sigmoid_(out.data)  # the untaped output is this call's own array
+        return out
 
 
 @dataclass

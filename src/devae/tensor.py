@@ -11,11 +11,11 @@ lower-triangular factors to a batch of 2-D vectors for the full-covariance
 sample, and ``bce_logits``, the binary cross-entropy computed from logits.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
-and the activation (identity, relu, or a one-exp sigmoid) run in place on
-the product, a cache-sized row block at a time, and the node keeps
-only that output. Its backward reads both activation derivatives off the
-output (relu' is out > 0, sigmoid' is out (1 - out)), so no pre-activation
-buffer is kept.
+and the activation (identity or relu) run in place on the product, a
+cache-sized row block at a time, and the node keeps only that output, off
+which its backward reads relu' (out > 0). The one sigmoid, ``_sigmoid_``,
+is no tape op: it runs in place in ``bce_logits``' backward and on
+``DeVae.decode``'s untaped output.
 
 A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
@@ -48,7 +48,7 @@ from .errors import ContractError, DimensionError
 
 Array = np.ndarray
 
-ACTIVATIONS = ("identity", "relu", "sigmoid")
+ACTIVATIONS = ("identity", "relu")
 
 
 def _as_f64(data) -> Array:
@@ -234,8 +234,8 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-# Elements of one row block of a dense layer's epilogue (256 KB), so the
-# bias add and every pass of the activation find the block in cache.
+# Elements per block (256 KB) of a dense layer's epilogue and of
+# ``_sigmoid_``, so every pass over a block finds it in cache.
 EPILOGUE_BLOCK = 1 << 15
 
 
@@ -247,8 +247,6 @@ def _epilogue(data: Array, bias: Array, act: str) -> None:
         block += bias
         if act == "relu":
             np.maximum(block, 0.0, out=block)
-        elif act == "sigmoid":
-            _sigmoid_(block)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") -> Tensor:
@@ -268,11 +266,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") ->
     _epilogue(data, bias.data, act)
 
     def backward(g):
-        # The activation's derivative, read off the output: out > 0 exactly where pre > 0.
-        if act == "relu":
+        if act == "relu":  # relu' read off the output: out > 0 exactly where pre > 0
             g = g * (data > 0.0)
-        elif act == "sigmoid":
-            g = g * data * (1.0 - data)
         pairs = []
         if x.requires_grad:
             pairs.append((x, g @ weight.data))
@@ -303,7 +298,7 @@ _SIGMOID_HI = 1.0 - 2.0**-53  # largest double strictly below 1
 
 
 def _sigmoid_(z: Array) -> Array:
-    """Logistic function of ``z``, in place, with one exp per element.
+    """Logistic function of a C-contiguous ``z``, in place, ``EPILOGUE_BLOCK`` elements at a time.
 
     With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
@@ -311,14 +306,16 @@ def _sigmoid_(z: Array) -> Array:
     nearest doubles inside (0, 1), so the open-interval output contract
     holds. NaN stays NaN.
     """
-    neg = z < 0.0
-    np.copysign(z, -1.0, out=z)
-    np.exp(z, out=z)
-    denom = z + 1.0
-    z *= neg
-    z += ~neg
-    z /= denom
-    return np.clip(z, _SIGMOID_LO, _SIGMOID_HI, out=z)
+    for block in np.split(z.reshape(-1), range(EPILOGUE_BLOCK, z.size, EPILOGUE_BLOCK)):
+        neg = block < 0.0
+        np.copysign(block, -1.0, out=block)
+        np.exp(block, out=block)
+        denom = block + 1.0
+        block *= neg
+        block += ~neg
+        block /= denom
+        np.clip(block, _SIGMOID_LO, _SIGMOID_HI, out=block)
+    return z
 
 
 def square(a) -> Tensor:

@@ -15,7 +15,6 @@ from .data import write_csv
 from .errors import DataError
 from .gaussian import EllipseSpec
 from .model import DeVae
-from .tensor import no_grad
 
 # Okabe-Ito palette padded to ten entries; distinguishable under the
 # common color-vision deficiencies.
@@ -48,7 +47,8 @@ def latent_plot_svg(
 
     Points are colored by label through a fixed ten-color palette; each
     ellipse spec becomes one <ellipse> element. The viewBox is the data
-    bounding box (points and ellipse extents) with a 5% margin, y up.
+    bounding box (points and ellipse extents) with a 5% margin, y up; a
+    view box that overflows float64 is a DataError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
@@ -63,18 +63,20 @@ def latent_plot_svg(
             hx, hy = _ellipse_extent(spec)
             xs += [spec.center[0] - hx, spec.center[0] + hx]
             ys += [spec.center[1] - hy, spec.center[1] + hy]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    xmin, xmax = float(min(xs)), float(max(xs))  # Python floats overflow to inf without a warning
+    ymin, ymax = float(min(ys)), float(max(ys))
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     mx, my = 0.05 * max(xmax - xmin, 1e-9), 0.05 * max(ymax - ymin, 1e-9)
     view = (xmin - mx, -(ymax + my), (xmax - xmin) + 2 * mx, (ymax - ymin) + 2 * my)
+    box = " ".join(map(_fmt, view))
+    if not all(map(math.isfinite, view)):
+        raise DataError(f"view box {box} overflows float64")
 
     dot_r = 0.008 * span
     stroke = 0.004 * span
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" height="640" '
-        f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" height="640" viewBox="{box}">\n',
     ]
     # One %-template per circle on Python floats: "%.6g" formats as _fmt does.
     circle = f'<circle cx="%.6g" cy="%.6g" r="{_fmt(dot_r)}" fill="%s"/>\n'
@@ -150,15 +152,13 @@ def grid_inverse_sheet(model: DeVae, coords: np.ndarray, grid_n: int, path) -> s
     s = math.isqrt(d)
     points = grid_lattice(coords, grid_n)
     if s * s != d:
-        with no_grad():
-            decoded = [model.decode(p.reshape(1, 2)).data for p in points]
+        decoded = [model.decode(p.reshape(1, 2)).data for p in points]
         write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, np.vstack(decoded)]))
         return "csv"
     sheet = np.zeros((grid_n * s, grid_n * s), dtype=np.uint8)
-    with no_grad():
-        for r in range(grid_n):
-            for col in range(grid_n):
-                tile = decode_to_bytes(model, points[r * grid_n + col]).reshape(s, s)
-                sheet[r * s : (r + 1) * s, col * s : (col + 1) * s] = tile
+    for r in range(grid_n):
+        for col in range(grid_n):
+            tile = decode_to_bytes(model, points[r * grid_n + col]).reshape(s, s)
+            sheet[r * s : (r + 1) * s, col * s : (col + 1) * s] = tile
     write_pgm(path, sheet)
     return "pgm"

@@ -109,6 +109,29 @@ class TestPipelineSmoke:
         assert not svg.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, code", [("mu.bias", 0), ("mu.weight", 2)])
+    def test_latent_plot_extreme_finite_means(self, pipeline, tmp_path, capsys, name, code):
+        # x offset by 1e300 only moves the plot; x scaled by 1e300 spreads
+        # each class so far that squared distances overflow float64.
+        from devae.cli import main
+        from devae.model import load_checkpoint, save_checkpoint
+
+        model = load_checkpoint(pipeline["ckpt"])
+        param = model.parameters()[model.parameter_names().index(name)].data
+        param[0] = 1e300 if name == "mu.bias" else param[0] * 1e300
+        ckpt, svg = tmp_path / "extreme.ckpt", tmp_path / "plot.svg"
+        save_checkpoint(model, ckpt)
+        argv = ["latent-plot", "--model", str(ckpt), "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"]),
+                "--split", "all", "--out", str(svg)]
+        assert main(argv) == code
+        message = capsys.readouterr().err
+        if code == 0:
+            assert message == "" and svg.read_text().count("<ellipse") == 9
+        else:
+            assert re.fullmatch(r"error: class \d+: distances between members overflow float64\n", message), message
+            assert not svg.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, code, kind, sample", [("eval", 3, "divergence", 0),
                                                              ("latent-plot", 2, "error", None)])
     def test_overflowing_covariance_head_names_the_sample(self, pipeline, tmp_path, capsys, command, code, kind,

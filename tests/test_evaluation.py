@@ -202,6 +202,27 @@ class TestMedoidSearch:
         assert len(rows) <= 100  # a full scan evaluates 2000
         assert len(set(rows)) == len(rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_start_is_silent_and_exact(self):
+        # x = 1e300 for every point: the centroid's rounding leaves differences
+        # near 1e284, whose squares overflow; the distances are those of x = 0.
+        y = np.random.default_rng(7).normal(size=(60, 1))
+        labels = np.zeros(60, dtype=int)
+        flat = class_medoid_indices(np.c_[np.zeros(60), y], labels)
+        assert class_medoid_indices(np.c_[np.full(60, 1e300), y], labels) == flat
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pts", [
+        # S(-a) = 3a is the least sum, but (2a)^2 overflows in the row of -a
+        [[-1.3e154, 0.0]] * 10 + [[0.0, 0.0], [1.3e154, 0.0]],
+        [[-1e200, 0.0], [1e200, 0.0], [3e200, 1.0]],  # every row overflows
+    ])
+    def test_overflowing_distances_name_their_class(self, pts):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]] + pts)
+        labels = np.r_[2, 2, np.full(len(pts) - 2, 8)]
+        with pytest.raises(DataError, match="^class 8: distances between members overflow float64$"):
+            class_medoid_indices(pts, labels)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_names_its_class(self, value):
         pts = np.random.default_rng(6).normal(size=(30, 2))

@@ -17,6 +17,7 @@ from devae.errors import (
 )
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
+from devae.tensor import Tensor, _sigmoid_
 from devae.trainer import Adam
 
 
@@ -44,6 +45,17 @@ class TestEncodeDecode:
         z = np.array([[1e3, -1e3], [0.0, 0.0], [-250.0, 4.2]])
         out = model.decode(z).data
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("recon_kind", ["bce", "mse"])
+    def test_decode_is_untaped_decode_logits(self, recon_kind):
+        model = DeVae(tiny_config(recon_kind=recon_kind))
+        z = Tensor(np.random.default_rng(5).uniform(-20, 20, size=(7, 2)), requires_grad=True)
+        out = model.decode(z)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        want = model.decode_logits(z).data.copy()
+        if recon_kind == "bce":
+            _sigmoid_(want)
+        assert out.data.tobytes() == want.tobytes()
 
     def test_encode_dimension_mismatch(self):
         model = DeVae(tiny_config())

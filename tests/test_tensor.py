@@ -25,9 +25,7 @@ class TestForwardDense:
         np.testing.assert_array_equal(out.data, [[0.0]])
 
     def test_sigmoid_at_zero(self):
-        layer = DenseLayer(Tensor([[1.0]]), Tensor([0.0]), "sigmoid")
-        out = layer(Tensor([[0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.5]])
+        np.testing.assert_array_equal(T._sigmoid_(np.array([[0.0, -0.0]])), [[0.5, 0.5]])
 
     def test_shape_mismatch_names_both_shapes(self):
         layer = DenseLayer(Tensor(np.ones((4, 3))), Tensor(np.zeros(4)), "relu")
@@ -38,6 +36,14 @@ class TestForwardDense:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ContractError):
             DenseLayer(Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), "tanh")
+
+    def test_sigmoid_is_no_activation(self):
+        # The decoder's sigmoid runs only in decode and bce_logits, outside any layer.
+        assert T.ACTIVATIONS == ("identity", "relu")
+        with pytest.raises(ContractError):
+            DenseLayer(Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), "sigmoid")
+        with pytest.raises(ContractError):
+            T.linear(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), act="sigmoid")
 
 
 def _three_exp_sigmoid(z):
@@ -64,7 +70,7 @@ def relu(a):
 
 
 def sigmoid(a):
-    """The unfused sigmoid op, the reference for linear(..., act="sigmoid")."""
+    """``_sigmoid_`` as a tape op, its derivative read off the output."""
     data = T._sigmoid_(a.data.copy())
     return T._node(data, (a,), lambda g: ((a, g * data * (1.0 - data)),))
 
@@ -77,22 +83,36 @@ class TestSigmoid:
         got = T._sigmoid_(z.copy())
         assert got.tobytes() == _three_exp_sigmoid(z).tobytes()
 
+    def test_blocks_match_one_shot_formula(self):
+        # 97 x 1021 elements: three full blocks and a ragged fourth, which
+        # holds the grid's extremes.
+        z = np.random.default_rng(9).normal(0.0, 20.0, size=(97, 1021))
+        assert 3 * T.EPILOGUE_BLOCK < z.size < 4 * T.EPILOGUE_BLOCK
+        z[-1, -SIGMOID_GRID.size :] = SIGMOID_GRID
+        for shape in (z.shape, (z.size,)):
+            got = T._sigmoid_(z.copy().reshape(shape))
+            assert got.shape == shape
+            assert got.tobytes() == _three_exp_sigmoid(z).tobytes()
+
     def test_nan_stays_nan(self):
         out = T._sigmoid_(np.array([np.nan, 0.0]))
         assert np.isnan(out[0]) and out[1] == 0.5
 
     def test_input_not_modified(self):
-        # The fused epilogue runs in place on the product, never on an input.
+        # The fused epilogue runs in place on the product and bce_logits'
+        # backward sigmoid on a copy, never on an input.
         rng = np.random.default_rng(1)
         values = [rng.normal(0.0, 6.0, size=shape) for shape in ((5, 7), (3, 7), (3,))]
         x, w, b = (Tensor(v.copy(), requires_grad=True) for v in values)
-        T.tsum(T.linear(x, w, b, act="sigmoid")).backward()
-        for t, v in zip((x, w, b), values):
+        logits = T.linear(x, w, b, act="relu")
+        values.append(logits.data.copy())
+        T.bce_logits(logits, Tensor(rng.uniform(0.0, 1.0, size=(5, 3)))).backward()
+        for t, v in zip((x, w, b, logits), values):
             assert t.data.tobytes() == v.tobytes()
 
 
 class TestFusedLinear:
-    @pytest.mark.parametrize("act, unfused", [("relu", relu), ("sigmoid", sigmoid)])
+    @pytest.mark.parametrize("act, unfused", [("relu", relu)])
     def test_values_and_gradients_match_composed_ops_bit_for_bit(self, act, unfused):
         # 70 rows of width 784 span two epilogue blocks, the second ragged.
         rng = np.random.default_rng(12)
@@ -132,10 +152,11 @@ class TestFusedLinear:
 
         monkeypatch.setattr(T, "_node", counting_node)
         latent = model.encode(Tensor(np.random.default_rng(2).uniform(0, 1, size=(6, 10))))
-        x_hat = model.decode(latent.mu)
+        x_hat = model.decode_logits(latent.mu)
         assert len(nodes) == len(model.layers)
         assert all(n._backward is not None for n in nodes)
-        assert x_hat._parents[1:] == (model.decoder[-1].weight, model.decoder[-1].bias)
+        assert x_hat is nodes[-1]
+        assert x_hat._parents == (nodes[-2], model.decoder[-1].weight, model.decoder[-1].bias)
 
 
 def _old_sample_chain(strict, diag, eps):
@@ -188,10 +209,11 @@ class TestBackward:
         T.tsum(T.mul(w, x)).backward()
         np.testing.assert_array_equal(w.grad, [3.0])
 
-    def test_sigmoid_derivative_at_zero(self):
-        pre = Tensor([[0.0]], requires_grad=True)
-        T.tsum(T.linear(pre, Tensor([[1.0]]), Tensor([0.0]), act="sigmoid")).backward()
-        np.testing.assert_allclose(pre.grad, [[0.25]], rtol=0, atol=1e-15)
+    def test_bce_logits_derivative_at_zero(self):
+        # (sigmoid(0) - x) / batch for targets 0 and 1 over a batch of 2.
+        pre = Tensor([[0.0], [0.0]], requires_grad=True)
+        T.bce_logits(pre, Tensor([[0.0], [1.0]])).backward()
+        np.testing.assert_array_equal(pre.grad, [[0.25], [-0.25]])
 
     def test_accumulation_is_exactly_double(self):
         w = Tensor(np.array([1.5, -0.5]), requires_grad=True)
@@ -226,11 +248,12 @@ class TestBackward:
         l2 = DenseLayer(
             Tensor(rng.uniform(-1, 1, size=(3, 5)), requires_grad=True),
             Tensor(rng.uniform(-1, 1, size=3), requires_grad=True),
-            "sigmoid",
+            "identity",
         )
         x = Tensor(rng.uniform(-2, 2, size=(4, 4)))
+        target = Tensor(rng.uniform(0, 1, size=(4, 3)))
         params = [l1.weight, l1.bias, l2.weight, l2.bias]
-        err = gradient_check(lambda: T.tsum(T.square(l2(l1(x)))), params)
+        err = gradient_check(lambda: T.bce_logits(l2(l1(x)), target), params)
         assert err < 1e-4
 
     def test_backward_reaches_all_parameters(self):
@@ -351,7 +374,7 @@ class TestDeterminism:
         layer = DenseLayer(
             Tensor(rng.uniform(-1, 1, size=(8, 6)), requires_grad=True),
             Tensor(rng.uniform(-1, 1, size=8), requires_grad=True),
-            "sigmoid",
+            "relu",
         )
         x = Tensor(rng.uniform(-2, 2, size=(5, 6)))
         first = layer(x).data

@@ -89,6 +89,15 @@ class TestLatentPlotSvg:
         hx = 3 * 2.0  # k=3 circle of radius 3*sqrt(4)
         assert vx <= pts[0, 0] - hx and pts[0, 0] + hx <= vx + vw
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_view_box_beyond_float64_rejected(self, tmp_path):
+        big = np.finfo(np.float64).max
+        for pts in ([[-big, 0.0], [big, 1.0]], [[0.0, -1e308], [1.0, 1e308]]):
+            with pytest.raises(DataError, match="^view box .*inf.* overflows float64$"):
+                latent_plot_svg(np.array(pts), None, None, tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+        latent_plot_svg(np.array([[-1e307, -big], [1e307, -big]]), None, None, tmp_path / "x.svg")
+
     def test_rejects_bad_points(self, tmp_path):
         with pytest.raises(DataError):
             latent_plot_svg(np.array([[np.nan, 0.0]]), None, None, tmp_path / "x.svg")
