@@ -8,7 +8,7 @@ diagonal, or full Gaussian, plus a covariance-free baseline).
 
 from .data import DatasetBundle, make_blobs, pca_project, read_csv_vectors, read_idx, read_projection_csv, scale_pixels
 from .errors import DevaeError
-from .evaluation import MetricsRow, class_ellipses, class_medoid, evaluate
+from .evaluation import MetricsRow, class_ellipses, evaluate
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
@@ -35,7 +35,6 @@ __all__ = [
     "TrainReport",
     "TrainSettings",
     "class_ellipses",
-    "class_medoid",
     "ellipse_from_cov",
     "ent_loss",
     "evaluate",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical
-divergence. Errors go to stderr; results go to stdout or to files. All
-randomness comes from --seed, so identical invocations produce identical
-outputs.
+Exit codes: 0 success, 1 usage error, 2 data/parse error or out of memory
+(an allocation the machine refuses), 3 numerical divergence. Errors go to
+stderr; results go to stdout or to files. All randomness comes from
+--seed, so identical invocations produce identical outputs.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def _resolve_weights(args) -> LossWeights:
         lam_p = DEFAULT_LAMBDA_PROJ
     if lam_e is None:
         lam_e = DEFAULT_LAMBDA_ENT
-    if lam_p < 0 or lam_e < 0:
-        raise UsageError(f"loss weights must be >= 0, got lambda_proj={lam_p}, lambda_ent={lam_e}")
     try:
         return LossWeights(lambda_proj=lam_p, lambda_ent=lam_e)
     except ContractError as exc:
@@ -361,6 +359,9 @@ def main(argv=None) -> int:
         return 3
     except (DevaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,16 +26,18 @@ from .model import INFER_CHUNK, DeVae, forward_train
 from .tensor import no_grad
 
 
-def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test",
-             chunk_size: int = INFER_CHUNK) -> LossBreakdown:
-    """Mean per-sample loss components over one split, deterministic."""
+def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test") -> LossBreakdown:
+    """Mean per-sample loss components over one split, deterministic.
+
+    The split runs through the model ``INFER_CHUNK`` rows at a time, without a tape.
+    """
     idx = bundle.indices(split)
     if idx.size == 0:
         raise DataError(f"split {split!r} is empty")
     sums = np.zeros(3)
     with no_grad():
-        for start in range(0, idx.size, chunk_size):
-            rows = idx[start : start + chunk_size]
+        for start in range(0, idx.size, INFER_CHUNK):
+            rows = idx[start : start + INFER_CHUNK]
             result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps=None)
             b = result.breakdown
             sums += np.array([b.recon, b.proj, b.ent]) * rows.size
@@ -129,12 +131,6 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
             raise DataError(f"class {label}: distances between members overflow float64")
         out[int(label)] = int(member_idx[best])
     return out
-
-
-def class_medoid(points: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-class medoid coordinates; always an actual member point."""
-    points = np.asarray(points, dtype=np.float64)
-    return {label: points[i].copy() for label, i in class_medoid_indices(points, labels).items()}
 
 
 def class_ellipses(latent: GaussianLatent, labels: np.ndarray) -> dict[int, list[EllipseSpec]]:

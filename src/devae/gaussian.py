@@ -122,7 +122,7 @@ class GaussianLatent:
         if self.head == "none":
             return Tensor(np.zeros((self.batch, 1)))
         s = self._log_std()
-        sum_s = T.tsum(s, axis=1, keepdims=True) * (LATENT_DIM / s.shape[1])
+        sum_s = T.tsum(s, axis=1) * (LATENT_DIM / s.shape[1])
         return T.add(sum_s, (0.5 * LATENT_DIM) * (1.0 + LN_2PI))
 
     def sample(self, eps) -> Tensor:

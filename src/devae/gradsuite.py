@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .gaussian import HEAD_PARAMS, GaussianLatent
+from .gaussian import HEAD_PARAMS, HEADS, GaussianLatent
 from .losses import LossWeights, ent_loss, proj_loss, recon_bce, recon_mse
-from .model import DeVae, ModelConfig, forward_train
+from .model import RECON_KINDS, DeVae, ModelConfig, forward_train
 from .tensor import Tensor, gradient_check
 
 DEFAULT_TOL = 1e-4
@@ -57,7 +57,7 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("linear_relu", lambda: T.tsum(T.square(T.linear(a, w, bias, act="relu"))), [a, w, bias]),
         ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
         ("square", lambda: T.tsum(T.mul(T.square(a), probe)), [a]),
-        ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1, keepdims=True))), [a]),
+        ("sum_axis", lambda: T.tsum(T.square(T.tsum(a, axis=1))), [a]),
         ("mean", lambda: T.square(T.tmean(a)), [a]),
         ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
         ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, diag, v), probe_2d)), [strict, diag, v]),
@@ -124,9 +124,8 @@ def _model_cases(rng, head: str, recon_kind: str):
     return cases
 
 
-def run_gradient_suite(seed: int = 0, heads=("none", "isotropic", "diagonal", "full"),
-                       recon_kinds=("mse", "bce")) -> list[CheckResult]:
-    """Every gradient check, op-level and model-level; deterministic per seed."""
+def run_gradient_suite(seed: int = 0) -> list[CheckResult]:
+    """Every gradient check: op-level, then model-level over ``HEADS`` x ``RECON_KINDS``; deterministic per seed."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     for name, build, params in _op_cases(rng):
@@ -134,8 +133,8 @@ def run_gradient_suite(seed: int = 0, heads=("none", "isotropic", "diagonal", "f
     for name, build, params in _entropy_cases(rng):
         err = gradient_check(build, params, floor=1e-8)
         results.append(CheckResult(name, err, ENTROPY_TOL))
-    for head in heads:
-        for kind in recon_kinds:
+    for head in HEADS:
+        for kind in RECON_KINDS:
             for name, build, params in _model_cases(rng, head, kind):
                 results.append(CheckResult(name, gradient_check(build, params), DEFAULT_TOL))
     return results

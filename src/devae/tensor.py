@@ -331,15 +331,13 @@ def square(a) -> Tensor:
 # -- reductions ------------------------------------------------------------
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
+    """Sum of every element as a 0-d tensor, or along ``axis``, kept as length 1."""
     a = _lift(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis, keepdims=axis is not None)
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg, a.shape).copy()),)
+        return ((a, np.broadcast_to(g, a.shape).copy()),)
 
     return _node(np.asarray(data), (a,), backward)
 
@@ -454,16 +452,16 @@ class DenseLayer:
 # -- finite differences -------------------------------------------------------
 
 
-def finite_diff_grad(
-    f: Callable[[], float], params: Sequence[Tensor], step: float = 1e-5
-) -> list[Array]:
-    """Central-difference gradient estimate of ``f`` for each parameter entry.
+# The central-difference step of every gradient check.
+FD_STEP = 1e-5
+
+
+def finite_diff_grad(f: Callable[[], float], params: Sequence[Tensor]) -> list[Array]:
+    """Central-difference gradient estimate of ``f`` for each parameter entry, step ``FD_STEP``.
 
     ``f`` must be deterministic and must read the current values of ``params``
     when called; entries are perturbed in place and restored afterwards.
     """
-    if not step > 0:
-        raise ContractError(f"finite difference step must be positive, got {step}")
     grads: list[Array] = []
     for p in params:
         est = np.zeros_like(p.data)
@@ -471,12 +469,12 @@ def finite_diff_grad(
         out = est.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = f()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = f()
             flat[i] = orig
-            out[i] = (up - down) / (2.0 * step)
+            out[i] = (up - down) / (2.0 * FD_STEP)
         grads.append(est)
     return grads
 
@@ -489,12 +487,7 @@ def max_rel_error(analytic: Array, numeric: Array, floor: float = 1e-6) -> float
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def gradient_check(
-    build_loss: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    step: float = 1e-5,
-    floor: float = 1e-6,
-) -> float:
+def gradient_check(build_loss: Callable[[], Tensor], params: Sequence[Tensor], floor: float = 1e-6) -> float:
     """Compare backward() against finite differences; return the max rel error.
 
     ``build_loss`` must rebuild the graph from ``params`` on every call.
@@ -504,7 +497,7 @@ def gradient_check(
     loss = build_loss()
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    numeric = finite_diff_grad(lambda: build_loss().item(), params, step)
+    numeric = finite_diff_grad(lambda: build_loss().item(), params)
     return max(
         max_rel_error(a, n, floor) for a, n in zip(analytic, numeric)
     )

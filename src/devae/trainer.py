@@ -51,10 +51,14 @@ class TrainSettings:
 # Elements per block of the in-place Adam update: one block of each operand
 # and the scratch vector stay in cache across the update's passes.
 ADAM_BLOCK = 32768
+# The defaults of Kingma & Ba (2015), under which every head is trained.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam with the usual defaults (b1=0.9, b2=0.999, eps=1e-8).
+    """Bias-corrected Adam; only the learning rate is set per run.
+
+    b1 = ``ADAM_BETA1``, b2 = ``ADAM_BETA2`` and eps = ``ADAM_EPS`` are fixed.
 
     The update runs in the efficient form of Kingma & Ba (2015, end of
     section 2), which folds both bias corrections into scalars. With
@@ -77,9 +81,7 @@ class Adam:
     their ``.data`` must be C-contiguous.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 names: list[str] | None = None):
+    def __init__(self, params: list[Tensor], lr: float = 0.001, names: list[str] | None = None):
         self.params = list(params)
         if not all(p.data.flags.c_contiguous for p in self.params):
             raise ContractError("adam needs C-contiguous parameter arrays")
@@ -87,9 +89,6 @@ class Adam:
             raise ContractError(f"adam got {len(names)} names for {len(self.params)} parameters")
         self.names = names
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self.m = np.zeros(self.offsets[-1])
@@ -105,9 +104,7 @@ class Adam:
                 raise ContractError(f"adam step without a computed gradient for parameter {i}")
             if g.shape != p.data.shape:
                 raise DimensionError.mismatch("adam gradient vs parameter", g.shape, p.data.shape)
-            # A sum is finite whenever every element is; only when it is not
-            # (overflow can make it so) decide element by element.
-            if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 where = "" if self.names is None else f"{self.names[i]}: "
                 raise DivergenceError(f"non-finite gradient in {where}parameter {i} of shape {g.shape}")
             grads.append(g.reshape(-1))
@@ -121,10 +118,10 @@ class Adam:
         """
         grads = self._gradients()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         r = math.sqrt((1.0 - b2) / (1.0 - b2 ** self.t))
-        eps_r, scale = self.eps / r, c1 * r / self.lr
+        eps_r, scale = ADAM_EPS / r, c1 * r / self.lr
         for p, g, lo, hi in zip(self.params, grads, self.offsets, self.offsets[1:]):
             flat = p.data.reshape(-1)
             for j in range(0, hi - lo, ADAM_BLOCK):
@@ -195,8 +192,8 @@ class TrainReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple[DeVae, TrainReport]:

@@ -177,6 +177,16 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "lambda" in r.stderr
 
+    def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys):
+        from devae.cli import main
+
+        # 10**15 x 50 float64 is 355 PiB: the allocation is refused before any page is touched.
+        assert main(["synth", "--out", str(tmp_path / "x.csv"), "--n", "1000000000000000",
+                     "--dims", "50", "--blobs", "1"]) == 2
+        message = capsys.readouterr().err
+        assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]+\n", message), message
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_is_usage_error(self):
         r = run_cli(["synth", "--nope", "1"])
         assert r.returncode == 1

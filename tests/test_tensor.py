@@ -324,11 +324,6 @@ class TestFiniteDiff:
         grad = finite_diff_grad(lambda: float(np.exp(p.data[0])), [p])[0]
         np.testing.assert_allclose(grad, [1.0], rtol=0, atol=1e-9)
 
-    def test_requires_positive_step(self):
-        p = Tensor([1.0])
-        with pytest.raises(ContractError):
-            finite_diff_grad(lambda: 0.0, [p], step=0.0)
-
     def test_restores_parameter_values(self):
         p = Tensor([1.0, 2.0])
         before = p.data.copy()

@@ -69,7 +69,7 @@ class TestAdam:
         np.testing.assert_array_equal(opt.v, state[3])
         assert opt.t == state[4]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum and g*g overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g*g overflows; the gradient itself is finite
     def test_finite_gradient_with_overflowing_sum_is_accepted(self):
         p = Tensor([0.0, 0.0, 0.5], requires_grad=True)
         opt = Adam([p])
