@@ -25,8 +25,9 @@ IDX pixels stay uint8 in memory; ``gather_rows`` scales the rows a batch
 needs, so no float64 copy of a whole image file is ever made.
 
 Also provides the synthetic blob generator used for desk-scale runs and a
-PCA (``np.linalg.eigh`` on the covariance of the non-constant columns) so
-the full pipeline works without any precomputed embedding.
+PCA (``np.linalg.eigh`` on the covariance of the non-constant columns,
+summed over row blocks read through ``gather_rows``) so the full pipeline
+works without any precomputed embedding.
 """
 
 from __future__ import annotations
@@ -340,13 +341,14 @@ def _has_label_column(header: list[str] | None) -> bool:
 def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Numeric matrix from CSV; a trailing "label" column is split off.
 
-    A NaN or infinite value is a ParseError naming its line."""
+    The matrix may be a strided view of the parsed table: its readers
+    (``gather_rows``, ``Tensor``) copy the rows they use. A NaN or infinite
+    value is a ParseError naming its line."""
     header, values, line_nos, texts = _read_csv(path)
     labels = None
     if _has_label_column(header):
         labels = _int_labels(values[:, -1], texts, line_nos)
         values = values[:, :-1]
-    values = np.ascontiguousarray(values)
     _check_finite(values, line_nos)
     return values, labels
 
@@ -490,67 +492,58 @@ def _principal_axes(C: np.ndarray) -> np.ndarray:
     return np.column_stack([_fix_sign(vecs[:, 0]), _fix_sign(second)])
 
 
-# Rows per block of a uint8 PCA; each block is converted to float64 once per pass.
+# Rows per block of ``pca_project``: each pass gathers one block as float64,
+# so a PCA holds one block of X at a time and never a copy of the whole.
 PCA_BLOCK = 4096
-
-
-def _integer_times(R: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``R @ V`` for integers 0..255 in ``R``, rounded alike whatever rows ``R`` has.
-
-    BLAS orders a row's sum by the matrix shape, so ``V`` (|V| <= 1) is split
-    into integer parts ``hi`` and ``lo``, ``V ~ (hi + lo * 2**-h) * 2**-h``,
-    small enough that every partial sum of ``R @ hi`` and ``R @ lo`` is an
-    integer below 2**52: exact in any order. Only the final sum rounds.
-    """
-    h = 52 - 8 - R.shape[1].bit_length()
-    hi = np.rint(V * 2.0**h)
-    lo = np.rint((V * 2.0**h - hi) * 2.0**h)
-    P = R @ np.hstack([hi, lo])
-    return P[:, :2] * 2.0**-h + P[:, 2:] * 2.0 ** (-2 * h)
-
-
-def _pixel_pca(raw: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """PCA of ``scale_pixels(raw)`` over the columns ``keep``, one row block at a time.
-
-    The Gram matrix of the bytes, summed over blocks, is exact in float64
-    (every partial sum is an integer below 255**2 * n < 2**53) and the column
-    sums are exact int64, so neither the covariance made from them nor the
-    projection depends on the block size. No float copy of ``raw`` is held.
-    """
-    n = raw.shape[0]
-    blocks = [slice(start, start + PCA_BLOCK) for start in range(0, n, PCA_BLOCK)]
-    G = np.zeros((keep.size, keep.size))
-    for b in blocks:
-        R = raw[b, keep].astype(np.float64)
-        G += R.T @ R
-    s = raw.sum(axis=0, dtype=np.int64)[keep].astype(np.float64)
-    V = _principal_axes((G - np.outer(s, s) / n) / ((n - 1) * 255.0**2))
-    offset = (s / n) @ V
-    return np.concatenate([(_integer_times(raw[b, keep].astype(np.float64), V) - offset) / 255.0
-                           for b in blocks])
 
 
 def pca_project(X: np.ndarray) -> np.ndarray:
     """Top-2 principal-component coordinates, by ``np.linalg.eigh``.
 
     Only the non-constant columns (max != min) enter: a constant column gets
-    loading 0. uint8 input is taken as pixels and projected exactly as
-    ``scale_pixels(X)`` would be (``_pixel_pca``). Each axis is sign-fixed so
-    that its first nonzero loading is positive, making output deterministic.
+    loading 0. Rows are read ``PCA_BLOCK`` at a time through ``gather_rows``,
+    so uint8 pixels give the bytes ``scale_pixels(X)`` gives. Each block is
+    centred on its own mean before its Gram matrix is summed, and the block
+    means are merged into the covariance by the pairwise update of Chan,
+    Golub & LeVeque (1979). The block means are kept relative to the first
+    block's, and every block is shifted by that mean before it is projected,
+    so no sum at the scale of X is cancelled, however large X's mean is. Each
+    axis is sign-fixed so that its first nonzero loading is positive, making
+    output deterministic.
     """
     X = np.asarray(X)
     if X.dtype != np.uint8:
         X = X.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(X)):
-            raise DataError("samples contain non-finite values")
     n, d = X.shape
     if n < 3 or d < 2:
         raise DataError(f"pca needs n >= 3 and d >= 2, got {n}x{d}")
-    keep = np.flatnonzero(X.max(axis=0) != X.min(axis=0))
+    hi, lo = X.max(axis=0), X.min(axis=0)  # a NaN or an infinity reaches one of them
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise DataError("samples contain non-finite values")
+    keep = np.flatnonzero(hi != lo)
     if keep.size == 0:
         raise DataError("degenerate data: zero variance in every dimension")
-    if X.dtype == np.uint8:
-        return _pixel_pca(X, keep)
-    Xc = X[:, keep]
-    Xc -= Xc.mean(axis=0)
-    return Xc @ _principal_axes((Xc.T @ Xc) / (n - 1))
+    blocks = [slice(start, min(start + PCA_BLOCK, n)) for start in range(0, n, PCA_BLOCK)]
+    G, means, residuals = np.zeros((keep.size, keep.size)), [], []
+    for b in blocks:
+        R = gather_rows(X[b].take(keep, axis=1), ...)  # a new float64 block
+        means.append(R.mean(axis=0))
+        R -= means[-1]
+        residuals.append(R.mean(axis=0))  # the rounding of the block's mean
+        G += R.T @ R
+        del R  # so the next block is not gathered while this one is held
+    # The block means relative to the first block's, at the scale of the spread
+    # and not of X, so their differences lose nothing to a large column mean.
+    shift = means[0]
+    M = (np.array(means) - shift) + residuals
+    sizes = np.array([b.stop - b.start for b in blocks], dtype=np.float64)
+    mean = sizes @ M / n
+    D = M - mean
+    V = _principal_axes((G + (D.T * sizes) @ D) / (n - 1))
+    offset, Y = mean @ V, []
+    for b in blocks:
+        R = gather_rows(X[b].take(keep, axis=1), ...)
+        R -= shift
+        Y.append(R @ V - offset)
+        del R
+    return np.concatenate(Y)

@@ -417,6 +417,8 @@ class TestIdxWorkflow:
         floats = tmp_path / "floats.csv"
         write_csv_vectors(floats, scale_pixels(read_idx(images)[1]))
         assert run_cli(["pca", "--data", images, "--out", proj]).returncode == 0
+        assert run_cli(["pca", "--data", floats, "--out", tmp_path / "proj-csv.csv"]).returncode == 0
+        assert (tmp_path / "proj-csv.csv").read_bytes() == proj.read_bytes()
         outputs = {}
         for name, data in (("idx", images), ("csv", floats)):
             ckpt = tmp_path / f"{name}.ckpt"

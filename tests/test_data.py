@@ -1,6 +1,7 @@
 """IDX and CSV parsing, blob generation, and the built-in PCA."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -752,6 +753,29 @@ class TestPcaProject:
         np.testing.assert_allclose(Y[:, 0], np.arange(6.0) - 2.5, atol=1e-12)
         np.testing.assert_array_equal(Y[:, 1], 0.0)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e9])
+    def test_block_means_merge_into_the_covariance(self, offset):
+        # Rows grouped by cluster give every block a different mean, and a
+        # large offset makes an uncentred Gram matrix or projection cancel.
+        X, _ = make_blobs(9000, 20, 3, 0.5, seed=14)
+        X += offset
+        assert X.shape[0] > 2 * devae.data.PCA_BLOCK
+        Y, oracle = pca_project(X), _svd_coordinates(X)
+        # Any float64 mean of X is off by up to an ulp of the offset, which
+        # moves every row alike; the shape of the cloud must not move.
+        np.testing.assert_allclose(Y, oracle, rtol=0, atol=1e-14 * offset)
+        np.testing.assert_allclose(Y - Y.mean(axis=0), oracle - oracle.mean(axis=0), rtol=0, atol=1e-8)
+
+    def test_no_copy_of_the_samples(self):
+        X = np.random.default_rng(15).standard_normal((20000, 50))
+        tracemalloc.start()
+        try:
+            pca_project(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
+
 
 def _svd_coordinates(X: np.ndarray) -> np.ndarray:
     """Top-2 principal coordinates from an SVD of the centred data, signs fixed
@@ -773,14 +797,17 @@ def _pixels(n: int, seed: int) -> np.ndarray:
 
 
 class TestPixelPca:
-    def test_block_size_does_not_change_a_bit(self, monkeypatch):
+    def test_pixels_and_scaled_floats_give_the_same_bytes(self, monkeypatch):
         raw = _pixels(300, 0)
-        runs = []
+        table = np.zeros((300, 65))  # the values beside a label column, strided as a CSV is read
+        table[:, :64] = scale_pixels(raw)
+        floats = table[:, :64]
+        oracle = _svd_coordinates(floats)
         for block in (1, 7, raw.shape[0]):
             monkeypatch.setattr(devae.data, "PCA_BLOCK", block)
-            runs.append(pca_project(raw))
-        for Y in runs[1:]:
-            assert Y.tobytes() == runs[0].tobytes()
+            Y = pca_project(raw)
+            assert Y.tobytes() == pca_project(floats).tobytes() == pca_project(floats.copy()).tobytes()
+            np.testing.assert_allclose(Y, oracle, rtol=0, atol=1e-9)
 
     def test_matches_svd_of_scaled_pixels(self):
         raw = _pixels(500, 1)
