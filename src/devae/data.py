@@ -73,7 +73,10 @@ class DatasetBundle:
             raise DataError(f"split assignment covers {self.split.shape[0]} of {n} rows")
         if self.labels is not None and self.labels.shape[0] != n:
             raise DataError(f"labels cover {self.labels.shape[0]} of {n} rows")
-        if self.X.dtype != np.uint8 and not np.all(np.isfinite(self.X)):
+        # NaN propagates through min and max, and an infinity is one of them,
+        # so no n x d temporary is made.
+        X = self.X
+        if X.dtype != np.uint8 and X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise DataError("samples contain non-finite values")
         if not np.all(np.isfinite(self.Y)):
             raise DataError("projection targets contain non-finite values")

@@ -843,11 +843,29 @@ class TestDatasetBundle:
         with pytest.raises(DataError):
             DatasetBundle(X=X, Y=np.zeros((4, 2)), split=np.array(["train"] * 3))
 
-    def test_non_finite_rejected(self):
-        X = np.zeros((4, 3))
-        X[0, 0] = np.nan
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (3, 2), (2, 1)])
+    def test_non_finite_rejected(self, bad, cell):
+        # A strided view: every other column of a wider array.
+        X = np.random.default_rng(0).standard_normal((4, 6))[:, ::2]
+        X[cell] = bad
+        with pytest.raises(DataError, match="samples contain non-finite values"):
             DatasetBundle(X=X, Y=np.zeros((4, 2)), split=np.array(["train"] * 4))
+
+    def test_empty_samples_accepted(self):
+        assert DatasetBundle(X=np.zeros((0, 3)), Y=np.zeros((0, 2)), split=np.array([], dtype=str)).n == 0
+
+    def test_finiteness_check_makes_no_copy_of_the_samples(self):
+        n = 20000
+        X = np.random.default_rng(1).random((n, 784))
+        Y, split = np.zeros((n, 2)), split_dataset(n, seed=0)
+        tracemalloc.start()
+        try:
+            DatasetBundle(X=X, Y=Y, split=split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 8
 
     def test_pixels_stay_uint8(self):
         raw = np.full((4, 3), 255, dtype=np.uint8)

@@ -1,6 +1,9 @@
 """Tensor engine: forward ops, the tape, and the finite-difference oracle."""
 
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ import devae.tensor as T
 from conftest import blob_bundle, tiny_config
 from devae import gradsuite
 from devae.errors import ContractError, DimensionError
-from devae.model import DeVae, forward_train
+from devae.losses import LossWeights
+from devae.model import DeVae, ModelConfig, _layer_specs, forward_train
 from devae.tensor import DenseLayer, Tensor, finite_diff_grad, gradient_check, no_grad
 
 
@@ -157,6 +161,128 @@ class TestFusedLinear:
         assert all(n._backward is not None for n in nodes)
         assert x_hat is nodes[-1]
         assert x_hat._parents == (nodes[-2], model.decoder[-1].weight, model.decoder[-1].bias)
+
+
+# (out, in) of every dense layer of the default 784-d model.
+PIXEL_LAYERS = sorted({(o, i) for o, i, _ in _layer_specs(ModelConfig(784, LossWeights(20.0, 5.0)))})
+
+
+def _linear_products(rng, batch, out_dim, in_dim):
+    """(a, b) of the forward ``x @ W.T`` and the backward ``g @ W`` and ``g.T @ x`` of one layer."""
+    x, w, g = rng.random((batch, in_dim)), rng.standard_normal((out_dim, in_dim)), rng.standard_normal((batch, out_dim))
+    return {"forward": (x, w.T), "dx": (g, w), "dW": (g.T, x)}
+
+
+def _linear_run(x, w, b):
+    """A relu layer's output and its three gradients under a fixed probe."""
+    xt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (x, w, b))
+    out = T.linear(xt, wt, bt, act="relu")
+    probe = np.random.default_rng(1).standard_normal(out.shape)
+    T.tsum(T.mul(out, probe)).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+class _CountingPool:
+    """The pool, counting the tasks it is given."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return self.pool.submit(*args, **kwargs)
+
+
+@pytest.mark.skipif(not T.BLAS_PINNED, reason="no BLAS thread setter found: products are never split")
+class TestSplitProducts:
+    @pytest.mark.parametrize("batch", [37, 64, 500, 3616, 4096])
+    @pytest.mark.parametrize("out_dim, in_dim", PIXEL_LAYERS)
+    def test_aligned_column_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim):
+        # 3616 rows is the last INFER_CHUNK of 20000. Products down to an
+        # eighth of SPLIT_MADDS are split here, so the training batches are
+        # covered too, with a margin below the threshold.
+        monkeypatch.setattr(T, "SPLIT_MADDS", T.SPLIT_MADDS // 8)
+        rng = np.random.default_rng(batch + out_dim + in_dim)
+        for name, (a, b) in _linear_products(rng, batch, out_dim, in_dim).items():
+            whole = (a @ b).tobytes()
+            for workers in (2, 3, 4):
+                monkeypatch.setattr(T, "WORKERS", workers)
+                assert T._matmul(a, b).tobytes() == whole, (name, workers)
+
+    def test_linear_bytes_equal_at_one_and_two_workers(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.random((256, 784)), rng.standard_normal((512, 784)), rng.standard_normal(512)
+        assert 256 * 784 * 512 >= T.SPLIT_MADDS
+        monkeypatch.setattr(T, "WORKERS", 1)
+        one = _linear_run(x, w, b)
+        pool = _CountingPool(T._pool)
+        monkeypatch.setattr(T, "WORKERS", 2)
+        monkeypatch.setattr(T, "_pool", pool)
+        two = _linear_run(x, w, b)
+        assert pool.submitted == 3  # the forward product, dx and dW
+        for a, b in zip(one, two):
+            assert a.tobytes() == b.tobytes()
+
+    def test_small_products_never_reach_the_pool(self, monkeypatch):
+        pool = _CountingPool(T._pool)
+        monkeypatch.setattr(T, "WORKERS", 4)
+        monkeypatch.setattr(T, "_pool", pool)
+        # The largest products of a batch-64 training step stay whole.
+        assert 64 * 784 * 512 < T.SPLIT_MADDS
+        rng = np.random.default_rng(4)
+        _linear_run(rng.random((64, 784)), rng.standard_normal((512, 784)), rng.standard_normal(512))
+        assert pool.submitted == 0
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # More splitting threads than cores, switching often: every caller
+        # must get its own product whole, each column block written once.
+        monkeypatch.setattr(T, "WORKERS", 4)
+        rng = np.random.default_rng(6)
+        pairs = [(rng.random((128, 784)), rng.standard_normal((784, 704))) for _ in range(4)]
+        wholes = [a @ b for a, b in pairs]
+        results = {}
+
+        def caller(k):
+            a, b = pairs[k]
+            results[k] = all(np.array_equal(T._matmul(a, b), wholes[k]) for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(pairs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == dict.fromkeys(range(len(pairs)), True)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_split_product(self, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", 2)
+        rng = np.random.default_rng(5)
+        a, b = rng.random((256, 784)), rng.standard_normal((784, 512))
+        whole = a @ b
+        assert np.array_equal(T._matmul(a, b), whole)  # the parent's pool now has a thread
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the test runner
+            code = 1
+            try:
+                code = 0 if np.array_equal(T._matmul(a, b), whole) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split product did not finish within 30 s")
 
 
 def _old_sample_chain(strict, diag, eps):
