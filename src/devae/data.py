@@ -26,8 +26,8 @@ needs, so no float64 copy of a whole image file is ever made.
 
 Also provides the synthetic blob generator used for desk-scale runs and a
 PCA (``np.linalg.eigh`` on the covariance of the non-constant columns,
-summed over row blocks read through ``gather_rows``) so the full pipeline
-works without any precomputed embedding.
+summed over row blocks with the bytes ``gather_rows`` gives, two blocks at
+a time) so the full pipeline works without any precomputed embedding.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import tensor
 from .errors import DataError, ParseError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -428,17 +429,20 @@ def write_csv(path, names: list[str], values: np.ndarray, ids: bool = False,
         if labels.shape[0] != values.shape[0]:
             raise DataError(f"labels cover {labels.shape[0]} of {values.shape[0]} rows")
     header = (["id"] if ids else []) + list(names) + (["label"] if labels is not None else [])
+    # Each line is one %-format, its floats joined by repr into one cell (an
+    # empty cell for a row of no columns, so its line is still written).
+    line = ",".join((["%d"] if ids else []) + ["%s"] + (["%d"] if labels is not None else [])) + "\n"
     step = max(1, _WRITE_CELLS // max(1, values.shape[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, values.shape[0], step):
-            lines = [",".join(map(repr, row)) for row in values[start : start + step].tolist()]
-            if ids:
-                lines = [f"{i},{line}" for i, line in enumerate(lines, start)]
+            stop = min(start + step, values.shape[0])
+            columns = [range(start, stop)] if ids else []
+            columns.append([",".join(map(repr, row)) for row in values[start:stop].tolist()])
             if labels is not None:
-                lines = [f"{line},{int(v)}" for line, v in zip(lines, labels[start : start + step].tolist())]
+                columns.append(labels[start:stop].tolist())
             # Line by line: a block-sized string per write raises peak RSS by a few MB.
-            fh.writelines(line + "\n" for line in lines)
+            fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 def write_csv_vectors(path, X: np.ndarray, labels: np.ndarray | None = None) -> None:
@@ -495,24 +499,55 @@ def _principal_axes(C: np.ndarray) -> np.ndarray:
     return np.column_stack([_fix_sign(vecs[:, 0]), _fix_sign(second)])
 
 
-# Rows per block of ``pca_project``: each pass gathers one block as float64,
-# so a PCA holds one block of X at a time and never a copy of the whole.
+# Rows per block of ``pca_project``: each lane gathers one block as float64,
+# so a PCA holds at most ``PCA_LANES`` blocks of X at a time and never a copy
+# of the whole.
 PCA_BLOCK = 4096
+# Blocks in work at once, the caller's included: a block per core of the
+# two measured, and one more lane is one more block of memory.
+PCA_LANES = 2
+# Rows per ``take`` of ``_gather``: ``take`` copies a strided source first,
+# so a CSV's values are copied this many rows at a time.
+_GATHER_ROWS = 512
+
+
+def _gather(X: np.ndarray, b: slice, keep: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``gather_rows(X, b)[:, keep]``, written into the leading rows of ``buf``.
+
+    Rows are taken ``_GATHER_ROWS`` at a time, with the bytes ``gather_rows``
+    gives (uint8 pixels divided by 255.0), so no block-sized array is made.
+    Mode "clip" lets ``take`` write into ``buf``; under "raise" it writes a
+    copy of ``out`` and copies that back.
+    """
+    src, R = X[b], buf[: b.stop - b.start]
+    for lo in range(0, R.shape[0], _GATHER_ROWS):
+        rows, part = src[lo : lo + _GATHER_ROWS], R[lo : lo + _GATHER_ROWS]
+        if X.dtype == np.uint8:
+            np.divide(rows.take(keep, axis=1, mode="clip"), 255.0, out=part)
+        else:
+            rows.take(keep, axis=1, out=part, mode="clip")
+    return R
 
 
 def pca_project(X: np.ndarray) -> np.ndarray:
     """Top-2 principal-component coordinates, by ``np.linalg.eigh``.
 
     Only the non-constant columns (max != min) enter: a constant column gets
-    loading 0. Rows are read ``PCA_BLOCK`` at a time through ``gather_rows``,
-    so uint8 pixels give the bytes ``scale_pixels(X)`` gives. Each block is
-    centred on its own mean before its Gram matrix is summed, and the block
-    means are merged into the covariance by the pairwise update of Chan,
-    Golub & LeVeque (1979). The block means are kept relative to the first
-    block's, and every block is shifted by that mean before it is projected,
-    so no sum at the scale of X is cancelled, however large X's mean is. Each
-    axis is sign-fixed so that its first nonzero loading is positive, making
-    output deterministic.
+    loading 0. Rows are read ``PCA_BLOCK`` at a time with the bytes
+    ``gather_rows`` gives, so uint8 pixels give the bytes ``scale_pixels(X)``
+    gives. Each block is centred on its own mean before its Gram matrix is
+    summed, and the block means are merged into the covariance by the
+    pairwise update of Chan, Golub & LeVeque (1979). The block means are kept
+    relative to the first block's, and every block is shifted by that mean
+    before it is projected, so no sum at the scale of X is cancelled, however
+    large X's mean is. Each axis is sign-fixed so that its first nonzero
+    loading is positive, making output deterministic.
+
+    Both passes run in rounds of up to ``min(PCA_LANES, tensor.WORKERS)``
+    blocks on ``tensor.fan_out``: each lane gathers, centres and multiplies
+    one whole block in its own preallocated buffer, and the caller sums the
+    blocks' means and Gram matrices in block order, so the bytes are the
+    same at any worker count.
     """
     X = np.asarray(X)
     if X.dtype != np.uint8:
@@ -526,15 +561,26 @@ def pca_project(X: np.ndarray) -> np.ndarray:
     keep = np.flatnonzero(hi != lo)
     if keep.size == 0:
         raise DataError("degenerate data: zero variance in every dimension")
+    k = keep.size
     blocks = [slice(start, min(start + PCA_BLOCK, n)) for start in range(0, n, PCA_BLOCK)]
-    G, means, residuals = np.zeros((keep.size, keep.size)), [], []
-    for b in blocks:
-        R = gather_rows(X[b].take(keep, axis=1), ...)  # a new float64 block
-        means.append(R.mean(axis=0))
-        R -= means[-1]
-        residuals.append(R.mean(axis=0))  # the rounding of the block's mean
-        G += R.T @ R
-        del R  # so the next block is not gathered while this one is held
+    lanes = min(PCA_LANES, tensor.WORKERS, len(blocks))
+    rounds = [list(zip(blocks[r : r + lanes], range(lanes))) for r in range(0, len(blocks), lanes)]
+    bufs = [np.empty((b.stop - b.start, k)) for b in blocks[:lanes]]  # a lane's first block is its largest
+    grams = [np.empty((k, k)) for _ in range(lanes)]
+
+    def gram(b, lane):
+        R = _gather(X, b, keep, bufs[lane])
+        mean = R.mean(axis=0)
+        R -= mean
+        np.matmul(R.T, R, out=grams[lane])
+        return mean, R.mean(axis=0)  # the second: the rounding of the block's mean
+
+    G, means, residuals = np.zeros((k, k)), [], []
+    for items in rounds:
+        for lane, (mean, residual) in enumerate(tensor.fan_out(gram, items)):
+            means.append(mean)
+            residuals.append(residual)
+            G += grams[lane]
     # The block means relative to the first block's, at the scale of the spread
     # and not of X, so their differences lose nothing to a large column mean.
     shift = means[0]
@@ -543,10 +589,14 @@ def pca_project(X: np.ndarray) -> np.ndarray:
     mean = sizes @ M / n
     D = M - mean
     V = _principal_axes((G + (D.T * sizes) @ D) / (n - 1))
-    offset, Y = mean @ V, []
-    for b in blocks:
-        R = gather_rows(X[b].take(keep, axis=1), ...)
+    offset, Y = mean @ V, np.empty((n, 2))
+
+    def project(b, lane):
+        R = _gather(X, b, keep, bufs[lane])
         R -= shift
-        Y.append(R @ V - offset)
-        del R
-    return np.concatenate(Y)
+        np.matmul(R, V, out=Y[b])
+        Y[b] -= offset
+
+    for items in rounds:
+        tensor.fan_out(project, items)
+    return Y

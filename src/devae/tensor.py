@@ -21,15 +21,19 @@ A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
 and can move freely between threads.
 
-The three products of ``linear`` (``x @ W.T`` forward, ``g @ W`` and
-``g.T @ x`` backward) go through ``_matmul``, which splits a large product
-by output columns over a small thread pool. The pool's workers touch only
-raw arrays, never a tensor or a tape: each computes one column block of a
-product into the output array its caller allocated. At import, numpy's
-OpenBLAS is pinned to one thread, since it rounds a product differently
-at other thread counts; so the bytes of every output are the same at any
-``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for the
-BLAS thread count is found, ``BLAS_PINNED`` is False and nothing is split.
+A small thread pool has two users, and ``fan_out`` is their one hand-off:
+it runs the first item of a list in the caller and the others on the pool,
+and returns once all have finished. The three products of ``linear``
+(``x @ W.T`` forward, ``g @ W`` and ``g.T @ x`` backward) go through
+``_matmul``, which splits a large product by output columns; and
+``data.pca_project`` works on two row blocks at a time, one per lane. The
+pool's workers touch only raw arrays, never a tensor or a tape: each
+computes one column block of a product, or one block of a PCA pass, into
+arrays its caller allocated. At import, numpy's OpenBLAS is pinned to one
+thread, since it rounds a product differently at other thread counts; so
+the bytes of every output are the same at any ``OPENBLAS_NUM_THREADS`` and
+any worker count. Where no setter for the BLAS thread count is found,
+``BLAS_PINNED`` is False, ``WORKERS`` is 1 and nothing reaches the pool.
 
 Inside ``with no_grad():`` operations record no tape: outputs keep no
 parents and no closure, so each intermediate is freed as soon as the next
@@ -50,7 +54,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -278,7 +282,8 @@ def _pin_blas() -> bool:
 BLAS_PINNED = _pin_blas()
 
 # Threads that share one large product, the caller included: the usable
-# CPUs, at most four; never sized from the input.
+# CPUs, at most four; never sized from the input. A PCA pass uses at most
+# two of them (``data.PCA_LANES``).
 WORKERS = min(len(os.sched_getaffinity(0)), 4) if BLAS_PINNED else 1
 
 # Multiply-adds from which a product is split (67M). Measured on 2 vCPUs
@@ -296,13 +301,29 @@ SPLIT_ALIGN = 64
 def _new_pool() -> None:
     """Bind ``_pool``: an executor starts no thread before its first task."""
     global _pool
-    _pool = ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="devae-matmul")
+    _pool = ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="devae-pool")
 
 
 _new_pool()
 # A forked child inherits the pool object but not its threads.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+
+def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
+    """``[fn(*item) for item in items]``, item 0 in the caller and the others on the pool.
+
+    Returns once every call has finished, so no worker is still writing when
+    the caller moves on; the first exception, in item order, is raised only
+    then. ``fn`` must not fan out itself: a worker that waited on the pool
+    could wait on its own queue.
+    """
+    futures = [_pool.submit(fn, *item) for item in items[1:]]
+    try:
+        first = fn(*items[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def _matmul(a: Array, b: Array) -> Array:
@@ -319,11 +340,7 @@ def _matmul(a: Array, b: Array) -> Array:
         return a @ b
     cuts = [SPLIT_ALIGN * (blocks * i // parts) for i in range(parts)] + [n]
     out = np.empty((m, n))
-    futures = [_pool.submit(np.matmul, a, b[:, lo:hi], out=out[:, lo:hi])
-               for lo, hi in zip(cuts[1:], cuts[2:])]
-    np.matmul(a, b[:, : cuts[1]], out=out[:, : cuts[1]])
-    for future in futures:
-        future.result()
+    fan_out(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), list(zip(cuts, cuts[1:])))
     return out
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +107,39 @@ def run_cli(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
         cwd=cwd,
         timeout=timeout,
     )
+
+
+class CountingPool:
+    """A thread pool, counting the tasks it is given."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return self.pool.submit(*args, **kwargs)
+
+
+def forked_exit_code(child, seconds: float = 30.0) -> int | None:
+    """Exit code of a forked process that runs ``child()`` and exits 0 when it
+    returns True, 3 when False and 1 when it raises; None, after killing it,
+    when it has not finished within ``seconds``."""
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        code = 1
+        try:
+            code = 0 if child() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    return None
 
 
 # -- shared datasets and models ----------------------------------------------

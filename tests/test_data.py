@@ -1,6 +1,9 @@
 """IDX and CSV parsing, blob generation, and the built-in PCA."""
 
+import os
 import re
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import devae.data
-from conftest import write_idx
+import devae.tensor
+from conftest import CountingPool, forked_exit_code, write_idx
 from devae.data import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -445,6 +449,23 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(labels2, labels)
 
     @settings(max_examples=60, deadline=None)
+    @given(table=_tables(0, 8), ids=st.booleans(), labelled=st.booleans(), cells=WRITE_CELLS)
+    def test_lines_are_reprs_joined(self, tmp_path_factory, table, ids, labelled, cells):
+        """Narrow, wide and empty rows alike: each line is its cells' reprs joined by commas."""
+        values, labels = table
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        names = [f"c{j}" for j in range(values.shape[1])]
+        with mock.patch.object(devae.data, "_WRITE_CELLS", cells):
+            write_csv(path, names, values, ids=ids, labels=labels if labelled else None)
+        rows = [",".join(map(repr, row)) for row in values.tolist()]
+        if ids:
+            rows = [f"{i},{row}" for i, row in enumerate(rows)]
+        if labelled:
+            rows = [f"{row},{label}" for row, label in zip(rows, labels.tolist())]
+        header = ",".join((["id"] if ids else []) + names + (["label"] if labelled else []))
+        assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in [header, *rows])
+
+    @settings(max_examples=60, deadline=None)
     @given(head=st.sampled_from(HEADS), cells=WRITE_CELLS, data=st.data())
     def test_project_output(self, tmp_path_factory, head, cells, data):
         """The ``project`` table: ids, mu_x, mu_y, then the head's parameters."""
@@ -823,6 +844,64 @@ class TestPixelPca:
         raw = np.full((10, 16), 7, dtype=np.uint8)
         with pytest.raises(DataError, match="zero variance"):
             pca_project(raw)
+
+
+def _pca_inputs():
+    """uint8 pixels, the same pixels scaled as a strided float view (a CSV's
+    values beside its label column), and that view's contiguous copy."""
+    raw = _pixels(300, 4)
+    table = np.zeros((300, 65))
+    table[:, :64] = scale_pixels(raw)
+    return {"uint8": raw, "strided": table[:, :64], "contiguous": np.ascontiguousarray(table[:, :64])}
+
+
+@pytest.mark.skipif(not devae.tensor.BLAS_PINNED, reason="no BLAS thread setter found: PCA runs in one lane")
+class TestPcaLanes:
+    @pytest.mark.parametrize("kind", ["uint8", "strided", "contiguous"])
+    @pytest.mark.parametrize("block", [7, 100, 300])
+    def test_same_bytes_at_one_and_two_workers(self, monkeypatch, kind, block):
+        # 300 rows: 43 blocks of 7 and 3 of 100 end with a one-lane round; 300 is one block.
+        X = _pca_inputs()[kind]
+        monkeypatch.setattr(devae.data, "PCA_BLOCK", block)
+        monkeypatch.setattr(devae.tensor, "WORKERS", 1)
+        one = pca_project(X).tobytes()
+        pool = CountingPool(devae.tensor._pool)
+        monkeypatch.setattr(devae.tensor, "WORKERS", 2)
+        monkeypatch.setattr(devae.tensor, "_pool", pool)
+        assert pca_project(X).tobytes() == one
+        blocks = -(-X.shape[0] // block)
+        assert pool.submitted == 2 * (blocks // 2)  # one task a round of two, in each of the two passes
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_two_lanes(self, monkeypatch):
+        X = _pca_inputs()["uint8"]
+        monkeypatch.setattr(devae.data, "PCA_BLOCK", 150)
+        monkeypatch.setattr(devae.tensor, "WORKERS", 2)
+        Y = pca_project(X)  # the parent's pool now has a thread
+        code = forked_exit_code(lambda: np.array_equal(pca_project(X), Y))
+        assert code is not None, "the forked child's two-lane PCA did not finish within 30 s"
+        assert code == 0
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_lane_waits_for_the_other(self, monkeypatch, failing):
+        X = _pca_inputs()["uint8"]
+        monkeypatch.setattr(devae.data, "PCA_BLOCK", 150)
+        monkeypatch.setattr(devae.tensor, "WORKERS", 2)
+        gather, finished = devae.data._gather, threading.Event()
+
+        def one_lane_fails(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise RuntimeError("lane failed")
+            time.sleep(0.2)  # the other lane is still writing its buffer
+            R = gather(*args)
+            finished.set()
+            return R
+
+        monkeypatch.setattr(devae.data, "_gather", one_lane_fails)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            pca_project(X)
+        assert finished.is_set()
 
 
 class TestGatherRows:

@@ -3,13 +3,12 @@
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 import devae.tensor as T
-from conftest import blob_bundle, tiny_config
+from conftest import CountingPool, blob_bundle, forked_exit_code, tiny_config
 from devae import gradsuite
 from devae.errors import ContractError, DimensionError
 from devae.losses import LossWeights
@@ -182,17 +181,6 @@ def _linear_run(x, w, b):
     return out.data, xt.grad, wt.grad, bt.grad
 
 
-class _CountingPool:
-    """The pool, counting the tasks it is given."""
-
-    def __init__(self, pool):
-        self.pool, self.submitted = pool, 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return self.pool.submit(*args, **kwargs)
-
-
 @pytest.mark.skipif(not T.BLAS_PINNED, reason="no BLAS thread setter found: products are never split")
 class TestSplitProducts:
     @pytest.mark.parametrize("batch", [37, 64, 500, 3616, 4096])
@@ -215,7 +203,7 @@ class TestSplitProducts:
         assert 256 * 784 * 512 >= T.SPLIT_MADDS
         monkeypatch.setattr(T, "WORKERS", 1)
         one = _linear_run(x, w, b)
-        pool = _CountingPool(T._pool)
+        pool = CountingPool(T._pool)
         monkeypatch.setattr(T, "WORKERS", 2)
         monkeypatch.setattr(T, "_pool", pool)
         two = _linear_run(x, w, b)
@@ -224,7 +212,7 @@ class TestSplitProducts:
             assert a.tobytes() == b.tobytes()
 
     def test_small_products_never_reach_the_pool(self, monkeypatch):
-        pool = _CountingPool(T._pool)
+        pool = CountingPool(T._pool)
         monkeypatch.setattr(T, "WORKERS", 4)
         monkeypatch.setattr(T, "_pool", pool)
         # The largest products of a batch-64 training step stay whole.
@@ -266,23 +254,9 @@ class TestSplitProducts:
         a, b = rng.random((256, 784)), rng.standard_normal((784, 512))
         whole = a @ b
         assert np.array_equal(T._matmul(a, b), whole)  # the parent's pool now has a thread
-        pid = os.fork()
-        if pid == 0:  # the child: never return into the test runner
-            code = 1
-            try:
-                code = 0 if np.array_equal(T._matmul(a, b), whole) else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                assert os.waitstatus_to_exitcode(status) == 0
-                return
-            time.sleep(0.05)
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split product did not finish within 30 s")
+        code = forked_exit_code(lambda: np.array_equal(T._matmul(a, b), whole))
+        assert code is not None, "the forked child's split product did not finish within 30 s"
+        assert code == 0
 
 
 def _old_sample_chain(strict, diag, eps):
