@@ -8,7 +8,7 @@ diagonal, or full Gaussian, plus a covariance-free baseline).
 
 from .data import DatasetBundle, make_blobs, pca_project, read_csv_vectors, read_idx, read_projection_csv, scale_pixels
 from .errors import DevaeError
-from .evaluation import MetricsRow, class_ellipses, evaluate
+from .evaluation import class_ellipses, evaluate
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
@@ -29,7 +29,6 @@ __all__ = [
     "GaussianLatent",
     "LossBreakdown",
     "LossWeights",
-    "MetricsRow",
     "ModelConfig",
     "Tensor",
     "TrainReport",

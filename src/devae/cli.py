@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error or out of memory
-(an allocation the machine refuses), 3 numerical divergence. Errors go to
-stderr; results go to stdout or to files. All randomness comes from
+Exit codes: 0 success, 1 usage error (a bad flag, or a flag value that
+TrainSettings, LossWeights or ModelConfig rejects), 2 data/parse error or out
+of memory (an allocation the machine refuses), 3 numerical divergence. Errors
+go to stderr; results go to stdout or to files. All randomness comes from
 --seed, so identical invocations produce identical outputs.
 """
 
@@ -16,12 +17,12 @@ import numpy as np
 
 from . import data as dio
 from .errors import ContractError, DataError, DevaeError, DivergenceError, UsageError
-from .evaluation import class_ellipses, evaluate, format_metrics_table, metrics_to_json
+from .evaluation import class_ellipses, evaluate
 from .gaussian import HEAD_PARAMS, HEADS
 from .gradsuite import run_gradient_suite
 from .losses import LossWeights
 from .model import RECON_KINDS, DeVae, ModelConfig, load_checkpoint, save_checkpoint
-from .trainer import TrainSettings, run_matrix, split_dataset, train
+from .trainer import TrainSettings, format_metrics_table, metrics_to_json, run_matrix, split_dataset, train
 from .viz import grid_inverse_sheet, latent_plot_svg
 
 # The BCE defaults; MSE datasets must pick their own weights explicitly
@@ -67,10 +68,7 @@ def _resolve_weights(args) -> LossWeights:
         lam_p = DEFAULT_LAMBDA_PROJ
     if lam_e is None:
         lam_e = DEFAULT_LAMBDA_ENT
-    try:
-        return LossWeights(lambda_proj=lam_p, lambda_ent=lam_e)
-    except ContractError as exc:
-        raise UsageError(str(exc)) from exc
+    return LossWeights(lambda_proj=lam_p, lambda_ent=lam_e)
 
 
 def _sniff_idx_magic(path) -> int | None:
@@ -119,31 +117,25 @@ def _load_bundle(data_path, proj_path, seed: int, labels_path=None) -> dio.Datas
 
 
 def _settings(args) -> TrainSettings:
-    try:
-        return TrainSettings(
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            seed=args.seed,
-        )
-    except ContractError as exc:
-        raise UsageError(str(exc)) from exc
+    return TrainSettings(
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        seed=args.seed,
+    )
 
 
 def _config(args, input_dim: int) -> ModelConfig:
-    try:
-        return ModelConfig(
-            input_dim=input_dim,
-            weights=_resolve_weights(args),
-            encoder_widths=args.encoder_widths,
-            decoder_widths=args.decoder_widths,
-            head=args.head,
-            recon_kind=args.recon,
-            seed=args.seed,
-        )
-    except ContractError as exc:
-        raise UsageError(str(exc)) from exc
+    return ModelConfig(
+        input_dim=input_dim,
+        weights=_resolve_weights(args),
+        encoder_widths=args.encoder_widths,
+        decoder_widths=args.decoder_widths,
+        head=args.head,
+        recon_kind=args.recon,
+        seed=args.seed,
+    )
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--proj", required=True)
     p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    p.add_argument("--split", choices=(*dio.SPLIT_NAMES, "all"), default="test")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("project", help="encode a dataset to mu (+ head params) CSV")
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--proj", required=True)
     p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    p.add_argument("--split", choices=(*dio.SPLIT_NAMES, "all"), default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_latent_plot)
 
@@ -351,7 +343,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

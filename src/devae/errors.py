@@ -1,7 +1,12 @@
 """Exception hierarchy shared by all devae modules.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/parse/shape
-problems exit 2, numerical divergence exits 3.
+problems exit 2, numerical divergence exits 3. The CLI treats every
+ContractError as a usage error: the ones a flag value can raise come from
+TrainSettings and LossWeights, and the other sites are preconditions that the
+CLI meets before it calls them. Every problem with a checkpoint file is one
+CheckpointError, whose message names it (bad magic, unsupported version,
+truncated block, trailing bytes or an invalid config block).
 """
 
 from __future__ import annotations
@@ -49,15 +54,3 @@ class GeometryError(DevaeError):
 
 class CheckpointError(DevaeError):
     """Problem reading or writing a model checkpoint."""
-
-
-class CheckpointMagicError(CheckpointError):
-    """Checkpoint file does not start with the expected magic bytes."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint format version is not supported."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """Checkpoint file ends before all declared data was read."""

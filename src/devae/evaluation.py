@@ -13,9 +13,6 @@ sample index, and a class with a non-finite point or distance is a DataError.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import DatasetBundle, gather_rows
@@ -151,61 +148,3 @@ def class_ellipses(latent: GaussianLatent, labels: np.ndarray) -> dict[int, list
         cov, det = latent.covariance(i)
         out[label] = [ellipse_from_cov(mu[i], cov, k, det) for k in (1, 2, 3)]
     return out
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """One head variant's mean/std test metrics over repeated runs."""
-
-    head: str
-    proj_mean: float
-    proj_std: float
-    recon_mean: float
-    recon_std: float
-    epochs_mean: float
-    epochs_std: float
-    n_runs: int
-
-    def __post_init__(self):
-        if self.n_runs < 1:
-            raise ContractError("n_runs must be >= 1")
-        if min(self.proj_std, self.recon_std, self.epochs_std) < 0:
-            raise ContractError("standard deviations cannot be negative")
-
-    def as_dict(self) -> dict:
-        return {
-            "head": self.head,
-            "proj_loss": {"mean": self.proj_mean, "std": self.proj_std},
-            "recon_loss": {"mean": self.recon_mean, "std": self.recon_std},
-            "epochs": {"mean": self.epochs_mean, "std": self.epochs_std},
-            "n_runs": self.n_runs,
-        }
-
-
-def metrics_to_json(rows: list[MetricsRow], dataset: str = "") -> str:
-    return json.dumps(
-        {"dataset": dataset, "rows": [r.as_dict() for r in rows]},
-        indent=2,
-    )
-
-
-def format_metrics_table(rows: list[MetricsRow]) -> str:
-    """Aligned text table: one column per head, one block row per metric."""
-    blocks = [
-        ("proj_loss", lambda r: (r.proj_mean, r.proj_std)),
-        ("recon_loss", lambda r: (r.recon_mean, r.recon_std)),
-        ("epochs", lambda r: (r.epochs_mean, r.epochs_std)),
-    ]
-    cells = {
-        name: [f"{picker(r)[0]:.6g} ± {picker(r)[1]:.3g}" for r in rows]
-        for name, picker in blocks
-    }
-    width = max(
-        [len(r.head) for r in rows]
-        + [len(c) for cols in cells.values() for c in cols]
-        + [len(name) for name, _ in blocks]
-    ) + 2
-    lines = ["".join(["metric".ljust(12)] + [r.head.ljust(width) for r in rows])]
-    for name, _ in blocks:
-        lines.append("".join([name.ljust(12)] + [c.ljust(width) for c in cells[name]]))
-    return "\n".join(lines) + "\n"

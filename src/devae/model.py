@@ -32,14 +32,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .data import gather_rows
-from .errors import (
-    CheckpointError,
-    CheckpointMagicError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
-    ContractError,
-    DimensionError,
-)
+from .errors import CheckpointError, ContractError, DimensionError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .tensor import DenseLayer, Tensor, _sigmoid_, no_grad
@@ -294,7 +287,7 @@ def save_checkpoint(model: DeVae, path) -> None:
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     blob = fh.read(n)
     if len(blob) != n:
-        raise CheckpointTruncatedError(f"{what}: expected {n} bytes, got {len(blob)}")
+        raise CheckpointError(f"{what}: expected {n} bytes, got {len(blob)}")
     return blob
 
 
@@ -303,10 +296,10 @@ def load_checkpoint(path) -> DeVae:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise CheckpointMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
         version_blob = _read_exact(fh, 1, "version byte")
         if version_blob[0] != VERSION:
-            raise CheckpointVersionError(f"unsupported version {version_blob[0]}, expected {VERSION}")
+            raise CheckpointError(f"unsupported version {version_blob[0]}, expected {VERSION}")
         config_len = int.from_bytes(_read_exact(fh, 4, "config length"), "little")
         config_blob = _read_exact(fh, config_len, "config body")
         try:
@@ -317,11 +310,11 @@ def load_checkpoint(path) -> DeVae:
         n_bytes = 8 * parameter_count(config)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if n_bytes > left:
-            raise CheckpointTruncatedError(f"parameter block: expected {n_bytes} bytes, got {left}")
+            raise CheckpointError(f"parameter block: expected {n_bytes} bytes, got {left}")
         model = DeVae(config)
         got = fh.readinto(model.flat)
         if got != n_bytes:
-            raise CheckpointTruncatedError(f"parameter block: expected {n_bytes} bytes, got {got}")
+            raise CheckpointError(f"parameter block: expected {n_bytes} bytes, got {got}")
         if sys.byteorder == "big":  # the file is little-endian
             model.flat.byteswap(inplace=True)
         trailing = fh.read(1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import DatasetBundle, gather_rows
 from .errors import ContractError, DataError, DimensionError, DivergenceError
-from .evaluation import MetricsRow, evaluate
+from .evaluation import evaluate
 from .gaussian import LATENT_DIM
 from .losses import total_loss
 from .model import DeVae, forward_train
@@ -252,11 +252,15 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
     return model, report
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+# The metrics of a matrix row, in output order; each run gives one value of each.
+MATRIX_METRICS = ("proj_loss", "recon_loss", "epochs")
+
+
+def _mean_std(values) -> dict[str, float]:
+    """Mean and sample standard deviation (0 for a single run) of one metric's runs."""
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+    return {"mean": float(arr.mean()), "std": std}
 
 
 def run_matrix(
@@ -265,19 +269,19 @@ def run_matrix(
     n_seeds: int,
     settings: TrainSettings,
     config_template,
-) -> list[MetricsRow]:
+) -> list[dict]:
     """Train every head variant n_seeds times and tabulate test metrics.
 
     Run i uses seed ``settings.seed + i`` for both initialization and batch
-    randomization; the bundle's split stays fixed across all runs.
+    randomization; the bundle's split stays fixed across all runs. Each row
+    is the record that ``matrix`` prints: the head, a ``{"mean", "std"}``
+    pair per name in ``MATRIX_METRICS``, and ``n_runs``.
     """
     if n_seeds < 1:
         raise ContractError(f"n_seeds must be >= 1, got {n_seeds}")
-    rows: list[MetricsRow] = []
+    rows: list[dict] = []
     for head in heads:
-        projs: list[float] = []
-        recons: list[float] = []
-        epoch_counts: list[float] = []
+        runs = []  # one (proj, recon, epochs_run) tuple per run
         for i in range(n_seeds):
             seed = settings.seed + i
             config = replace(config_template, head=head, seed=seed)
@@ -287,19 +291,28 @@ def run_matrix(
             except DivergenceError as exc:
                 raise DivergenceError(f"head {head!r}, seed {seed}: {exc}") from exc
             test_bd = evaluate(model, bundle, "test")
-            projs.append(test_bd.proj)
-            recons.append(test_bd.recon)
-            epoch_counts.append(float(report.epochs_run))
-        pm, ps = _mean_std(projs)
-        rm, rs = _mean_std(recons)
-        em, es = _mean_std(epoch_counts)
-        rows.append(
-            MetricsRow(
-                head=head,
-                proj_mean=pm, proj_std=ps,
-                recon_mean=rm, recon_std=rs,
-                epochs_mean=em, epochs_std=es,
-                n_runs=n_seeds,
-            )
-        )
+            runs.append((test_bd.proj, test_bd.recon, report.epochs_run))
+        metrics = {name: _mean_std(values) for name, values in zip(MATRIX_METRICS, zip(*runs))}
+        rows.append({"head": head, **metrics, "n_runs": n_seeds})
     return rows
+
+
+def metrics_to_json(rows: list[dict], dataset: str = "") -> str:
+    return json.dumps({"dataset": dataset, "rows": rows}, indent=2)
+
+
+def format_metrics_table(rows: list[dict]) -> str:
+    """Aligned text table: one column per head, one block row per metric."""
+    cells = {
+        name: [f"{r[name]['mean']:.6g} ± {r[name]['std']:.3g}" for r in rows]
+        for name in MATRIX_METRICS
+    }
+    width = max(
+        [len(r["head"]) for r in rows]
+        + [len(c) for column in cells.values() for c in column]
+        + [len(name) for name in MATRIX_METRICS]
+    ) + 2
+    lines = ["".join(["metric".ljust(12)] + [r["head"].ljust(width) for r in rows])]
+    for name, column in cells.items():
+        lines.append("".join([name.ljust(12)] + [c.ljust(width) for c in column]))
+    return "\n".join(lines) + "\n"

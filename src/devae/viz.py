@@ -127,13 +127,17 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """The image of a PGM in the layout ``write_pgm`` writes: ``P5 / W H / 255``, one per line."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    header, _, rest = blob.partition(b"255\n")
-    fields = header.split()
-    if fields[0] != b"P5" or len(fields) != 3:
+    parts = blob.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
         raise DataError(f"{path}: not a binary PGM")
-    w, h = int(fields[1]), int(fields[2])
+    _, size, _, rest = parts
+    fields = size.split()
+    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        raise DataError(f"{path}: not a binary PGM")
+    w, h = int(fields[0]), int(fields[1])
     if len(rest) != w * h:
         raise DataError(f"{path}: payload is {len(rest)} bytes, expected {w * h}")
     return np.frombuffer(rest, dtype=np.uint8).reshape(h, w)

@@ -333,13 +333,10 @@ def test_c11_baseline_reconstruction_ordering():
     template = tiny_config(d=50, weights=LossWeights(20.0, 5.0))
     settings = TrainSettings(seed=7, max_epochs=20, patience=20)
     rows = run_matrix(bundle, ["none", "isotropic", "diagonal", "full"], 3, settings, template)
-    by_head = {r.head: r for r in rows}
-    none_recon = by_head["none"].recon_mean
+    recon = {r["head"]: r["recon_loss"]["mean"] for r in rows}
     for head in ("isotropic", "diagonal", "full"):
-        assert none_recon <= by_head[head].recon_mean, (
-            head, none_recon, by_head[head].recon_mean
-        )
+        assert recon["none"] <= recon[head], (head, recon["none"], recon[head])
     _ok(11, (
-        f"none recon {none_recon:.1f} <= "
-        + ", ".join(f"{h} {by_head[h].recon_mean:.1f}" for h in ("isotropic", "diagonal", "full"))
+        f"none recon {recon['none']:.1f} <= "
+        + ", ".join(f"{h} {recon[h]:.1f}" for h in ("isotropic", "diagonal", "full"))
     ))

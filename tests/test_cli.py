@@ -171,6 +171,18 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "usage error" in r.stderr
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "0"], "learning_rate must be positive, got 0.0"),
+        (["--max-epochs", "5", "--patience", "10"], "patience (10) cannot exceed max_epochs (5)"),
+    ])
+    def test_settings_contract_is_usage_error(self, pipeline, capsys, flags, message):
+        from devae.cli import main
+
+        argv = ["train", "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"]),
+                "--lambda-proj", "5", "--lambda-ent", "0.001", "--out", str(pipeline["root"] / "x.ckpt"), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_mse_requires_explicit_weights(self, pipeline):
         r = run_cli(["train", "--data", pipeline["data"], "--proj", pipeline["proj"],
                      "--recon", "mse", "--out", pipeline["root"] / "x.ckpt", *FAST_TRAIN])

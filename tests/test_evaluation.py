@@ -13,13 +13,10 @@ from conftest import tiny_config
 from devae.data import DatasetBundle
 from devae.errors import ContractError, DataError
 from devae.evaluation import (
-    MetricsRow,
     _distance_row,
     class_ellipses,
     class_medoid_indices,
     evaluate,
-    format_metrics_table,
-    metrics_to_json,
 )
 from devae.gaussian import GaussianLatent, ellipse_from_cov
 from devae.losses import LossWeights, proj_loss, recon_mse
@@ -327,33 +324,3 @@ def _quick_train(bundle, head):
 
     model = DeVae(tiny_config(head=head))
     return _train(model, bundle, TrainSettings(seed=11, max_epochs=4, patience=4))
-
-
-class TestMetricsRow:
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            MetricsRow("none", 1, 0, 1, 0, 1, 0, n_runs=0)
-        with pytest.raises(ContractError):
-            MetricsRow("none", 1, -0.5, 1, 0, 1, 0, n_runs=2)
-
-    def test_json_structure(self):
-        row = MetricsRow("full", 1.0, 0.1, 2.0, 0.2, 30.0, 3.0, n_runs=10)
-        blob = metrics_to_json([row], dataset="demo")
-        import json
-
-        parsed = json.loads(blob)
-        assert parsed["dataset"] == "demo"
-        assert parsed["rows"][0]["proj_loss"] == {"mean": 1.0, "std": 0.1}
-        assert parsed["rows"][0]["n_runs"] == 10
-
-    def test_table_structure(self):
-        rows = [
-            MetricsRow(h, 1.0, 0.1, 2.0, 0.2, 30.0, 3.0, n_runs=3)
-            for h in ("none", "isotropic", "diagonal", "full")
-        ]
-        table = format_metrics_table(rows)
-        lines = table.strip().split("\n")
-        assert len(lines) == 4  # header + 3 metric blocks
-        assert lines[0].split() == ["metric", "none", "isotropic", "diagonal", "full"]
-        for line in lines[1:]:
-            assert line.count("±") == 4

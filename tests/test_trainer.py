@@ -1,6 +1,7 @@
 """Optimizer, splits, early stopping, the training loop, and the run matrix."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,22 @@ import pytest
 from conftest import blob_bundle, tiny_config
 from devae.errors import ContractError, DataError, DivergenceError
 from devae.evaluation import evaluate
+from devae.gaussian import HEADS
 from devae.losses import LossWeights
 from devae.model import DeVae
 from devae.tensor import Tensor
-from devae.trainer import ADAM_BLOCK, Adam, EarlyStopping, TrainSettings, run_matrix, split_dataset, train
+from devae.trainer import (
+    ADAM_BLOCK,
+    MATRIX_METRICS,
+    Adam,
+    EarlyStopping,
+    TrainSettings,
+    format_metrics_table,
+    metrics_to_json,
+    run_matrix,
+    split_dataset,
+    train,
+)
 
 
 class TestAdam:
@@ -258,20 +271,25 @@ class TestTrain:
                 assert all(np.isfinite(v) for v in epoch[part].values())
 
 
+@pytest.fixture(scope="module")
+def four_head_rows(bundle):
+    return run_matrix(bundle, list(HEADS), 2, TrainSettings(seed=11, max_epochs=3, patience=3), tiny_config())
+
+
 class TestRunMatrix:
     def test_single_seed_reports_zero_std(self, bundle):
         rows = run_matrix(bundle, ["none"], 1, TrainSettings(seed=11, max_epochs=3, patience=3), tiny_config())
-        assert rows[0].n_runs == 1
-        assert rows[0].proj_std == 0.0 and rows[0].recon_std == 0.0 and rows[0].epochs_std == 0.0
+        assert rows[0]["n_runs"] == 1
+        assert [rows[0][name]["std"] for name in MATRIX_METRICS] == [0.0, 0.0, 0.0]
 
-    def test_four_head_table(self, bundle):
-        heads = ["none", "isotropic", "diagonal", "full"]
-        rows = run_matrix(bundle, heads, 2, TrainSettings(seed=11, max_epochs=3, patience=3), tiny_config())
-        assert [r.head for r in rows] == heads
-        for row in rows:
-            d = row.as_dict()
-            for block in ("proj_loss", "recon_loss", "epochs"):
-                assert np.isfinite(d[block]["mean"]) and np.isfinite(d[block]["std"])
+    def test_four_head_table(self, four_head_rows):
+        assert [r["head"] for r in four_head_rows] == list(HEADS)
+        for row in four_head_rows:
+            assert row["n_runs"] == 2
+            for name in MATRIX_METRICS:
+                pair = row[name]
+                assert np.isfinite(pair["mean"]) and np.isfinite(pair["std"]) and pair["std"] >= 0
+            assert 1 <= row["epochs"]["mean"] <= 3
 
     def test_deterministic_across_invocations(self, bundle):
         settings = TrainSettings(seed=11, max_epochs=3, patience=3)
@@ -282,3 +300,35 @@ class TestRunMatrix:
     def test_rejects_zero_seeds(self, bundle):
         with pytest.raises(ContractError):
             run_matrix(bundle, ["none"], 0, TrainSettings(seed=11), tiny_config())
+
+
+class TestMatrixRecords:
+    def test_json_structure(self):
+        row = {
+            "head": "full",
+            "proj_loss": {"mean": 1.0, "std": 0.1},
+            "recon_loss": {"mean": 2.0, "std": 0.2},
+            "epochs": {"mean": 30.0, "std": 3.0},
+            "n_runs": 10,
+        }
+        assert json.loads(metrics_to_json([row], dataset="demo")) == {"dataset": "demo", "rows": [row]}
+
+    def test_table_structure(self):
+        pair = {"mean": 1.0, "std": 0.1}
+        rows = [{"head": h, **{name: pair for name in MATRIX_METRICS}, "n_runs": 3} for h in HEADS]
+        lines = format_metrics_table(rows).strip().split("\n")
+        assert len(lines) == 4  # header + 3 metric blocks
+        assert lines[0].split() == ["metric", *HEADS]
+        for line in lines[1:]:
+            assert line.count("±") == 4
+
+    def test_printed_json_and_table_are_the_records(self, four_head_rows):
+        parsed = json.loads(metrics_to_json(four_head_rows))
+        assert parsed["rows"] == four_head_rows
+        for row in parsed["rows"]:
+            assert list(row) == ["head", "proj_loss", "recon_loss", "epochs", "n_runs"]
+        _, *body = format_metrics_table(four_head_rows).splitlines()
+        assert [line.split()[0] for line in body] == list(MATRIX_METRICS)
+        for name, line in zip(MATRIX_METRICS, body):
+            cells = re.split(r" {2,}", line.rstrip())[1:]  # cells are padded by at least two spaces
+            assert cells == [f"{r[name]['mean']:.6g} ± {r[name]['std']:.3g}" for r in four_head_rows]

@@ -187,6 +187,22 @@ class TestGridInverseSheet:
         assert len(blob) == len(b"P5\n4 3\n255\n") + 12
         np.testing.assert_array_equal(read_pgm(path), image)
 
+    @pytest.mark.parametrize("shape", [(255, 3), (1255, 2)])
+    def test_round_trip_when_a_size_holds_255(self, tmp_path, shape):
+        # The height's digits end in "255", which a reader that looks for the
+        # max-value line by its text finds inside the size line.
+        path = tmp_path / "img.pgm"
+        image = (np.arange(shape[0] * shape[1]) % 256).astype(np.uint8).reshape(shape)
+        write_pgm(path, image)
+        np.testing.assert_array_equal(read_pgm(path), image)
+
+    @pytest.mark.parametrize("blob", [b"P2\n3 1\n255\nabc", b"P5\n3 x\n255\nabc", b"P5\n3 1\n15\nabc", b"P5\n3 1\n"])
+    def test_rejects_a_malformed_header(self, tmp_path, blob):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="not a binary PGM"):
+            read_pgm(path)
+
     def test_byte_deterministic(self, tmp_path):
         model = _square_model()
         coords = np.array([[-1.0, 0.0], [2.0, 3.0]])
