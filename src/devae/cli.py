@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (a bad flag, or a flag value that
-TrainSettings, LossWeights or ModelConfig rejects), 2 data/parse error or out
-of memory (an allocation the machine refuses), 3 numerical divergence. Errors
-go to stderr; results go to stdout or to files. All randomness comes from
---seed, so identical invocations produce identical outputs.
+TrainSettings, LossWeights, ModelConfig or make_blobs rejects), 2 data/parse
+error or out of memory (an allocation the machine refuses), 3 numerical
+divergence. Errors go to stderr; results go to stdout or to files. All
+randomness comes from --seed, so identical invocations produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -108,8 +109,6 @@ def _load_bundle(data_path, proj_path, seed: int, labels_path=None) -> dio.Datas
         )
     if labels_path is not None:
         labels = _load_labels(labels_path)
-        if labels.shape[0] != X.shape[0]:
-            raise DataError(f"labels cover {labels.shape[0]} of {X.shape[0]} rows")
     elif labels is None:
         labels = proj_labels
     split = split_dataset(X.shape[0], seed)
@@ -147,8 +146,6 @@ def _check_seed(seed: int) -> None:
 
 
 def _cmd_synth(args) -> int:
-    if args.n < 1 or args.dims < 2 or args.blobs < 1 or args.spread <= 0:
-        raise UsageError("synth needs n >= 1, dims >= 2, blobs >= 1, spread > 0")
     _check_seed(args.seed)
     X, labels = dio.make_blobs(args.n, args.dims, args.blobs, args.spread, args.seed)
     dio.write_csv_vectors(args.out, X, labels)

@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor
-from .errors import DataError, ParseError
+from .errors import ContractError, DataError, ParseError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -257,23 +257,31 @@ def _fast_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
 
 
 def _walk_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.ndarray]:
-    """``_read_csv`` line by line, with ``float()`` on every picked cell."""
-    lines = (line for _, block_lines in _blocks(path) for line in block_lines)
-    rows = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
-    if not rows:
+    """``_read_csv`` line by line, with ``float()`` on every picked cell.
+
+    Two passes, so the file is never held whole: the first counts the rows
+    (a byte that is not UTF-8 fails here, before any row is parsed), and the
+    second parses them into arrays of that length.
+    """
+    def rows():
+        lines = (line for _, block_lines in _blocks(path) for line in block_lines)
+        return ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
+
+    count, first = 0, ""
+    for _, line in rows():
+        count, first = count + 1, first or line
+    if not count:
         raise ParseError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0][1].split(",")]
+    header = [cell.strip() for cell in first.split(",")]
+    width = len(header)
     if all(map(_is_float, header)):
         header = None
-    else:
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header without data rows")
-    width = len(header if header is not None else rows[0][1].split(","))
+    elif count == 1:
+        raise ParseError(f"{path}: header without data rows")
     cols = range(width) if pick is None else pick(header)
-    values = np.empty((len(rows), len(cols)))
-    last, texts = cols[-1], []
-    for r, (line_no, line) in enumerate(rows):
+    n = count - (header is not None)
+    values, line_nos, last, texts = np.empty((n, len(cols))), np.empty(n, dtype=np.int64), cols[-1], []
+    for r, (line_no, line) in enumerate(itertools.islice(rows(), count - n, None)):
         cells = line.split(",")
         if len(cells) != width:
             raise ParseError(f"ragged row at line {line_no}: {len(cells)} fields, expected {width}")
@@ -282,8 +290,9 @@ def _walk_csv(path, pick) -> tuple[list[str] | None, np.ndarray, np.ndarray, np.
         except ValueError:
             bad = next(cells[c].strip() for c in cols if not _is_float(cells[c]))
             raise ParseError(f"non-numeric cell {bad!r} at line {line_no}") from None
+        line_nos[r] = line_no
         texts.append(cells[last])
-    return header, values, np.array([line_no for line_no, _ in rows]), np.array(texts)
+    return header, values, line_nos, np.array(texts)
 
 
 def _blocks(path) -> Iterator[tuple[bytes, list[str]]]:
@@ -463,20 +472,21 @@ def make_blobs(n: int, d: int, k: int, spread: float, seed: int) -> tuple[np.nda
 
     Cluster sizes are balanced with any remainder going to the earlier
     clusters, and rows are grouped by cluster, so labels come out as
-    0,0,...,1,1,... in order.
+    0,0,...,1,1,... in order. Sizes outside ``n >= k >= 1``, ``d >= 2`` and
+    ``0 < spread < inf`` are a ContractError, and a sample that overflows
+    float64 is a DataError.
     """
-    if not (n >= k >= 1 and d >= 2 and spread > 0):
-        raise DataError(f"invalid blob sizes: n={n}, d={d}, k={k}, spread={spread}")
+    if not (n >= k >= 1 and d >= 2 and 0 < spread < np.inf):
+        raise ContractError(f"invalid blob sizes: n={n}, d={d}, k={k}, spread={spread} "
+                            f"(need n >= k >= 1, d >= 2, 0 < spread < inf)")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-5.0, 5.0, size=(k, d))
-    base, rem = divmod(n, k)
-    counts = [base + (1 if i < rem else 0) for i in range(k)]
-    chunks = []
-    labels = []
-    for i, count in enumerate(counts):
-        chunks.append(centers[i] + spread * rng.standard_normal((count, d)))
-        labels.extend([i] * count)
-    return np.concatenate(chunks, axis=0), np.asarray(labels, dtype=np.int64)
+    counts = [n // k + (i < n % k) for i in range(k)]
+    with np.errstate(over="ignore"):  # an overflowed sample is inf, checked below
+        X = np.concatenate([centers[i] + spread * rng.standard_normal((c, d)) for i, c in enumerate(counts)])
+    if not np.isfinite(X).all():
+        raise DataError(f"spread {spread} overflows float64: a sample is not finite")
+    return X, np.repeat(np.arange(k, dtype=np.int64), counts)
 
 
 # -- PCA ---------------------------------------------------------------------------

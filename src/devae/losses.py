@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, DivergenceError, DomainError
+from .errors import ContractError, DivergenceError, DomainError
 from .gaussian import GaussianLatent
 from .tensor import Tensor
 
@@ -53,18 +53,9 @@ class LossBreakdown:
         return {"recon": self.recon, "proj": self.proj, "ent": self.ent, "total": self.total}
 
 
-def _squared_error(what: str, a, b) -> Tensor:
-    """``sum((a - b)**2) / batch`` for two same-shape [batch, k] operands."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.shape != b.shape:
-        raise DimensionError.mismatch(what, a.shape, b.shape)
-    return T.tsum(T.square(T.sub(a, b))) * (1.0 / a.shape[0])
-
-
 def recon_mse(x: Tensor, x_hat: Tensor) -> Tensor:
     """Squared error summed over features, averaged over the batch."""
-    return _squared_error("recon_mse", x, x_hat)
+    return T.squared_error(x, x_hat)
 
 
 def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
@@ -83,7 +74,7 @@ def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
 
 def proj_loss(y: Tensor, mu: Tensor) -> Tensor:
     """Mean squared Euclidean distance between targets y and latent means."""
-    return _squared_error("proj_loss", y, mu)
+    return T.squared_error(y, mu)
 
 
 def ent_loss(latent: GaussianLatent) -> Tensor:

@@ -4,11 +4,11 @@ Each operation builds a node of a dynamic tape: the output tensor keeps
 references to its parents and a closure that scatters the output gradient
 back onto them. ``backward()`` walks the tape in reverse topological order.
 The op set is what the model uses: the fused dense layer ``linear``,
-``add``/``sub``/``mul``, the elementwise ``exp``/``square``, the
-reductions ``tsum``/``tmean``, ``slice_cols`` to split a head's output into
-parameter blocks, ``tril_matvec``, which applies a batch of 2x2
-lower-triangular factors to a batch of 2-D vectors for the full-covariance
-sample, and ``bce_logits``, the binary cross-entropy computed from logits.
+``add``/``mul``, ``exp``, the reductions ``tsum``/``tmean``, ``slice_cols``
+to split a head's output into parameter blocks, ``tril_matvec``, which
+applies a batch of 2x2 lower-triangular factors to a batch of 2-D vectors
+for the full-covariance sample, and the losses ``bce_logits`` (binary
+cross-entropy from logits) and ``squared_error``.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
 and the activation (identity or relu) run in place on the product, a
@@ -222,19 +222,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError.mismatch("sub", a.shape, b.shape) from None
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _node(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     try:
@@ -428,16 +415,6 @@ def _sigmoid_(z: Array) -> Array:
     return z
 
 
-def square(a) -> Tensor:
-    a = _lift(a)
-    data = a.data * a.data
-
-    def backward(g):
-        return ((a, g * 2.0 * a.data),)
-
-    return _node(data, (a,), backward)
-
-
 # -- reductions ------------------------------------------------------------
 
 
@@ -491,6 +468,22 @@ def bce_logits(z, x) -> Tensor:
         return ((z, grad),)
 
     return _node(data, (z,), backward)
+
+
+def squared_error(a, b) -> Tensor:
+    """``sum((a - b)**2) / batch`` of two same-shape operands (batch: the first axis), one tape node."""
+    a, b = _lift(a), _lift(b)
+    if a.shape != b.shape:
+        raise DimensionError.mismatch("squared_error", a.shape, b.shape)
+    batch = a.shape[0]
+    d = a.data - b.data
+    data = np.asarray((d * d).sum() * (1.0 / batch))
+
+    def backward(g):
+        ga = (g * (1.0 / batch)) * 2.0 * d
+        return ((a, ga), (b, -ga))
+
+    return _node(data, (a, b), backward)
 
 
 # -- structural ops ------------------------------------------------------------

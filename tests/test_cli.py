@@ -199,6 +199,33 @@ class TestExitCodes:
         assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]+\n", message), message
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--spread", "inf"], ["--spread", "nan"], ["--n", "2", "--blobs", "3"],
+                                       ["--dims", "1"]], ids=["spread-inf", "spread-nan", "n-below-blobs", "dims-1"])
+    def test_synth_sizes_outside_the_rule_are_usage_errors(self, tmp_path, capsys, flags):
+        from devae.cli import main
+
+        assert main(["synth", "--out", str(tmp_path / "x.csv"), *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error: invalid blob sizes: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_synth_overflow_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        from devae.cli import main
+
+        assert main(["synth", "--out", str(tmp_path / "x.csv"), "--spread", "1e308", "--n", "1000"]) == 2
+        assert capsys.readouterr().err == "error: spread 1e+308 overflows float64: a sample is not finite\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_train_label_count_mismatch_is_data_error(self, pipeline, tmp_path, capsys):
+        from devae.cli import main
+
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n" * 79)
+        assert main(["train", "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"]),
+                     "--labels", str(labels), "--lambda-proj", "5", "--lambda-ent", "0.001",
+                     "--out", str(tmp_path / "x.ckpt"), *FAST_TRAIN]) == 2
+        assert capsys.readouterr().err == "error: labels cover 79 of 80 rows\n"
+
     def test_unknown_flag_is_usage_error(self):
         r = run_cli(["synth", "--nope", "1"])
         assert r.returncode == 1

@@ -32,7 +32,7 @@ from devae.data import (
     write_csv_vectors,
     write_projection_csv,
 )
-from devae.errors import DataError, ParseError
+from devae.errors import ContractError, DataError, ParseError
 from devae.gaussian import HEAD_PARAMS, HEADS
 from devae.trainer import split_dataset
 
@@ -657,6 +657,25 @@ class TestFastPathAgreesWithWalk:
         assert devae.data._fast_csv(path, None) is not None
 
 
+def test_walk_streams_the_file(tmp_path):
+    """A file numpy's reader refuses is read a few blocks at a time, never held whole."""
+    X = np.random.default_rng(16).standard_normal((1000, 200))
+    path = tmp_path / "walk.csv"
+    write_csv_vectors(path, X)
+    header, first, rest = path.read_text().split("\n", 2)
+    path.write_text(f"{header}\n1_0{first[first.index(','):]}\n{rest}")  # float() reads 1_0, numpy does not
+    with mock.patch.object(devae.data, "_READ_BYTES", 1 << 16):
+        tracemalloc.start()
+        try:
+            values, _ = read_csv_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert values[0, 0] == 10.0 and values[1:].tobytes() == X[1:].tobytes()
+    assert path.stat().st_size > 3 << 20
+    assert peak < values.nbytes + 16 * (1 << 16)
+
+
 class TestMakeBlobs:
     def test_balanced_labels_in_order(self):
         _, labels = make_blobs(6, 2, 3, 0.1, seed=0)
@@ -675,13 +694,19 @@ class TestMakeBlobs:
         X2, _ = make_blobs(20, 3, 2, 0.5, seed=9)
         np.testing.assert_array_equal(X1, X2)
 
-    def test_invalid_sizes(self):
-        with pytest.raises(DataError):
-            make_blobs(2, 2, 3, 0.5, seed=0)
-        with pytest.raises(DataError):
-            make_blobs(10, 1, 2, 0.5, seed=0)
-        with pytest.raises(DataError):
-            make_blobs(10, 2, 2, 0.0, seed=0)
+    @pytest.mark.parametrize("n, d, k, spread", [
+        (2, 2, 3, 0.5), (10, 1, 2, 0.5), (10, 2, 0, 0.5), (10, 2, 2, 0.0),
+        (10, 2, 2, float("inf")), (10, 2, 2, float("nan")),
+    ])
+    def test_invalid_sizes(self, n, d, k, spread):
+        with pytest.raises(ContractError, match="^invalid blob sizes"):
+            make_blobs(n, d, k, spread, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_spread_is_a_data_error(self):
+        # About 3% of standard normal draws exceed 1.8 in magnitude, and 1.8e308 is past float64.
+        with pytest.raises(DataError, match="^spread 1e\\+308 overflows float64"):
+            make_blobs(1000, 50, 3, 1e308, seed=7)
 
 
 class TestPcaProject:

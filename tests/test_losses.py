@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import devae.tensor as T
 from conftest import tiny_config
 from devae.errors import DimensionError, DivergenceError, DomainError
 from devae.gaussian import GaussianLatent
@@ -189,6 +190,23 @@ class TestTotalLoss:
             LossWeights(-1.0, 0.0)
         with pytest.raises(Exception):
             LossWeights(0.0, float("nan"))
+
+
+@pytest.mark.parametrize("loss", [recon_mse, proj_loss])
+def test_squared_error_loss_records_one_node(monkeypatch, loss):
+    nodes = []
+    record = T._node
+
+    def counting_node(*args):
+        nodes.append(record(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(T, "_node", counting_node)
+    target = Tensor(np.zeros((4, 2)))
+    out = Tensor(np.ones((4, 2)), requires_grad=True)
+    value = loss(target, out)
+    assert len(nodes) == 1 and nodes[0] is value
+    assert value._parents == (target, out)
 
 
 class TestLossGradients:

@@ -162,6 +162,20 @@ class TestFusedLinear:
         assert x_hat._parents == (nodes[-2], model.decoder[-1].weight, model.decoder[-1].bias)
 
 
+class TestSquaredError:
+    def test_value_and_gradients_match_the_numpy_chain_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        av, bv = rng.normal(0.0, 3.0, size=(64, 2)), rng.normal(0.0, 3.0, size=(64, 2))
+        a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+        loss = T.squared_error(a, b)
+        (loss * 20.0).backward()  # a loss weight, as in the composite objective
+        d = av - bv
+        grad_a = (20.0 * (1.0 / 64)) * 2.0 * d
+        assert loss.data.tobytes() == np.asarray((d * d).sum() * (1.0 / 64)).tobytes()
+        assert a.grad.tobytes() == grad_a.tobytes()
+        assert b.grad.tobytes() == (-grad_a).tobytes()
+
+
 # (out, in) of every dense layer of the default 784-d model.
 PIXEL_LAYERS = sorted({(o, i) for o, i, _ in _layer_specs(ModelConfig(784, LossWeights(20.0, 5.0)))})
 
@@ -318,7 +332,8 @@ class TestBackward:
     def test_accumulation_is_exactly_double(self):
         w = Tensor(np.array([1.5, -0.5]), requires_grad=True)
         x = Tensor(np.array([2.0, 3.0]))
-        loss = T.tsum(T.square(T.mul(w, x)))
+        wx = T.mul(w, x)
+        loss = T.tsum(T.mul(wx, wx))
         loss.backward()
         once = w.grad.copy()
         loss.backward()
@@ -336,7 +351,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):
-            T.square(w).backward()
+            T.mul(w, w).backward()
 
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -438,8 +453,8 @@ def _op_cases(rng):
     a, b = next(params for name, _, params in cases if name == "add")
     probe = Tensor(rng.uniform(-1, 1, size=(2, 3)))
     return cases + [
-        ("sum_bare", lambda: T.square(T.tsum(a)), [a]),
-        ("broadcast_bias", lambda: T.tsum(T.square(T.add(a, T.slice_cols(b, 0, 3)))), [a, b]),
+        ("sum_bare", lambda: T.mul(T.tsum(a), T.tsum(a)), [a]),
+        ("broadcast_bias", lambda: T.tsum(T.mul(T.add(a, T.slice_cols(b, 0, 3)), probe)), [a, b]),
         ("relu", lambda: T.tsum(T.mul(relu(a), probe)), [a]),
         ("sigmoid", lambda: T.tsum(T.mul(sigmoid(a), probe)), [a]),
     ]
@@ -452,7 +467,7 @@ OP_NAMES = [case[0] for case in _op_cases(np.random.default_rng(0))]
 def test_op_gradients_match_finite_differences(op_name):
     """Analytic vs central-difference gradients, randomized trials per op.
 
-    18 ops x 8 trials = 144 randomized checks across the suite.
+    15 ops x 8 trials = 120 randomized checks across the suite.
     """
     for trial in range(8):
         rng = np.random.default_rng(hash((op_name, trial)) % (2**32))
