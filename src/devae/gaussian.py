@@ -17,9 +17,11 @@ head's differential entropy has one form:
 
     H = (1 + ln 2pi) + s_0 + s_1
 
-Entropy and sampling are built from tape ops, so gradients flow to the raw
-head parameters. ``GaussianLatent.covariance`` materializes one sample's
-2x2 Sigma, with its determinant, for drawing ellipses.
+A reparameterized sample is one tape node on mu and the raw head
+parameters, and so is the entropy term of the loss (``losses.ent_loss``);
+``GaussianLatent.entropy`` is the untaped per-sample value.
+``GaussianLatent.covariance`` materializes one sample's 2x2 Sigma, with its
+determinant, for drawing ellipses.
 """
 
 from __future__ import annotations
@@ -106,43 +108,60 @@ class GaussianLatent:
             raise error(f"covariance head {self.head!r}: {HEAD_PARAMS[self.head][j]} = {raw[i, j]:g} "
                         f"of sample {start + i} overflows the covariance")
 
-    # -- graph-building pieces ---------------------------------------------
+    # -- entropy and sampling -----------------------------------------------
 
-    def _log_std(self) -> Tensor:
+    def _log_std(self) -> np.ndarray:
         """Log standard deviations s: [batch, 1] for isotropic, [batch, 2] otherwise."""
-        if self.head == "full":
-            return T.slice_cols(self.params, 1, 3)
-        return 0.5 * self.params
+        return self.params.data[:, 1:] if self.head == "full" else self.params.data * 0.5
 
-    def entropy(self) -> Tensor:
-        """Per-sample differential entropy, [batch, 1]; zeros for head "none".
+    def _params_grad(self, g_s: np.ndarray) -> np.ndarray:
+        """The gradient on ``params`` of a gradient ``g_s`` on ``_log_std()``."""
+        if self.head != "full":
+            return g_s * 0.5
+        grad = np.zeros(self.params.shape)
+        grad[:, 1:] = g_s
+        return grad
+
+    def entropy(self) -> np.ndarray:
+        """Per-sample differential entropy, [batch, 1], untaped; zeros for head "none".
 
         The isotropic head's one s stands for both dimensions.
         """
         if self.head == "none":
-            return Tensor(np.zeros((self.batch, 1)))
+            return np.zeros((self.batch, 1))
         s = self._log_std()
-        sum_s = T.tsum(s, axis=1) * (LATENT_DIM / s.shape[1])
-        return T.add(sum_s, (0.5 * LATENT_DIM) * (1.0 + LN_2PI))
+        return s.sum(axis=1, keepdims=True) * (LATENT_DIM / s.shape[1]) + (0.5 * LATENT_DIM) * (1.0 + LN_2PI)
 
     def sample(self, eps) -> Tensor:
-        """Reparameterized draw: mu + scale(eps), differentiable in the params.
+        """Reparameterized draw mu + scale(params) eps, one tape node on mu and params.
 
         ``eps`` is a [batch, 2] block of standard-normal draws; it is ignored
-        for head "none", which returns mu unchanged. A sample whose
-        covariance would overflow leaves no finite loss: a DivergenceError
-        (``_check_params``).
+        for head "none", which returns mu unchanged. The scale is sigma I
+        (isotropic), diag(sigma) or the Cholesky factor L (full). A sample
+        whose covariance would overflow leaves no finite loss: a
+        DivergenceError (``_check_params``).
         """
         if self.head == "none":
             return self.mu
-        eps = eps if isinstance(eps, Tensor) else Tensor(eps)
+        eps = (eps if isinstance(eps, Tensor) else Tensor(eps)).data
         if eps.shape != self.mu.shape:
             raise ContractError(f"eps must be [batch, 2] = {self.mu.shape}, got {eps.shape}")
         self._check_params(DivergenceError)
-        scale = T.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over both dimensions
-        if self.head == "full":
-            return T.add(self.mu, T.tril_matvec(T.slice_cols(self.params, 0, 1), scale, eps))
-        return T.add(self.mu, T.mul(scale, eps))
+        scale = np.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over both dimensions
+        step = scale * eps
+        if self.head == "full":  # z_1 = mu_1 + L11 eps_1 + L10 eps_0
+            step[:, 1] += self.params.data[:, 0] * eps[:, 0]
+
+        def backward(g):
+            g_scale = g * eps
+            if self.head == "isotropic":
+                g_scale = g_scale.sum(axis=1, keepdims=True)
+            grad = self._params_grad(g_scale * scale)
+            if self.head == "full":
+                grad[:, :1] = g[:, 1:] * eps[:, :1]
+            return ((self.mu, g), (self.params, grad))
+
+        return T._node(self.mu.data + step, (self.mu, self.params), backward)
 
     # -- numpy-side materialization -----------------------------------------
 

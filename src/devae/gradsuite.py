@@ -1,6 +1,7 @@
 """Finite-difference verification suite for the autodiff engine.
 
-Checks every primitive op and, for each head variant and reconstruction
+Checks every tensor op, the weighted objective, each head's sample and
+entropy node and, for each head variant and reconstruction
 kind, every loss component plus the full composite objective on a small
 two-hidden-layer model. Central differences with step 1e-5 are the oracle;
 the pass bar is a relative error below 1e-4 (1e-6 for the smooth
@@ -40,29 +41,31 @@ def _rand(rng, shape):
 
 
 def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
+    """The tensor ops, the weighted objective, and each head's sample node.
+
+    A non-scalar output is scored by ``squared_error`` against a fixed target.
+    """
     a = _rand(rng, (2, 3))
     b = _rand(rng, (2, 3))
-    strict, diag, v = _rand(rng, (2, 1)), _rand(rng, (2, 2)), _rand(rng, (2, 2))
     w = _rand(rng, (4, 3))
     bias = _rand(rng, (4,))
-    mix = _rand(rng, (2, 4))
-    probe = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3)))
-    probe_2d = Tensor(probe.data[:, :2])
     target = Tensor(rng.uniform(0.0, 1.0, size=(2, 3)))
-    probe_4 = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4)))
-    return [
-        ("add", lambda: T.tsum(T.mul(T.add(a, b), probe)), [a, b]),
-        ("mul", lambda: T.tsum(T.mul(T.mul(a, b), probe)), [a, b]),
-        ("linear", lambda: T.tsum(T.mul(T.linear(a, w, bias), probe_4)), [a, w, bias]),
-        ("linear_relu", lambda: T.tsum(T.mul(T.linear(a, w, bias, act="relu"), probe_4)), [a, w, bias]),
-        ("exp", lambda: T.tsum(T.mul(T.exp(a), probe)), [a]),
+    target_4 = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4)))
+    terms = [_rand(rng, ()) for _ in range(3)]
+    cases = [
+        ("linear", lambda: T.squared_error(T.linear(a, w, bias), target_4), [a, w, bias]),
+        ("linear_relu", lambda: T.squared_error(T.linear(a, w, bias, act="relu"), target_4), [a, w, bias]),
         ("squared_error", lambda: T.squared_error(a, b), [a, b]),
-        ("sum_axis", lambda: T.tsum(T.mul(T.tsum(a, axis=1), probe)), [a]),
-        ("mean", lambda: T.tsum(T.mul(T.tmean(a), probe)), [a]),
-        ("slice_cols", lambda: T.tsum(T.mul(T.slice_cols(mix, 1, 4), probe)), [mix]),
-        ("tril_matvec", lambda: T.tsum(T.mul(T.tril_matvec(strict, diag, v), probe_2d)), [strict, diag, v]),
         ("bce_logits", lambda: T.bce_logits(a, target), [a]),
+        ("combine", lambda: LossWeights(3.0, 0.05).combine_node(*terms), terms),
     ]
+    return cases + [_sample_case(rng, head) for head in ("isotropic", "diagonal", "full")]
+
+
+def _sample_case(rng, head: str):
+    mu, p = _rand(rng, (3, 2)), _rand(rng, (3, len(HEAD_PARAMS[head])))
+    eps, target = rng.standard_normal((3, 2)), Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)))
+    return (f"sample:{head}", lambda: T.squared_error(GaussianLatent(head, mu, p).sample(eps), target), [mu, p])
 
 
 def _entropy_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
@@ -70,7 +73,7 @@ def _entropy_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     cases = []
     for head in ("isotropic", "diagonal", "full"):
         p = _rand(rng, (3, len(HEAD_PARAMS[head])))
-        cases.append((f"entropy:{head}", lambda head=head, p=p: T.tsum(GaussianLatent(head, mu, p).entropy()), [p]))
+        cases.append((f"entropy:{head}", lambda head=head, p=p: ent_loss(GaussianLatent(head, mu, p)), [p]))
     return cases
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DivergenceError, DomainError
-from .gaussian import GaussianLatent
+from .gaussian import LATENT_DIM, GaussianLatent
 from .tensor import Tensor
 
 
@@ -35,9 +35,18 @@ class LossWeights:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ContractError(f"{name} must be finite and >= 0, got {v}")
 
-    def combine(self, recon, proj, ent):
-        """``recon + lambda_proj * proj + lambda_ent * ent``, for floats or graph tensors."""
+    def combine(self, recon: float, proj: float, ent: float) -> float:
+        """``recon + lambda_proj * proj + lambda_ent * ent``."""
         return recon + self.lambda_proj * proj + self.lambda_ent * ent
+
+    def combine_node(self, recon: Tensor, proj: Tensor, ent: Tensor) -> Tensor:
+        """``combine`` of three scalar loss tensors, one tape node."""
+        data = np.asarray(self.combine(recon.item(), proj.item(), ent.item()))
+
+        def backward(g):
+            return ((recon, g), (proj, g * self.lambda_proj), (ent, g * self.lambda_ent))
+
+        return T._node(data, (recon, proj, ent), backward)
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,19 @@ def proj_loss(y: Tensor, mu: Tensor) -> Tensor:
 
 
 def ent_loss(latent: GaussianLatent) -> Tensor:
-    """Batch mean of the negated differential entropy; exactly 0 for "none"."""
+    """Batch mean of the negated differential entropy, one tape node on the
+    head's params; exactly 0 for "none"."""
     if latent.head == "none":
         return Tensor(0.0)
-    return -T.tmean(latent.entropy())
+    h = latent.entropy()
+    s_shape = latent._log_std().shape
+    factor = LATENT_DIM / s_shape[1]  # the isotropic head's one s counts for both dimensions
+
+    def backward(g):
+        g_s = np.full(s_shape, ((g * -1.0) / h.size) * factor)
+        return ((latent.params, latent._params_grad(g_s)),)
+
+    return T._node(np.asarray(-h.mean()), (latent.params,), backward)
 
 
 def total_loss(recon: float, proj: float, ent: float, weights: LossWeights) -> LossBreakdown:

@@ -266,7 +266,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     ent = ent_loss(latent)
     weights = model.config.weights
     breakdown = total_loss(recon.item(), proj.item(), ent.item(), weights)
-    total = weights.combine(recon, proj, ent)
+    total = weights.combine_node(recon, proj, ent)
     return ForwardResult(breakdown=breakdown, x_hat=x_hat, latent=latent, total=total)
 
 

@@ -3,12 +3,11 @@
 Each operation builds a node of a dynamic tape: the output tensor keeps
 references to its parents and a closure that scatters the output gradient
 back onto them. ``backward()`` walks the tape in reverse topological order.
-The op set is what the model uses: the fused dense layer ``linear``,
-``add``/``mul``, ``exp``, the reductions ``tsum``/``tmean``, ``slice_cols``
-to split a head's output into parameter blocks, ``tril_matvec``, which
-applies a batch of 2x2 lower-triangular factors to a batch of 2-D vectors
-for the full-covariance sample, and the losses ``bce_logits`` (binary
-cross-entropy from logits) and ``squared_error``.
+The op set is what the model uses: the fused dense layer ``linear`` and
+the losses ``bce_logits`` (binary cross-entropy from logits) and
+``squared_error``. The nodes that know the covariance heads, the latent
+sample and the entropy term, are built with ``_node`` next to their users
+in ``gaussian`` and ``losses``, and so is the weighted objective.
 
 A dense layer is one fused node, ``linear(x, W, b, act=...)``: the bias add
 and the activation (identity or relu) run in place on the product, a
@@ -70,16 +69,6 @@ ACTIVATIONS = ("identity", "relu")
 
 def _as_f64(data) -> Array:
     return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -161,23 +150,6 @@ class Tensor:
                 prev = incoming.get(id(parent))
                 incoming[id(parent)] = pgrad if prev is None else prev + pgrad
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
 
 class _GradMode(threading.local):
     recording = True
@@ -198,6 +170,9 @@ def no_grad() -> Iterator[None]:
 
 
 def _node(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
+    """A tensor of ``data``; taped, with ``parents`` and ``backward``, when
+    recording and a parent requires a gradient. ``backward`` maps the output
+    gradient to (parent, parent-gradient) pairs."""
     out = Tensor(data)
     out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -206,64 +181,40 @@ def _node(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-# -- arithmetic ----------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError.mismatch("add", a.shape, b.shape) from None
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _node(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError.mismatch("mul", a.shape, b.shape) from None
-
-    def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
-
-    return _node(data, (a, b), backward)
-
-
 # -- BLAS threads and the product pool ------------------------------------------
 
 
-def _pin_blas() -> bool:
-    """Set numpy's OpenBLAS, found among the mapped libraries, to one thread.
+def _openblas_symbol(names: Sequence[str]):
+    """The first of ``names`` that an OpenBLAS among the mapped libraries exports.
 
-    False where no setter is found: another BLAS, or no ``/proc``.
+    None where none is found: another BLAS, or no ``/proc``.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
     except OSError:
-        return False
+        return None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return True
-    return False
+        for name in names:
+            symbol = getattr(lib, name, None)
+            if symbol is not None:
+                return symbol
+    return None
+
+
+def _pin_blas() -> bool:
+    """Set numpy's OpenBLAS to one thread; False where no setter is found."""
+    setter = _openblas_symbol(("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                               "openblas_set_num_threads64_", "openblas_set_num_threads"))
+    if setter is None:
+        return False
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+    return True
 
 
 BLAS_PINNED = _pin_blas()
@@ -354,7 +305,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") ->
     """
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation {act!r}")
-    x, weight, bias = _lift(x), _lift(weight), _lift(bias)
     if x.data.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise DimensionError.mismatch("dense input vs weight", x.shape, weight.shape)
     if bias.shape != weight.shape[:1]:
@@ -375,19 +325,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") ->
         return pairs
 
     return _node(data, (x, weight, bias), backward)
-
-
-# -- elementwise functions ------------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        return ((a, g * data),)
-
-    return _node(data, (a,), backward)
 
 
 _SIGMOID_LO = np.finfo(np.float64).tiny
@@ -415,32 +352,7 @@ def _sigmoid_(z: Array) -> Array:
     return z
 
 
-# -- reductions ------------------------------------------------------------
-
-
-def tsum(a, axis: int | None = None) -> Tensor:
-    """Sum of every element as a 0-d tensor, or along ``axis``, kept as length 1."""
-    a = _lift(a)
-    data = a.data.sum(axis=axis, keepdims=axis is not None)
-
-    def backward(g):
-        return ((a, np.broadcast_to(g, a.shape).copy()),)
-
-    return _node(np.asarray(data), (a,), backward)
-
-
-def tmean(a) -> Tensor:
-    a = _lift(a)
-    n = a.data.size
-    data = np.asarray(a.data.mean())
-
-    def backward(g):
-        return ((a, np.broadcast_to(g / n, a.shape).copy()),)
-
-    return _node(data, (a,), backward)
-
-
-def bce_logits(z, x) -> Tensor:
+def bce_logits(z: Tensor, x: Tensor) -> Tensor:
     """Binary cross-entropy of targets ``x`` against ``sigmoid(z)``, one tape node.
 
     Summed over all elements and divided by the batch (the first axis), in
@@ -449,7 +361,6 @@ def bce_logits(z, x) -> Tensor:
     gradient. The backward is ``(sigmoid(z) - x) g / batch``; the targets
     are constants and receive no gradient.
     """
-    z, x = _lift(z), _lift(x)
     if z.shape != x.shape:
         raise DimensionError.mismatch("bce_logits", z.shape, x.shape)
     batch = z.shape[0]
@@ -470,9 +381,8 @@ def bce_logits(z, x) -> Tensor:
     return _node(data, (z,), backward)
 
 
-def squared_error(a, b) -> Tensor:
+def squared_error(a: Tensor, b: Tensor) -> Tensor:
     """``sum((a - b)**2) / batch`` of two same-shape operands (batch: the first axis), one tape node."""
-    a, b = _lift(a), _lift(b)
     if a.shape != b.shape:
         raise DimensionError.mismatch("squared_error", a.shape, b.shape)
     batch = a.shape[0]
@@ -484,48 +394,6 @@ def squared_error(a, b) -> Tensor:
         return ((a, ga), (b, -ga))
 
     return _node(data, (a, b), backward)
-
-
-# -- structural ops ------------------------------------------------------------
-
-
-def slice_cols(a, j0: int, j1: int) -> Tensor:
-    """Columns [j0, j1) of a 2-d tensor, gradient scattered back in place."""
-    a = _lift(a)
-    if a.data.ndim != 2:
-        raise ContractError(f"slice_cols needs a 2-d tensor, got shape {a.shape}")
-    data = a.data[:, j0:j1].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        return ((a, full),)
-
-    return _node(data, (a,), backward)
-
-
-def tril_matvec(strict, diag, v) -> Tensor:
-    """``L_n @ v[n]`` for each row n of a batch of 2-D vectors, one tape node.
-
-    L_n = [[diag[n, 0], 0], [strict[n, 0], diag[n, 1]]]; ``diag`` and ``v``
-    are [batch, 2] and ``strict`` is [batch, 1]. The second entry of a row is
-    ``diag_1 v_1 + L_10 v_0``, summed in that order.
-    """
-    strict, diag, v = _lift(strict), _lift(diag), _lift(v)
-    n = v.shape[0] if v.data.ndim == 2 else -1
-    if v.shape != (n, 2) or diag.shape != v.shape or strict.shape != (n, 1):
-        raise DimensionError(
-            f"tril_matvec: strict {strict.shape}, diag {diag.shape} and v {v.shape} do not agree"
-        )
-    data = diag.data * v.data
-    data[:, 1] += strict.data[:, 0] * v.data[:, 0]
-
-    def backward(g):
-        gv = g * diag.data
-        gv[:, 0] += g[:, 1] * strict.data[:, 0]
-        return ((strict, g[:, 1:] * v.data[:, :1]), (diag, g * v.data), (v, gv))
-
-    return _node(data, (strict, diag, v), backward)
 
 
 # -- dense layer -----------------------------------------------------------

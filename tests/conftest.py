@@ -24,6 +24,7 @@ from devae import (
     train,
 )
 from devae.gaussian import HEAD_PARAMS, GaussianLatent
+import devae.tensor as T
 from devae.tensor import Tensor
 
 
@@ -162,6 +163,20 @@ def tiny_config(head="full", recon_kind="mse", d=10, seed=11,
         recon_kind=recon_kind,
         seed=seed,
     )
+
+
+@pytest.fixture
+def tape_nodes(monkeypatch) -> list[Tensor]:
+    """Every tensor built by ``tensor._node`` from here on, in order."""
+    nodes = []
+    record = T._node
+
+    def counting_node(*args):
+        nodes.append(record(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(T, "_node", counting_node)
+    return nodes
 
 
 @pytest.fixture(scope="session")

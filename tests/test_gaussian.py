@@ -7,7 +7,7 @@ import pytest
 
 from conftest import mc_entropy, random_latent, tile_latent
 from devae.errors import ContractError, DivergenceError, GeometryError
-from devae.gaussian import LN_2PI, MAX_LOG_STD, EllipseSpec, GaussianLatent, ellipse_from_cov
+from devae.gaussian import HEAD_PARAMS, LN_2PI, MAX_LOG_STD, EllipseSpec, GaussianLatent, ellipse_from_cov
 from devae.losses import ent_loss
 from devae.tensor import Tensor, gradient_check
 import devae.tensor as T
@@ -69,7 +69,7 @@ class TestEntropyValues:
         params = Tensor(np.column_stack([lower, np.full((batch, q), raw)]), requires_grad=True)
         lat = GaussianLatent("full", Tensor(np.zeros((batch, q))), params)
         want = 0.5 * q * (1.0 + LN_2PI) + params.data[:, 1:].sum(axis=1)
-        np.testing.assert_allclose(lat.entropy().data[:, 0], want, rtol=1e-15)
+        np.testing.assert_allclose(lat.entropy()[:, 0], want, rtol=1e-15)
         ent_loss(lat).backward()
         np.testing.assert_array_equal(params.grad[:, 1:], np.full((batch, q), -1.0 / batch))
         np.testing.assert_array_equal(params.grad[:, 0], 0.0)
@@ -111,7 +111,7 @@ class TestEntropyProperties:
         mu = Tensor(np.zeros((3, 2)))
         for head, width in (("isotropic", 1), ("diagonal", 2), ("full", 3)):
             params = Tensor(rng.uniform(-2, 2, size=(3, width)), requires_grad=True)
-            build = lambda: T.tsum(GaussianLatent(head, mu, params).entropy())  # noqa: E731
+            build = lambda: ent_loss(GaussianLatent(head, mu, params))  # noqa: E731
             assert gradient_check(build, [params], floor=1e-8) < 1e-6
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
@@ -122,6 +122,13 @@ class TestEntropyProperties:
         closed = lat.entropy().item()
         estimate = mc_entropy(lat, 0, 1_000_000, seed=6)
         assert abs(estimate - closed) / abs(closed) < 0.01
+
+
+def _old_sample_chain(strict, diag, eps):
+    """L @ eps as the full-head sample used to build it: per-column slice/mul/add."""
+    z0 = diag[:, :1] * eps[:, :1]
+    z1 = diag[:, 1:] * eps[:, 1:] + strict * eps[:, :1]
+    return np.concatenate([z0, z1], axis=1)
 
 
 class TestSampling:
@@ -139,23 +146,24 @@ class TestSampling:
         z = lat.sample(Tensor([[1.0, 1.0]]))
         np.testing.assert_allclose(z.data, [[2.0, 2.0]], rtol=0, atol=1e-15)
 
-    def test_full_sample_records_at_most_five_nodes(self, monkeypatch):
+    @pytest.mark.parametrize("head", ["isotropic", "diagonal", "full"])
+    def test_sample_is_one_node(self, tape_nodes, head):
         rng = np.random.default_rng(2)
         mu = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        raw = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
-        lat = GaussianLatent("full", mu, raw)
-        nodes = []
-        record = T._node
-
-        def counting_node(*args):
-            nodes.append(record(*args))
-            return nodes[-1]
-
-        monkeypatch.setattr(T, "_node", counting_node)
-        z = lat.sample(rng.standard_normal((4, 2)))
-        assert len(nodes) <= 5 and nodes[-1] is z
-        T.tsum(z).backward()
+        raw = Tensor(rng.uniform(-1, 1, size=(4, len(HEAD_PARAMS[head]))), requires_grad=True)
+        z = GaussianLatent(head, mu, raw).sample(rng.standard_normal((4, 2)))
+        assert tape_nodes == [z] and z._parents == (mu, raw)
+        T.squared_error(z, Tensor(np.zeros((4, 2)))).backward()
         assert mu.grad is not None and raw.grad is not None
+
+    def test_full_sample_matches_the_slice_mul_add_chain(self):
+        # Values bit for bit, on a batch of 64 with mu off zero.
+        rng = np.random.default_rng(22)
+        mu = rng.standard_normal((64, 2))
+        raw = np.column_stack([rng.uniform(-2, 2, size=(64, 1)), np.log(rng.uniform(0.1, 2, size=(64, 2)))])
+        eps = rng.standard_normal((64, 2))
+        z = GaussianLatent("full", Tensor(mu), Tensor(raw)).sample(eps).data
+        assert z.tobytes() == (mu + _old_sample_chain(raw[:, :1], np.exp(raw[:, 1:]), eps)).tobytes()
 
     def test_full_sample_is_mu_plus_l_eps(self):
         rng = np.random.default_rng(12)

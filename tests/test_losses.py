@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-import devae.tensor as T
 from conftest import tiny_config
 from devae.errors import DimensionError, DivergenceError, DomainError
-from devae.gaussian import GaussianLatent
+from devae.gaussian import HEAD_PARAMS, GaussianLatent
 from devae.losses import (
     LossWeights,
     ent_loss,
@@ -175,7 +174,7 @@ class TestTotalLoss:
         recon = Tensor(rng.uniform(0, 5))
         proj = Tensor(rng.uniform(0, 5))
         ent = Tensor(rng.uniform(-5, 0))
-        graph = w.combine(recon, proj, ent).item()
+        graph = w.combine_node(recon, proj, ent).item()
         floats = total_loss(recon.item(), proj.item(), ent.item(), w).total
         assert graph == floats
         x = rng.uniform(-1, 1, size=(6, 10))
@@ -193,20 +192,31 @@ class TestTotalLoss:
 
 
 @pytest.mark.parametrize("loss", [recon_mse, proj_loss])
-def test_squared_error_loss_records_one_node(monkeypatch, loss):
-    nodes = []
-    record = T._node
-
-    def counting_node(*args):
-        nodes.append(record(*args))
-        return nodes[-1]
-
-    monkeypatch.setattr(T, "_node", counting_node)
+def test_squared_error_loss_records_one_node(tape_nodes, loss):
     target = Tensor(np.zeros((4, 2)))
     out = Tensor(np.ones((4, 2)), requires_grad=True)
     value = loss(target, out)
-    assert len(nodes) == 1 and nodes[0] is value
+    assert tape_nodes == [value]
     assert value._parents == (target, out)
+
+
+@pytest.mark.parametrize("head", ["isotropic", "diagonal", "full"])
+def test_entropy_loss_records_one_node(tape_nodes, head):
+    params = Tensor(np.random.default_rng(7).uniform(-2, 2, size=(4, len(HEAD_PARAMS[head]))), requires_grad=True)
+    lat = GaussianLatent(head, Tensor(np.zeros((4, 2))), params)
+    value = ent_loss(lat)
+    assert tape_nodes == [value]
+    assert value._parents == (params,)
+    assert value.item() == -lat.entropy().mean()
+
+
+def test_weighted_objective_records_one_node(tape_nodes):
+    terms = [Tensor(v, requires_grad=True) for v in (1.5, 2.0, -3.0)]
+    value = LossWeights(2.0, 0.5).combine_node(*terms)
+    assert tape_nodes == [value]
+    assert value._parents == tuple(terms)
+    value.backward()
+    assert [t.grad.item() for t in terms] == [1.0, 2.0, 0.5]
 
 
 class TestLossGradients:
@@ -237,6 +247,6 @@ class TestLossGradients:
 
         def build():
             lat = GaussianLatent("diagonal", mu, lv)
-            return w.combine(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat))
+            return w.combine_node(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat))
 
         assert gradient_check(build, [x_hat, mu, lv]) < 1e-4

@@ -13,7 +13,7 @@ from devae.errors import (
     DivergenceError,
 )
 from devae.losses import LossWeights
-from devae.model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
+from devae.model import RECON_KINDS, DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
 from devae.tensor import Tensor, _sigmoid_
 from devae.trainer import Adam
 
@@ -118,6 +118,19 @@ class TestForwardTrain:
         model = DeVae(tiny_config())
         with pytest.raises(DimensionError):
             forward_train(model, np.zeros((3, 10)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("recon_kind", RECON_KINDS)
+    @pytest.mark.parametrize("head, count", [("none", 9), ("isotropic", 12), ("diagonal", 12), ("full", 12)])
+    def test_forward_pass_node_count(self, tape_nodes, head, count, recon_kind):
+        # One node per dense layer, one sample (none for head "none"), the
+        # two squared or BCE losses, one entropy term (none for "none") and
+        # the weighted objective.
+        model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(0, 1, size=(4, 10)), rng.uniform(-1, 1, size=(4, 2))
+        result = forward_train(model, x, y, rng.standard_normal((4, 2)))
+        assert len(tape_nodes) == count and tape_nodes[-1] is result.total
+        assert all(n._backward is not None for n in tape_nodes)
 
     def test_none_head_has_no_variance_parameters(self):
         none = DeVae(tiny_config(head="none"))

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestFusedLinear:
         def run(fused):
             x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, bv))
             out = T.linear(x, w, b, act=act) if fused else unfused(T.linear(x, w, b))
-            T.tsum(T.mul(out, probe)).backward()
+            T.squared_error(out, probe).backward()
             return out.data, x.grad, w.grad, b.grad
 
         for fused, composed in zip(run(True), run(False)):
@@ -144,16 +145,9 @@ class TestFusedLinear:
             T.linear(x, w, Tensor(np.zeros(2)))
 
     @pytest.mark.parametrize("head, recon_kind", [("full", "bce"), ("none", "mse")])
-    def test_model_forward_records_one_node_per_dense_layer(self, monkeypatch, head, recon_kind):
+    def test_model_forward_records_one_node_per_dense_layer(self, tape_nodes, head, recon_kind):
         model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
-        nodes = []
-        record = T._node
-
-        def counting_node(*args):
-            nodes.append(record(*args))
-            return nodes[-1]
-
-        monkeypatch.setattr(T, "_node", counting_node)
+        nodes = tape_nodes
         latent = model.encode(Tensor(np.random.default_rng(2).uniform(0, 1, size=(6, 10))))
         x_hat = model.decode_logits(latent.mu)
         assert len(nodes) == len(model.layers)
@@ -168,7 +162,8 @@ class TestSquaredError:
         av, bv = rng.normal(0.0, 3.0, size=(64, 2)), rng.normal(0.0, 3.0, size=(64, 2))
         a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
         loss = T.squared_error(a, b)
-        (loss * 20.0).backward()  # a loss weight, as in the composite objective
+        zero = Tensor(0.0)
+        LossWeights(20.0, 0.0).combine_node(zero, loss, zero).backward()  # a loss weight, as in the objective
         d = av - bv
         grad_a = (20.0 * (1.0 / 64)) * 2.0 * d
         assert loss.data.tobytes() == np.asarray((d * d).sum() * (1.0 / 64)).tobytes()
@@ -190,8 +185,8 @@ def _linear_run(x, w, b):
     """A relu layer's output and its three gradients under a fixed probe."""
     xt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (x, w, b))
     out = T.linear(xt, wt, bt, act="relu")
-    probe = np.random.default_rng(1).standard_normal(out.shape)
-    T.tsum(T.mul(out, probe)).backward()
+    probe = Tensor(np.random.default_rng(1).standard_normal(out.shape))
+    T.squared_error(out, probe).backward()
     return out.data, xt.grad, wt.grad, bt.grad
 
 
@@ -273,55 +268,12 @@ class TestSplitProducts:
         assert code == 0
 
 
-def _old_sample_chain(strict, diag, eps):
-    """L @ eps as the full-head sample used to build it: per-column slice/mul/add."""
-    z0 = diag[:, :1] * eps[:, :1]
-    z1 = diag[:, 1:] * eps[:, 1:] + strict * eps[:, :1]
-    return np.concatenate([z0, z1], axis=1)
-
-
-def _tril_inputs(rng, batch=7):
-    return (
-        Tensor(rng.uniform(-2, 2, size=(batch, 1)), requires_grad=True),
-        Tensor(rng.uniform(0.1, 2, size=(batch, 2)), requires_grad=True),
-        Tensor(rng.standard_normal((batch, 2)), requires_grad=True),
-    )
-
-
-class TestTrilMatvec:
-    def test_gradients_of_every_input_match_finite_differences(self):
-        rng = np.random.default_rng(2)
-        strict, diag, v = _tril_inputs(rng, batch=3)
-        probe = Tensor(rng.uniform(-1, 1, size=(3, 2)))
-        err = gradient_check(lambda: T.tsum(T.mul(T.tril_matvec(strict, diag, v), probe)),
-                             [strict, diag, v])
-        assert err < 1e-6
-        assert all(t.grad is not None for t in (strict, diag, v))
-
-    def test_values_match_the_slice_mul_add_chain(self):
-        strict, diag, v = _tril_inputs(np.random.default_rng(22), batch=64)
-        got = T.tril_matvec(strict, diag, v).data
-        want = _old_sample_chain(strict.data, diag.data, v.data)
-        assert got.tobytes() == want.tobytes()
-
-    def test_shapes_checked(self):
-        strict, diag, v = _tril_inputs(np.random.default_rng(31))
-        with pytest.raises(DimensionError):
-            T.tril_matvec(strict, diag, Tensor(np.zeros((7, 3))))
-        with pytest.raises(DimensionError):
-            T.tril_matvec(Tensor(np.zeros((7, 2))), diag, v)
-        with pytest.raises(DimensionError):
-            T.tril_matvec(strict, Tensor(np.zeros((7, 1))), v)
-        with pytest.raises(DimensionError):
-            T.tril_matvec(strict, diag, Tensor(np.zeros(2)))
-
-
 class TestBackward:
     def test_linear_derivative(self):
-        w = Tensor([2.0], requires_grad=True)
-        x = Tensor([3.0])
-        T.tsum(T.mul(w, x)).backward()
-        np.testing.assert_array_equal(w.grad, [3.0])
+        # d/dw (w x + b - 0)^2 = 2 (w x + b) x = 2 * 7 * 3
+        w = Tensor([[2.0]], requires_grad=True)
+        T.squared_error(T.linear(Tensor([[3.0]]), w, Tensor([1.0])), Tensor([[0.0]])).backward()
+        np.testing.assert_array_equal(w.grad, [[42.0]])
 
     def test_bce_logits_derivative_at_zero(self):
         # (sigmoid(0) - x) / batch for targets 0 and 1 over a batch of 2.
@@ -330,28 +282,30 @@ class TestBackward:
         np.testing.assert_array_equal(pre.grad, [[0.25], [-0.25]])
 
     def test_accumulation_is_exactly_double(self):
-        w = Tensor(np.array([1.5, -0.5]), requires_grad=True)
-        x = Tensor(np.array([2.0, 3.0]))
-        wx = T.mul(w, x)
-        loss = T.tsum(T.mul(wx, wx))
+        w = Tensor(np.array([[1.5, -0.5]]), requires_grad=True)
+        x = Tensor(np.array([[2.0, 3.0]]))
+        loss = T.squared_error(T.linear(x, w, Tensor([0.25])), Tensor([[1.0]]))
         loss.backward()
         once = w.grad.copy()
         loss.backward()
         np.testing.assert_array_equal(w.grad, 2.0 * once)
 
     def test_shared_gradient_memory_is_not_written_through(self):
-        # add's backward hands one array to both operands; accumulating a's
-        # two contributions must not change what b received.
+        # A node may hand one array to several parents, as this sum does;
+        # accumulating a's two contributions must not change what b received.
+        def total(x, y):
+            return T._node(x.data + y.data, (x, y), lambda g: ((x, g), (y, g)))
+
         a = Tensor([1.0], requires_grad=True)
         b = Tensor([1.0], requires_grad=True)
-        T.add(T.add(a, b), a).backward()
+        total(total(a, b), a).backward()
         np.testing.assert_array_equal(a.grad, [2.0])
         np.testing.assert_array_equal(b.grad, [1.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):
-            T.mul(w, w).backward()
+            T.linear(Tensor(np.ones((1, 2))), w, Tensor(np.zeros(2))).backward()
 
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -376,7 +330,7 @@ class TestBackward:
         x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
-        T.tsum(T.linear(x, w, b, act="relu")).backward()
+        T.squared_error(T.linear(x, w, b, act="relu"), Tensor(np.ones((2, 4)))).backward()
         assert x.grad is not None and w.grad is not None and b.grad is not None
 
     def test_only_leaves_keep_gradients(self):
@@ -395,7 +349,7 @@ class TestBackward:
                 nodes.append(node)
                 stack.extend(node._parents)
         intermediates = [n for n in nodes if n._backward is not None]
-        assert len(intermediates) > 20
+        assert len(intermediates) == 12  # 7 dense layers, the sample, 2 losses, the entropy, the objective
         assert all(n.grad is None for n in intermediates)
         leaves = [n for n in nodes if n.requires_grad and n._backward is None]
         assert {id(p) for p in leaves} == {id(p) for p in model.parameters()}
@@ -447,16 +401,14 @@ class TestFiniteDiff:
 
 
 def _op_cases(rng):
-    """The gradient suite's op cases, plus ``tsum`` over all axes, one more
-    ``add``, and the unfused activations the fused layer is compared against."""
+    """The gradient suite's op cases, plus the unfused activations the fused
+    layer is compared against."""
     cases = gradsuite._op_cases(rng)
-    a, b = next(params for name, _, params in cases if name == "add")
-    probe = Tensor(rng.uniform(-1, 1, size=(2, 3)))
+    a, _ = next(params for name, _, params in cases if name == "squared_error")
+    target = Tensor(rng.uniform(-1, 1, size=(2, 3)))
     return cases + [
-        ("sum_bare", lambda: T.mul(T.tsum(a), T.tsum(a)), [a]),
-        ("broadcast_bias", lambda: T.tsum(T.mul(T.add(a, T.slice_cols(b, 0, 3)), probe)), [a, b]),
-        ("relu", lambda: T.tsum(T.mul(relu(a), probe)), [a]),
-        ("sigmoid", lambda: T.tsum(T.mul(sigmoid(a), probe)), [a]),
+        ("relu", lambda: T.squared_error(relu(a), target), [a]),
+        ("sigmoid", lambda: T.squared_error(sigmoid(a), target), [a]),
     ]
 
 
@@ -467,10 +419,11 @@ OP_NAMES = [case[0] for case in _op_cases(np.random.default_rng(0))]
 def test_op_gradients_match_finite_differences(op_name):
     """Analytic vs central-difference gradients, randomized trials per op.
 
-    15 ops x 8 trials = 120 randomized checks across the suite.
+    10 ops x 8 trials = 80 randomized checks across the suite, seeded the
+    same in every process.
     """
     for trial in range(8):
-        rng = np.random.default_rng(hash((op_name, trial)) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(op_name.encode()) + trial)
         for name, build, params in _op_cases(rng):
             if name != op_name:
                 continue
@@ -493,7 +446,7 @@ class TestDeterminism:
 
     def test_invariants_after_ops(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
-        out = T.tsum(T.exp(a))
+        out = T.bce_logits(a, Tensor([[0.0, 1.0]]))
         assert np.isfinite(out.data).all()
         out.backward()
         assert a.grad.shape == a.data.shape
@@ -504,7 +457,7 @@ def _records(t: Tensor) -> bool:
 
 
 def _taped_op() -> Tensor:
-    return T.mul(Tensor([1.0, 2.0], requires_grad=True), 3.0)
+    return T.squared_error(Tensor([[1.0, 2.0]], requires_grad=True), Tensor([[0.0, 3.0]]))
 
 
 class TestNoGrad:
