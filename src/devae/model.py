@@ -35,7 +35,7 @@ from .data import gather_rows
 from .errors import CheckpointError, ContractError, DimensionError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
-from .tensor import DenseLayer, Tensor, _sigmoid_, no_grad
+from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, fan_out, no_grad
 
 MAGIC = b"DEVAE"
 VERSION = 1
@@ -131,10 +131,15 @@ def parameter_count(config: ModelConfig) -> int:
 class DeVae:
     """A trained (or trainable) parametric projection and its inverse."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, *, _flat: np.ndarray | None = None):
+        """A model with freshly initialized parameters, drawn from ``config.seed``.
+
+        ``load_checkpoint`` passes the parameter block it read as ``_flat``,
+        which becomes ``flat`` as is, and no initial values are drawn.
+        """
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.flat = np.empty(parameter_count(config))
+        rng = np.random.default_rng(config.seed) if _flat is None else None
+        self.flat = np.empty(parameter_count(config)) if _flat is None else _flat
         layers: list[DenseLayer] = []
         offset = 0
         for out_dim, in_dim, activation in _layer_specs(config):
@@ -142,9 +147,10 @@ class DeVae:
             offset += out_dim * in_dim
             bias = self.flat[offset : offset + out_dim]
             offset += out_dim
-            bound = math.sqrt(6.0 / in_dim)
-            weight[...] = rng.uniform(-bound, bound, size=weight.shape)
-            bias[...] = 0.0
+            if rng is not None:
+                bound = math.sqrt(6.0 / in_dim)
+                weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+                bias[...] = 0.0
             # Tensor keeps a contiguous float64 array as is, so .data stays a view.
             layers.append(DenseLayer(Tensor(weight, requires_grad=True),
                                      Tensor(bias, requires_grad=True), activation))
@@ -228,11 +234,17 @@ class DeVae:
         return z
 
     def decode(self, z) -> Tensor:
-        """Reconstruction of latent points, without a tape; in (0, 1) for BCE."""
+        """Reconstruction of latent points, without a tape; in (0, 1) for BCE.
+
+        BCE's sigmoid runs on the row blocks the output layer's product was
+        split into, one per lane.
+        """
         with no_grad():
             out = self.decode_logits(z)
         if self.config.recon_kind == "bce":
-            _sigmoid_(out.data)  # the untaped output is this call's own array
+            logits = out.data  # the untaped output is this call's own array
+            blocks = _row_blocks(len(logits), logits.size * self.decoder[-1].weight.shape[1])
+            fan_out(lambda lo, hi: _sigmoid_(logits[lo:hi]), blocks)
         return out
 
 
@@ -311,13 +323,13 @@ def load_checkpoint(path) -> DeVae:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if n_bytes > left:
             raise CheckpointError(f"parameter block: expected {n_bytes} bytes, got {left}")
-        model = DeVae(config)
-        got = fh.readinto(model.flat)
+        flat = np.empty(n_bytes // 8)
+        got = fh.readinto(flat)
         if got != n_bytes:
             raise CheckpointError(f"parameter block: expected {n_bytes} bytes, got {got}")
         if sys.byteorder == "big":  # the file is little-endian
-            model.flat.byteswap(inplace=True)
+            flat.byteswap(inplace=True)
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after final parameter tensor")
-    return model
+    return DeVae(config, _flat=flat)

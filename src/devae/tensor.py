@@ -14,7 +14,7 @@ and the activation (identity or relu) run in place on the product, a
 cache-sized row block at a time, and the node keeps only that output, off
 which its backward reads relu' (out > 0). The one sigmoid, ``_sigmoid_``,
 is no tape op: it runs in place in ``bce_logits``' backward and on
-``DeVae.decode``'s untaped output.
+``DeVae.decode``'s untaped output, there on the output product's row blocks.
 
 A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
@@ -24,15 +24,19 @@ A small thread pool has two users, and ``fan_out`` is their one hand-off:
 it runs the first item of a list in the caller and the others on the pool,
 and returns once all have finished. The three products of ``linear``
 (``x @ W.T`` forward, ``g @ W`` and ``g.T @ x`` backward) go through
-``_matmul``, which splits a large product by output columns; and
+``_matmul``, which splits a large product into balanced blocks of output
+rows (``_row_blocks``), one per lane; each lane finishes its own block, so
+a dense layer's bias add and activation run in the lanes too. And
 ``data.pca_project`` works on two row blocks at a time, one per lane. The
 pool's workers touch only raw arrays, never a tensor or a tape: each
-computes one column block of a product, or one block of a PCA pass, into
-arrays its caller allocated. At import, numpy's OpenBLAS is pinned to one
-thread, since it rounds a product differently at other thread counts; so
-the bytes of every output are the same at any ``OPENBLAS_NUM_THREADS`` and
-any worker count. Where no setter for the BLAS thread count is found,
-``BLAS_PINNED`` is False, ``WORKERS`` is 1 and nothing reaches the pool.
+computes and finishes one row block of a product, or one block of a PCA
+pass, in arrays its caller allocated. At import, numpy's OpenBLAS is pinned
+to one thread, since it rounds a product differently at other thread
+counts; a row of a product does not depend on the other rows computed with
+it, so the bytes of every output are the same at any
+``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for the BLAS
+thread count is found, ``BLAS_PINNED`` is False, ``WORKERS`` is 1 and
+nothing reaches the pool.
 
 Inside ``with no_grad():`` operations record no tape: outputs keep no
 parents and no closure, so each intermediate is freed as soon as the next
@@ -56,6 +60,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -68,7 +73,9 @@ ACTIVATIONS = ("identity", "relu")
 
 
 def _as_f64(data) -> Array:
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    """``data`` as a C-contiguous float64 array of its own shape (0-d stays 0-d);
+    an array that already is one is returned as is, not copied."""
+    return np.asarray(data, dtype=np.float64, order="C")
 
 
 class Tensor:
@@ -226,14 +233,11 @@ WORKERS = min(len(os.sched_getaffinity(0)), 4) if BLAS_PINNED else 1
 
 # Multiply-adds from which a product is split (67M). Measured on 2 vCPUs
 # at one BLAS thread: encoding 20000 784-d rows in 4096-row chunks (products
-# of 268M-1644M) took 0.38 s split against 0.63 s whole. Inside the training
-# loop, splitting the batch-64 products (25.7M) made a step slower, 28.5
-# against 26.1 ms: waking a worker costs about what half a product saves.
+# of 268M-1644M) took 0.30 s in two row blocks against 0.56 s whole, and
+# decoding them 0.36 against 0.65 s. The batch-64 training products (25.7M)
+# stay whole: split by columns they made a step slower, 28.5 against 26.1
+# ms, and the row split is not yet benchmarked in training.
 SPLIT_MADDS = 1 << 26
-
-# Column blocks start at multiples of this, so each block is bit-identical
-# to the same columns of the unsplit product (unaligned blocks are not).
-SPLIT_ALIGN = 64
 
 
 def _new_pool() -> None:
@@ -256,6 +260,8 @@ def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
     then. ``fn`` must not fan out itself: a worker that waited on the pool
     could wait on its own queue.
     """
+    if len(items) == 1:  # nothing to hand off, so nothing to wait for
+        return [fn(*items[0])]
     futures = [_pool.submit(fn, *item) for item in items[1:]]
     try:
         first = fn(*items[0])
@@ -264,21 +270,31 @@ def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _matmul(a: Array, b: Array) -> Array:
-    """``a @ b``, split by output columns over ``WORKERS`` threads when large.
+def _row_blocks(m: int, madds: int) -> list[tuple[int, int]]:
+    """Balanced row blocks ``(lo, hi)`` of ``m`` rows: one per lane for a job
+    of at least ``SPLIT_MADDS`` multiply-adds, one in all for a smaller one."""
+    parts = min(WORKERS, m) if madds >= SPLIT_MADDS else 1
+    cuts = [m * i // parts for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
 
-    Every block is written in place into one output array, so the workers
-    allocate nothing; the caller computes the first block itself while the
+
+def _matmul(a: Array, b: Array, finish: Callable[[Array], object] | None = None) -> Array:
+    """``a @ b``, split by rows over ``WORKERS`` threads when large; then ``finish``.
+
+    Each lane computes its block of output rows in place into one output
+    array, so the workers allocate nothing, and then runs ``finish`` on that
+    C-contiguous block; the caller computes the first block itself while the
     pool computes the others (numpy releases the GIL in ``matmul``).
     """
-    m, n = a.shape[0], b.shape[1]
-    blocks = n // SPLIT_ALIGN
-    parts = min(WORKERS, blocks) if m * a.shape[1] * n >= SPLIT_MADDS else 1
-    if parts < 2:
-        return a @ b
-    cuts = [SPLIT_ALIGN * (blocks * i // parts) for i in range(parts)] + [n]
-    out = np.empty((m, n))
-    fan_out(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), list(zip(cuts, cuts[1:])))
+    m = a.shape[0]
+    out = np.empty((m, b.shape[1]))
+
+    def lane(lo, hi):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        if finish is not None:
+            finish(out[lo:hi])
+
+    fan_out(lane, _row_blocks(m, m * a.shape[1] * b.shape[1]))
     return out
 
 
@@ -300,8 +316,9 @@ def _epilogue(data: Array, bias: Array, act: str) -> None:
 def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") -> Tensor:
     """Fused dense layer ``act(x @ weight.T + bias)``, one tape node.
 
-    The bias add and the activation run in place on the product; the node
-    keeps only its output, which is all its backward needs.
+    The bias add and the activation run in place on the product, each lane
+    on the rows it computed; the node keeps only its output, which is all
+    its backward needs.
     """
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation {act!r}")
@@ -309,8 +326,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, *, act: str = "identity") ->
         raise DimensionError.mismatch("dense input vs weight", x.shape, weight.shape)
     if bias.shape != weight.shape[:1]:
         raise DimensionError.mismatch("dense weight vs bias", weight.shape, bias.shape)
-    data = _matmul(x.data, weight.data.T)
-    _epilogue(data, bias.data, act)
+    data = _matmul(x.data, weight.data.T, partial(_epilogue, bias=bias.data, act=act))
 
     def backward(g):
         if act == "relu":  # relu' read off the output: out > 0 exactly where pre > 0

@@ -216,7 +216,15 @@ def test_weighted_objective_records_one_node(tape_nodes):
     assert tape_nodes == [value]
     assert value._parents == tuple(terms)
     value.backward()
-    assert [t.grad.item() for t in terms] == [1.0, 2.0, 0.5]
+    assert [float(t.grad) for t in terms] == [1.0, 2.0, 0.5]
+
+
+@pytest.mark.parametrize("recon_kind", ["mse", "bce"])
+def test_loss_nodes_are_0d(recon_kind):
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0, 1, size=(6, 10)), rng.uniform(-1, 1, size=(6, 2))
+    total = forward_train(DeVae(tiny_config(recon_kind=recon_kind)), x, y).total
+    assert [t.shape for t in (total, *total._parents)] == [()] * 4
 
 
 class TestLossGradients:

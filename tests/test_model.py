@@ -230,6 +230,19 @@ class TestCheckpoint:
         x = np.random.default_rng(6).uniform(-1, 1, size=(3, 10))
         np.testing.assert_array_equal(model.encode(x).mu.data, loaded.encode(x).mu.data)
 
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = DeVae(tiny_config(seed=9))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert all(np.shares_memory(p.data, loaded.flat) for p in loaded.parameters())
+
     def test_bad_magic(self, tmp_path):
         model = DeVae(tiny_config())
         path = tmp_path / "m.ckpt"

@@ -194,7 +194,7 @@ def _linear_run(x, w, b):
 class TestSplitProducts:
     @pytest.mark.parametrize("batch", [37, 64, 500, 3616, 4096])
     @pytest.mark.parametrize("out_dim, in_dim", PIXEL_LAYERS)
-    def test_aligned_column_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim):
+    def test_row_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim):
         # 3616 rows is the last INFER_CHUNK of 20000. Products down to an
         # eighth of SPLIT_MADDS are split here, so the training batches are
         # covered too, with a margin below the threshold.
@@ -220,6 +220,26 @@ class TestSplitProducts:
         for a, b in zip(one, two):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("rows", [3616, 4096])
+    def test_model_inference_bytes_equal_at_one_to_four_workers(self, monkeypatch, rows):
+        # 3616 rows is the last INFER_CHUNK of 20000, 4096 a whole one.
+        model = DeVae(ModelConfig(784, LossWeights(20.0, 5.0), head="full", recon_kind="bce"))
+        rng = np.random.default_rng(rows)
+        X = ((rng.random((rows, 784)) < 0.2) * rng.integers(0, 256, (rows, 784))).astype(np.uint8)
+        Z = rng.normal(0.0, 3.0, size=(rows, 2))
+        runs = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            latent = model.encode_rows(X)
+            pool = CountingPool(T._pool)
+            monkeypatch.setattr(T, "_pool", pool)
+            out = model.decode(Z)
+            monkeypatch.setattr(T, "_pool", pool.pool)
+            # dec1's and the output layer's products, and the sigmoid
+            assert pool.submitted == 3 * (workers - 1)
+            runs.append((latent.mu.data.tobytes(), latent.params.data.tobytes(), out.data.tobytes()))
+        assert runs[1:] == runs[:1] * 3
+
     def test_small_products_never_reach_the_pool(self, monkeypatch):
         pool = CountingPool(T._pool)
         monkeypatch.setattr(T, "WORKERS", 4)
@@ -232,7 +252,7 @@ class TestSplitProducts:
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         # More splitting threads than cores, switching often: every caller
-        # must get its own product whole, each column block written once.
+        # must get its own product whole, each row block written once.
         monkeypatch.setattr(T, "WORKERS", 4)
         rng = np.random.default_rng(6)
         pairs = [(rng.random((128, 784)), rng.standard_normal((784, 704))) for _ in range(4)]
