@@ -20,23 +20,26 @@ A graph and its tensors belong to one thread for the duration of a
 forward/backward pass; tensors without a recorded graph are plain values
 and can move freely between threads.
 
-A small thread pool has two users, and ``fan_out`` is their one hand-off:
+A small thread pool has three users, and ``fan_out`` is their one hand-off:
 it runs the first item of a list in the caller and the others on the pool,
 and returns once all have finished. The three products of ``linear``
 (``x @ W.T`` forward, ``g @ W`` and ``g.T @ x`` backward) go through
-``_matmul``, which splits a large product into balanced blocks of output
-rows (``_row_blocks``), one per lane; each lane finishes its own block, so
-a dense layer's bias add and activation run in the lanes too. And
-``data.pca_project`` works on two row blocks at a time, one per lane. The
-pool's workers touch only raw arrays, never a tensor or a tape: each
-computes and finishes one row block of a product, or one block of a PCA
-pass, in arrays its caller allocated. At import, numpy's OpenBLAS is pinned
-to one thread, since it rounds a product differently at other thread
-counts; a row of a product does not depend on the other rows computed with
-it, so the bytes of every output are the same at any
-``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for the BLAS
-thread count is found, ``BLAS_PINNED`` is False, ``WORKERS`` is 1 and
-nothing reaches the pool.
+``_matmul``, which cuts a product into balanced blocks of output rows
+(``_row_blocks``), at most one per lane, each of at least two rows and
+about ``LANE_MADDS`` multiply-adds or more; each lane finishes its own
+block, so a dense layer's bias add and activation run in the lanes too.
+The 784-wide products of a batch-64 training step are split this way, the
+512x128 ones stay whole. ``data.pca_project`` works on two row blocks at a
+time, one per lane, and ``trainer.Adam`` updates its parameter blocks in
+lanes. The pool's workers touch only raw arrays, never a tensor or a tape:
+each computes and finishes one row block of a product, one block of a PCA
+pass or one lane of Adam's blocks, in arrays its caller allocated. At
+import, numpy's OpenBLAS is pinned to one thread, since it rounds a product
+differently at other thread counts; a row of a product does not depend on
+the other rows computed with it, so the bytes of every output are the same
+at any ``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for
+the BLAS thread count is found, ``BLAS_PINNED`` is False, ``WORKERS`` is 1
+and nothing reaches the pool.
 
 Inside ``with no_grad():`` operations record no tape: outputs keep no
 parents and no closure, so each intermediate is freed as soon as the next
@@ -226,18 +229,19 @@ def _pin_blas() -> bool:
 
 BLAS_PINNED = _pin_blas()
 
-# Threads that share one large product, the caller included: the usable
-# CPUs, at most four; never sized from the input. A PCA pass uses at most
-# two of them (``data.PCA_LANES``).
+# Threads that share one large product or one Adam step, the caller
+# included: the usable CPUs, at most four; never sized from the input. A
+# PCA pass uses at most two of them (``data.PCA_LANES``).
 WORKERS = min(len(os.sched_getaffinity(0)), 4) if BLAS_PINNED else 1
 
-# Multiply-adds from which a product is split (67M). Measured on 2 vCPUs
-# at one BLAS thread: encoding 20000 784-d rows in 4096-row chunks (products
-# of 268M-1644M) took 0.30 s in two row blocks against 0.56 s whole, and
-# decoding them 0.36 against 0.65 s. The batch-64 training products (25.7M)
-# stay whole: split by columns they made a step slower, 28.5 against 26.1
-# ms, and the row split is not yet benchmarked in training.
-SPLIT_MADDS = 1 << 26
+# Fewest multiply-adds a lane of a split product gets (8.4M). Measured on 2
+# vCPUs at one BLAS thread: a batch-64 784-d step's 25.7M products took
+# 1.5-1.7 ms whole and 0.85-1.25 ms in two row blocks, and 4096-row
+# inference chunks (268M-1644M) about half their whole time; the step's
+# 4.2M products ran no faster split. The floor also keeps every block out of
+# OpenBLAS's small-matrix kernel (up to about 1e6 multiply-adds), which
+# rounds differently from the kernel of the whole product.
+LANE_MADDS = 1 << 23
 
 
 def _new_pool() -> None:
@@ -260,8 +264,8 @@ def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
     then. ``fn`` must not fan out itself: a worker that waited on the pool
     could wait on its own queue.
     """
-    if len(items) == 1:  # nothing to hand off, so nothing to wait for
-        return [fn(*items[0])]
+    if len(items) <= 1:  # nothing to hand off, so nothing to wait for
+        return [fn(*item) for item in items]
     futures = [_pool.submit(fn, *item) for item in items[1:]]
     try:
         first = fn(*items[0])
@@ -271,15 +275,17 @@ def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
 
 
 def _row_blocks(m: int, madds: int) -> list[tuple[int, int]]:
-    """Balanced row blocks ``(lo, hi)`` of ``m`` rows: one per lane for a job
-    of at least ``SPLIT_MADDS`` multiply-adds, one in all for a smaller one."""
-    parts = min(WORKERS, m) if madds >= SPLIT_MADDS else 1
+    """Balanced row blocks ``(lo, hi)`` of ``m`` rows of a job of ``madds``
+    multiply-adds: at most one per lane, each of at least two rows (a 1-row
+    block rounds differently from a multi-row product) and about
+    ``LANE_MADDS`` multiply-adds or more; one in all for a small job."""
+    parts = max(1, min(WORKERS, m // 2, madds // LANE_MADDS))
     cuts = [m * i // parts for i in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
 def _matmul(a: Array, b: Array, finish: Callable[[Array], object] | None = None) -> Array:
-    """``a @ b``, split by rows over ``WORKERS`` threads when large; then ``finish``.
+    """``a @ b``, split by rows over up to ``WORKERS`` threads (``_row_blocks``); then ``finish``.
 
     Each lane computes its block of output rows in place into one output
     array, so the workers allocate nothing, and then runs ``finish`` on that

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import tensor
 from .data import DatasetBundle, gather_rows
 from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import evaluate
@@ -79,6 +80,13 @@ class Adam:
     ``[offsets[i], offsets[i + 1])`` of each. ``names``, when given, label
     the parameters in error messages. Parameters are updated in place, so
     their ``.data`` must be C-contiguous.
+
+    The passes run in blocks of at most ``ADAM_BLOCK`` elements, none
+    spanning two parameters. ``step`` cuts the blocks into up to
+    ``tensor.WORKERS`` runs of about equal element count and hands them to
+    ``tensor.fan_out``, one lane each, every lane with its own scratch
+    vector. The passes are elementwise, so the bytes of the parameters and
+    moments do not depend on the number of lanes.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001, names: list[str] | None = None):
@@ -93,7 +101,13 @@ class Adam:
         self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self.m = np.zeros(self.offsets[-1])
         self.v = np.zeros(self.offsets[-1])
-        self._scratch = np.empty(ADAM_BLOCK)
+        # (parameter, start, stop) in the moments' positions, in order.
+        self._blocks = [
+            (i, j, min(j + ADAM_BLOCK, hi))
+            for i, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:]))
+            for j in range(lo, hi, ADAM_BLOCK)
+        ]
+        self._scratch: list[np.ndarray] = []  # one vector per lane
 
     def _gradients(self) -> list[np.ndarray]:
         """Every parameter's gradient, flattened, once all have been checked."""
@@ -113,8 +127,8 @@ class Adam:
     def step(self) -> None:
         """Apply one update in place, or none at all when any gradient is bad.
 
-        The passes of the class docstring run in blocks of ``ADAM_BLOCK``
-        elements, in that order.
+        Every gradient is checked before any write. Each block then takes
+        the passes of the class docstring, in that order, in its lane.
         """
         grads = self._gradients()
         self.t += 1
@@ -122,13 +136,14 @@ class Adam:
         c1 = 1.0 - b1 ** self.t
         r = math.sqrt((1.0 - b2) / (1.0 - b2 ** self.t))
         eps_r, scale = ADAM_EPS / r, c1 * r / self.lr
-        for p, g, lo, hi in zip(self.params, grads, self.offsets, self.offsets[1:]):
-            flat = p.data.reshape(-1)
-            for j in range(0, hi - lo, ADAM_BLOCK):
-                k = min(j + ADAM_BLOCK, hi - lo)
-                gb, pb = g[j:k], flat[j:k]
-                m, v = self.m[lo + j : lo + k], self.v[lo + j : lo + k]
-                a = self._scratch[: k - j]
+        flats = [p.data.reshape(-1) for p in self.params]
+
+        def lane(blocks, scratch):
+            for i, lo, hi in blocks:
+                j, k = lo - self.offsets[i], hi - self.offsets[i]
+                gb, pb = grads[i][j:k], flats[i][j:k]
+                m, v = self.m[lo:hi], self.v[lo:hi]
+                a = scratch[: hi - lo]
                 m *= b1
                 m += np.multiply(gb, 1.0 - b1, out=a)
                 v *= b2
@@ -137,6 +152,15 @@ class Adam:
                 a += eps_r
                 a *= scale
                 pb -= np.divide(m, a, out=a)
+
+        # Read at each step, not at import: callers may set WORKERS later.
+        lanes = min(tensor.WORKERS, len(self._blocks))
+        while len(self._scratch) < lanes:
+            self._scratch.append(np.empty(ADAM_BLOCK))
+        runs = [[] for _ in range(lanes)]
+        for block in self._blocks:  # to the lane its middle element falls in
+            runs[(block[1] + block[2]) * lanes // (2 * self.offsets[-1])].append(block)
+        tensor.fan_out(lane, [(run, scratch) for run, scratch in zip(runs, self._scratch) if run])
 
 
 class EarlyStopping:

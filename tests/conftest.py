@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import struct
@@ -111,14 +112,15 @@ def run_cli(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
 
 
 class CountingPool:
-    """A thread pool, counting the tasks it is given."""
+    """A thread pool, counting the tasks it is given, in all and by function."""
 
     def __init__(self, pool):
-        self.pool, self.submitted = pool, 0
+        self.pool, self.submitted, self.by_fn = pool, 0, collections.Counter()
 
-    def submit(self, *args, **kwargs):
+    def submit(self, fn, *args, **kwargs):
         self.submitted += 1
-        return self.pool.submit(*args, **kwargs)
+        self.by_fn[fn.__qualname__] += 1
+        return self.pool.submit(fn, *args, **kwargs)
 
 
 def forked_exit_code(child, seconds: float = 30.0) -> int | None:

@@ -195,10 +195,11 @@ class TestSplitProducts:
     @pytest.mark.parametrize("batch", [37, 64, 500, 3616, 4096])
     @pytest.mark.parametrize("out_dim, in_dim", PIXEL_LAYERS)
     def test_row_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim):
-        # 3616 rows is the last INFER_CHUNK of 20000. Products down to an
-        # eighth of SPLIT_MADDS are split here, so the training batches are
-        # covered too, with a margin below the threshold.
-        monkeypatch.setattr(T, "SPLIT_MADDS", T.SPLIT_MADDS // 8)
+        # 3616 rows is the last INFER_CHUNK of 20000. Lanes of down to an
+        # eighth of LANE_MADDS are cut here, so the batches of 37 and 64 rows
+        # are split too, with a margin below the floor; never below 2^20,
+        # where blocks would reach OpenBLAS's small-matrix kernel.
+        monkeypatch.setattr(T, "LANE_MADDS", max(T.LANE_MADDS // 8, 1 << 20))
         rng = np.random.default_rng(batch + out_dim + in_dim)
         for name, (a, b) in _linear_products(rng, batch, out_dim, in_dim).items():
             whole = (a @ b).tobytes()
@@ -209,7 +210,7 @@ class TestSplitProducts:
     def test_linear_bytes_equal_at_one_and_two_workers(self, monkeypatch):
         rng = np.random.default_rng(3)
         x, w, b = rng.random((256, 784)), rng.standard_normal((512, 784)), rng.standard_normal(512)
-        assert 256 * 784 * 512 >= T.SPLIT_MADDS
+        assert 256 * 784 * 512 >= 2 * T.LANE_MADDS
         monkeypatch.setattr(T, "WORKERS", 1)
         one = _linear_run(x, w, b)
         pool = CountingPool(T._pool)
@@ -240,15 +241,31 @@ class TestSplitProducts:
             runs.append((latent.mu.data.tobytes(), latent.params.data.tobytes(), out.data.tobytes()))
         assert runs[1:] == runs[:1] * 3
 
-    def test_small_products_never_reach_the_pool(self, monkeypatch):
+    @pytest.mark.parametrize("workers, lanes", [(2, 2), (4, 3)])
+    def test_batch_64_products_split_by_the_lane_floor(self, monkeypatch, workers, lanes):
+        # In a batch-64 step the 25.7M products of a 784<->512 layer reach
+        # the pool and the 4.2M ones of a 512<->128 layer stay whole.
+        assert 64 * 784 * 512 >= 3 * T.LANE_MADDS and 64 * 512 * 128 < T.LANE_MADDS
         pool = CountingPool(T._pool)
-        monkeypatch.setattr(T, "WORKERS", 4)
+        monkeypatch.setattr(T, "WORKERS", workers)
         monkeypatch.setattr(T, "_pool", pool)
-        # The largest products of a batch-64 training step stay whole.
-        assert 64 * 784 * 512 < T.SPLIT_MADDS
         rng = np.random.default_rng(4)
-        _linear_run(rng.random((64, 784)), rng.standard_normal((512, 784)), rng.standard_normal(512))
+        _linear_run(rng.random((64, 512)), rng.standard_normal((128, 512)), rng.standard_normal(128))
         assert pool.submitted == 0
+        _linear_run(rng.random((64, 784)), rng.standard_normal((512, 784)), rng.standard_normal(512))
+        assert pool.submitted == 3 * (lanes - 1)  # the forward product, dx and dW
+
+    @pytest.mark.parametrize("floor", [1, 1 << 20])
+    def test_no_block_has_one_row(self, monkeypatch, floor):
+        # A 1-row block rounds differently from the 3-row product, so three
+        # rows stay whole at any floor and worker count.
+        monkeypatch.setattr(T, "LANE_MADDS", floor)
+        rng = np.random.default_rng(7)
+        a, b = rng.random((3, 784)), rng.standard_normal((784, 512))
+        whole = (a @ b).tobytes()
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            assert T._matmul(a, b).tobytes() == whole, workers
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         # More splitting threads than cores, switching often: every caller

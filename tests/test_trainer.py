@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import blob_bundle, tiny_config
+import devae.tensor as T
+from conftest import CountingPool, blob_bundle, tiny_config
+from devae.data import DatasetBundle
 from devae.errors import ContractError, DataError, DivergenceError
 from devae.evaluation import evaluate
 from devae.gaussian import HEADS
 from devae.losses import LossWeights
-from devae.model import DeVae
+from devae.model import DeVae, ModelConfig, save_checkpoint
 from devae.tensor import Tensor
 from devae.trainer import (
     ADAM_BLOCK,
@@ -82,6 +84,25 @@ class TestAdam:
         np.testing.assert_array_equal(opt.v, state[3])
         assert opt.t == state[4]
 
+    def test_bad_gradient_in_the_last_lane_changes_nothing(self, monkeypatch):
+        # Every gradient is checked before any lane writes.
+        monkeypatch.setattr(T, "WORKERS", 2)
+        shapes = [(ADAM_BLOCK,), (ADAM_BLOCK,), (3, 4)]
+        params, opt, steps = self._random_run(2, shapes)
+        for p, g in zip(params, steps[0]):
+            p.grad = g
+        opt.step()
+        state = [a.copy() for a in (*(p.data for p in params), opt.m, opt.v)]
+        for p, g in zip(params, steps[1]):
+            p.grad = g
+        params[-1].grad = params[-1].grad.copy()
+        params[-1].grad[2, 3] = np.inf
+        with pytest.raises(DivergenceError, match=r"parameter 2 of shape \(3, 4\)"):
+            opt.step()
+        for a, b in zip(state, (*(p.data for p in params), opt.m, opt.v)):
+            assert a.tobytes() == b.tobytes()
+        assert opt.t == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g*g overflows; the gradient itself is finite
     def test_finite_gradient_with_overflowing_sum_is_accepted(self):
         p = Tensor([0.0, 0.0, 0.5], requires_grad=True)
@@ -103,11 +124,15 @@ class TestAdam:
         grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes] for _ in range(steps)]
         return params, Adam(params, lr=0.001), grads
 
-    def test_bit_identical_to_per_parameter_expression(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_bit_identical_to_per_parameter_expression(self, monkeypatch, workers):
         # The eleven-pass update, one whole-array expression per parameter, is
         # the oracle; shapes cover one element, exactly one block, and
-        # several blocks with a ragged tail.
-        shapes = [(1,), (ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 77), (5, 4)]
+        # several blocks with a ragged tail, enough blocks for four lanes.
+        shapes = [(1,), (ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 77), (5, 4), (2 * ADAM_BLOCK + 9,), (7,)]
+        monkeypatch.setattr(T, "WORKERS", workers)
+        pool = CountingPool(T._pool)
+        monkeypatch.setattr(T, "_pool", pool)
         params, opt, steps = self._random_run(20, shapes)
         ref = [p.data.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
@@ -123,6 +148,7 @@ class TestAdam:
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + np.square(g)
                 ref[i] -= m[i] / ((np.sqrt(v[i]) + eps / r) * (c1 * r / lr))
+        assert pool.by_fn["Adam.step.<locals>.lane"] == len(steps) * (workers - 1)  # every lane has blocks
         for p, r in zip(params, ref):
             assert p.data.tobytes() == r.tobytes()
         assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
@@ -232,6 +258,28 @@ class TestTrain:
             tail = [e["val"]["total"] for e in report.epochs[-3:]]
             assert all(v >= report.best_val_total for v in tail)
             assert report.best_epoch == report.epochs_run - 3
+
+    @pytest.mark.skipif(not T.BLAS_PINNED, reason="no BLAS thread setter found: products are never split")
+    def test_pixel_checkpoint_bytes_equal_at_one_to_four_workers(self, monkeypatch, tmp_path):
+        # Batch-64 steps of a 784-d BCE model: their 784<->512 products and
+        # Adam's blocks reach the pool, and the checkpoint stays the same.
+        rng = np.random.default_rng(0)
+        X = ((rng.random((300, 784)) < 0.2) * rng.integers(0, 256, (300, 784))).astype(np.uint8)
+        bundle = DatasetBundle(X, rng.standard_normal((300, 2)), split_dataset(300, 0))
+        settings = TrainSettings(max_epochs=2, patience=2, seed=3)
+        config = ModelConfig(784, LossWeights(20.0, 5.0), recon_kind="bce", seed=3)
+        checkpoints = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            pool = CountingPool(T._pool)
+            monkeypatch.setattr(T, "_pool", pool)
+            model, _ = train(DeVae(config), bundle, settings)
+            steps = 2 * 4  # 240 training rows: four batches an epoch
+            assert pool.by_fn["Adam.step.<locals>.lane"] == steps * (workers - 1)
+            assert (pool.by_fn["_matmul.<locals>.lane"] > 0) == (workers > 1)
+            save_checkpoint(model, tmp_path / f"{workers}.ckpt")
+            checkpoints.append((tmp_path / f"{workers}.ckpt").read_bytes())
+        assert checkpoints[1:] == checkpoints[:1] * 3
 
     def test_fixed_seed_bitwise_identical_runs(self, bundle):
         settings = TrainSettings(seed=21, max_epochs=5)
