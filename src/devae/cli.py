@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (a bad flag, or a flag value that
-TrainSettings, LossWeights, ModelConfig or make_blobs rejects), 2 data/parse
+TrainSettings, LossWeights or make_blobs rejects), 2 data/parse
 error or out of memory (an allocation the machine refuses), 3 numerical
 divergence. Errors go to stderr; results go to stdout or to files. All
 randomness comes from --seed, so identical invocations produce identical
@@ -48,17 +48,17 @@ def _widths(text: str) -> tuple[int, ...]:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--head", choices=HEADS, default="full")
+    p.add_argument("--head", choices=HEADS, default=ModelConfig.head)
     p.add_argument("--lambda-proj", type=float, default=None)
     p.add_argument("--lambda-ent", type=float, default=None)
-    p.add_argument("--recon", choices=RECON_KINDS, default="mse")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--encoder-widths", type=_widths, default=(512, 128))
-    p.add_argument("--decoder-widths", type=_widths, default=(128, 512))
+    p.add_argument("--recon", choices=RECON_KINDS, default=ModelConfig.recon_kind)
+    p.add_argument("--seed", type=int, default=TrainSettings.seed)
+    p.add_argument("--lr", type=float, default=TrainSettings.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainSettings.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainSettings.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainSettings.patience)
+    p.add_argument("--encoder-widths", type=_widths, default=ModelConfig.encoder_widths)
+    p.add_argument("--decoder-widths", type=_widths, default=ModelConfig.decoder_widths)
 
 
 def _resolve_weights(args) -> LossWeights:
@@ -94,7 +94,10 @@ def _load_matrix(path):
 
 def _load_labels(path) -> np.ndarray:
     """Label vector from an IDX label file or a labels CSV."""
-    if _sniff_idx_magic(path) == dio.IDX_LABELS_MAGIC:
+    magic = _sniff_idx_magic(path)
+    if magic == dio.IDX_IMAGES_MAGIC:
+        raise DataError(f"{path} is an IDX image file; pass it via --data")
+    if magic == dio.IDX_LABELS_MAGIC:
         _, values = dio.read_idx(path)
         return values
     return dio.read_labels_csv(path)
@@ -233,8 +236,6 @@ def _cmd_latent_plot(args) -> int:
     model = load_checkpoint(args.model)
     bundle = _load_bundle(args.data, args.proj, model.config.seed, args.labels)
     idx = bundle.indices(args.split)
-    if idx.size == 0:
-        raise DataError(f"split {args.split!r} is empty")
     latent = model.encode_rows(bundle.X, idx)
     mu = latent.mu.data
     labels = bundle.labels[idx] if bundle.labels is not None else None

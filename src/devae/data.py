@@ -67,6 +67,8 @@ class DatasetBundle:
     name: str = ""
 
     def __post_init__(self):
+        if self.X.ndim != 2 or self.X.shape[1] == 0:
+            raise DataError(f"samples must be rows of at least one feature, got shape {self.X.shape}")
         n = self.X.shape[0]
         if self.Y.shape != (n, 2):
             raise DataError(f"projection targets must be {n}x2, got {self.Y.shape}")
@@ -91,11 +93,13 @@ class DatasetBundle:
         return self.X.shape[1]
 
     def indices(self, split: str) -> np.ndarray:
-        if split == "all":
-            return np.arange(self.n)
-        if split not in SPLIT_NAMES:
+        """Row indices of one split, or of ``"all"``; an empty one is a DataError."""
+        if split != "all" and split not in SPLIT_NAMES:
             raise DataError(f"unknown split {split!r}")
-        return np.flatnonzero(self.split == split)
+        idx = np.arange(self.n) if split == "all" else np.flatnonzero(self.split == split)
+        if idx.size == 0:
+            raise DataError(f"split {split!r} is empty")
+        return idx
 
 
 # -- IDX -----------------------------------------------------------------------

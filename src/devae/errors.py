@@ -4,10 +4,11 @@ The CLI maps these onto exit codes: usage problems exit 1, data/parse/shape
 problems exit 2, numerical divergence exits 3. The CLI treats every
 ContractError as a usage error: the ones a flag value can raise come from
 TrainSettings, LossWeights and make_blobs, and the other sites are
-preconditions that the CLI meets before it calls them. Every problem with a
-checkpoint file is one CheckpointError, whose message names it (bad magic,
-unsupported version, truncated block, trailing bytes or an invalid config
-block).
+preconditions that the CLI meets before it calls them (a sample file without
+feature columns is a DataError from DatasetBundle before ModelConfig sees
+its input_dim). Every problem with a checkpoint file is one CheckpointError,
+whose message names it (bad magic, unsupported version, truncated block,
+trailing bytes or an invalid config block).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .gaussian import HEAD_PARAMS, HEADS, GaussianLatent
-from .losses import LossWeights, ent_loss, proj_loss, recon_bce, recon_mse
+from .losses import LossWeights, ent_loss, objective, proj_loss, recon_bce, recon_mse
 from .model import RECON_KINDS, DeVae, ModelConfig, forward_train
 from .tensor import Tensor, gradient_check
 
@@ -57,7 +57,7 @@ def _op_cases(rng) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
         ("linear_relu", lambda: T.squared_error(T.linear(a, w, bias, act="relu"), target_4), [a, w, bias]),
         ("squared_error", lambda: T.squared_error(a, b), [a, b]),
         ("bce_logits", lambda: T.bce_logits(a, target), [a]),
-        ("combine", lambda: LossWeights(3.0, 0.05).combine_node(*terms), terms),
+        ("combine", lambda: objective(*terms, LossWeights(3.0, 0.05))[0], terms),
     ]
     return cases + [_sample_case(rng, head) for head in ("isotropic", "diagonal", "full")]
 

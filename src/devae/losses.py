@@ -35,19 +35,6 @@ class LossWeights:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ContractError(f"{name} must be finite and >= 0, got {v}")
 
-    def combine(self, recon: float, proj: float, ent: float) -> float:
-        """``recon + lambda_proj * proj + lambda_ent * ent``."""
-        return recon + self.lambda_proj * proj + self.lambda_ent * ent
-
-    def combine_node(self, recon: Tensor, proj: Tensor, ent: Tensor) -> Tensor:
-        """``combine`` of three scalar loss tensors, one tape node."""
-        data = np.asarray(self.combine(recon.item(), proj.item(), ent.item()))
-
-        def backward(g):
-            return ((recon, g), (proj, g * self.lambda_proj), (ent, g * self.lambda_ent))
-
-        return T._node(data, (recon, proj, ent), backward)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -105,11 +92,24 @@ def ent_loss(latent: GaussianLatent) -> Tensor:
 def total_loss(recon: float, proj: float, ent: float, weights: LossWeights) -> LossBreakdown:
     """Combine scalar components per the composite objective.
 
-    Raises on non-finite components, naming the offender; this is the
-    divergence tripwire for the training loop.
+    The only place the weighted total is formed. Raises on a non-finite
+    component or total, naming the offender; this is the divergence
+    tripwire for the training loop.
     """
     recon, proj, ent = float(recon), float(proj), float(ent)
-    for name, value in (("recon", recon), ("proj", proj), ("ent", ent)):
+    total = recon + weights.lambda_proj * proj + weights.lambda_ent * ent
+    for name, value in (("recon", recon), ("proj", proj), ("ent", ent), ("total", total)):
         if not math.isfinite(value):
             raise DivergenceError(f"loss component {name!r} is non-finite: {value}")
-    return LossBreakdown(recon=recon, proj=proj, ent=ent, total=weights.combine(recon, proj, ent))
+    return LossBreakdown(recon=recon, proj=proj, ent=ent, total=total)
+
+
+def objective(recon: Tensor, proj: Tensor, ent: Tensor, weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
+    """The composite objective of three scalar loss tensors: one tape node
+    holding ``total_loss``'s total, and that breakdown."""
+    breakdown = total_loss(recon.item(), proj.item(), ent.item(), weights)
+
+    def backward(g):
+        return ((recon, g), (proj, g * weights.lambda_proj), (ent, g * weights.lambda_ent))
+
+    return T._node(np.asarray(breakdown.total), (recon, proj, ent), backward), breakdown

@@ -34,7 +34,7 @@ import numpy as np
 from .data import gather_rows
 from .errors import CheckpointError, ContractError, DimensionError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
-from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
+from .losses import LossBreakdown, LossWeights, ent_loss, objective, proj_loss, recon_bce, recon_mse
 from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, fan_out, no_grad
 
 MAGIC = b"DEVAE"
@@ -104,28 +104,24 @@ class ModelConfig:
         )
 
 
-def _layer_specs(config: ModelConfig) -> list[tuple[int, int, str]]:
-    """(out_dim, in_dim, activation) of every dense layer, in topology order."""
-    specs = []
-    prev = config.input_dim
-    for width in config.encoder_widths:
-        specs.append((width, prev, "relu"))
-        prev = width
-    specs.append((LATENT_DIM, prev, "identity"))
-    n_var = len(HEAD_PARAMS[config.head])
-    if n_var:
-        specs.append((n_var, prev, "identity"))
-    prev = LATENT_DIM
-    for width in config.decoder_widths:
-        specs.append((width, prev, "relu"))
-        prev = width
-    specs.append((config.input_dim, prev, "identity"))
+def _layer_specs(config: ModelConfig) -> list[tuple[str, int, int, str]]:
+    """(name, out_dim, in_dim, activation) of every dense layer, in topology
+    order: ``enc{i}``, ``mu``, ``var`` (heads with a variance layer),
+    ``dec{i}`` and ``out``."""
+    enc = (config.input_dim, *config.encoder_widths)
+    dec = (LATENT_DIM, *config.decoder_widths, config.input_dim)
+    specs = [(f"enc{i}", out, in_, "relu") for i, (in_, out) in enumerate(zip(enc, enc[1:]))]
+    specs.append(("mu", LATENT_DIM, enc[-1], "identity"))
+    if n_var := len(HEAD_PARAMS[config.head]):
+        specs.append(("var", n_var, enc[-1], "identity"))
+    specs += [(f"dec{i}", out, in_, "relu") for i, (in_, out) in enumerate(zip(dec, dec[1:-1]))]
+    specs.append(("out", config.input_dim, dec[-2], "identity"))
     return specs
 
 
 def parameter_count(config: ModelConfig) -> int:
     """Number of float64 parameters a model with this config holds."""
-    return sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in _layer_specs(config))
+    return sum(out_dim * (in_dim + 1) for _, out_dim, in_dim, _ in _layer_specs(config))
 
 
 class DeVae:
@@ -142,7 +138,7 @@ class DeVae:
         self.flat = np.empty(parameter_count(config)) if _flat is None else _flat
         layers: list[DenseLayer] = []
         offset = 0
-        for out_dim, in_dim, activation in _layer_specs(config):
+        for _, out_dim, in_dim, activation in _layer_specs(config):
             weight = self.flat[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim)
             offset += out_dim * in_dim
             bias = self.flat[offset : offset + out_dim]
@@ -169,13 +165,9 @@ class DeVae:
         return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def parameter_names(self) -> list[str]:
-        """Names of ``parameters()``, in the same (checkpoint) order: layers
-        ``enc{i}``, ``mu``, ``var`` (heads with a variance layer), ``dec{i}``
-        and ``out``, each as ``.weight`` then ``.bias``."""
-        layers = [f"enc{i}" for i in range(len(self.trunk))] + ["mu"]
-        layers += [] if self.var_head is None else ["var"]
-        layers += [f"dec{i}" for i in range(len(self.decoder) - 1)] + ["out"]
-        return [f"{layer}.{part}" for layer in layers for part in ("weight", "bias")]
+        """Names of ``parameters()``, in the same (checkpoint) order: each
+        layer's ``_layer_specs`` name with ``.weight``, then ``.bias``."""
+        return [f"{name}.{part}" for name, *_ in _layer_specs(self.config) for part in ("weight", "bias")]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -274,11 +266,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     z = latent.sample(eps)
     x_hat = model.decode_logits(z)
     recon = recon_bce(x, x_hat) if model.config.recon_kind == "bce" else recon_mse(x, x_hat)
-    proj = proj_loss(y, latent.mu)
-    ent = ent_loss(latent)
-    weights = model.config.weights
-    breakdown = total_loss(recon.item(), proj.item(), ent.item(), weights)
-    total = weights.combine_node(recon, proj, ent)
+    total, breakdown = objective(recon, proj_loss(y, latent.mu), ent_loss(latent), model.config.weights)
     return ForwardResult(breakdown=breakdown, x_hat=x_hat, latent=latent, total=total)
 
 

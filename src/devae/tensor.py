@@ -304,14 +304,15 @@ def _matmul(a: Array, b: Array, finish: Callable[[Array], object] | None = None)
     return out
 
 
-# Elements per block (256 KB) of a dense layer's epilogue and of
-# ``_sigmoid_``, so every pass over a block finds it in cache.
-EPILOGUE_BLOCK = 1 << 15
+# Elements per block (256 KB) of every in-place multi-pass sweep: a dense
+# layer's epilogue, ``_sigmoid_`` and the Adam update (``trainer.Adam``), so
+# each pass over a block finds it in cache.
+CACHE_BLOCK = 1 << 15
 
 
 def _epilogue(data: Array, bias: Array, act: str) -> None:
     """``data = act(data + bias)`` in place, one row block at a time."""
-    rows = max(1, EPILOGUE_BLOCK // max(data.shape[1], 1))
+    rows = max(1, CACHE_BLOCK // max(data.shape[1], 1))
     for start in range(0, data.shape[0], rows):
         block = data[start : start + rows]
         block += bias
@@ -354,7 +355,7 @@ _SIGMOID_HI = 1.0 - 2.0**-53  # largest double strictly below 1
 
 
 def _sigmoid_(z: Array) -> Array:
-    """Logistic function of a C-contiguous ``z``, in place, ``EPILOGUE_BLOCK`` elements at a time.
+    """Logistic function of a C-contiguous ``z``, in place, ``CACHE_BLOCK`` elements at a time.
 
     With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
@@ -362,7 +363,7 @@ def _sigmoid_(z: Array) -> Array:
     nearest doubles inside (0, 1), so the open-interval output contract
     holds. NaN stays NaN.
     """
-    for block in np.split(z.reshape(-1), range(EPILOGUE_BLOCK, z.size, EPILOGUE_BLOCK)):
+    for block in np.split(z.reshape(-1), range(CACHE_BLOCK, z.size, CACHE_BLOCK)):
         neg = block < 0.0
         np.copysign(block, -1.0, out=block)
         np.exp(block, out=block)

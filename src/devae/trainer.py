@@ -49,9 +49,6 @@ class TrainSettings:
             raise ContractError("seed must be non-negative")
 
 
-# Elements per block of the in-place Adam update: one block of each operand
-# and the scratch vector stay in cache across the update's passes.
-ADAM_BLOCK = 32768
 # The defaults of Kingma & Ba (2015), under which every head is trained.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -81,12 +78,13 @@ class Adam:
     the parameters in error messages. Parameters are updated in place, so
     their ``.data`` must be C-contiguous.
 
-    The passes run in blocks of at most ``ADAM_BLOCK`` elements, none
-    spanning two parameters. ``step`` cuts the blocks into up to
-    ``tensor.WORKERS`` runs of about equal element count and hands them to
-    ``tensor.fan_out``, one lane each, every lane with its own scratch
-    vector. The passes are elementwise, so the bytes of the parameters and
-    moments do not depend on the number of lanes.
+    The passes run in blocks of at most ``tensor.CACHE_BLOCK`` elements,
+    none spanning two parameters, so a block of each operand and the
+    scratch vector stay in cache across the passes. ``step`` cuts the
+    blocks into up to ``tensor.WORKERS`` runs of about equal element count
+    and hands them to ``tensor.fan_out``, one lane each, every lane with its
+    own scratch vector. The passes are elementwise, so the bytes of the
+    parameters and moments do not depend on the number of lanes.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001, names: list[str] | None = None):
@@ -103,9 +101,9 @@ class Adam:
         self.v = np.zeros(self.offsets[-1])
         # (parameter, start, stop) in the moments' positions, in order.
         self._blocks = [
-            (i, j, min(j + ADAM_BLOCK, hi))
+            (i, j, min(j + tensor.CACHE_BLOCK, hi))
             for i, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:]))
-            for j in range(lo, hi, ADAM_BLOCK)
+            for j in range(lo, hi, tensor.CACHE_BLOCK)
         ]
         self._scratch: list[np.ndarray] = []  # one vector per lane
 
@@ -156,7 +154,7 @@ class Adam:
         # Read at each step, not at import: callers may set WORKERS later.
         lanes = min(tensor.WORKERS, len(self._blocks))
         while len(self._scratch) < lanes:
-            self._scratch.append(np.empty(ADAM_BLOCK))
+            self._scratch.append(np.empty(tensor.CACHE_BLOCK))
         runs = [[] for _ in range(lanes)]
         for block in self._blocks:  # to the lane its middle element falls in
             runs[(block[1] + block[2]) * lanes // (2 * self.offsets[-1])].append(block)
@@ -224,9 +222,7 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
     """Run the full protocol and return the best-validation-epoch model."""
     t0 = time.perf_counter()
     train_idx = bundle.indices("train")
-    val_idx = bundle.indices("val")
-    if train_idx.size == 0 or val_idx.size == 0:
-        raise DataError("training requires non-empty train and val splits")
+    bundle.indices("val")  # an empty val split fails here, before the first epoch
     if bundle.dim != model.config.input_dim:
         raise DimensionError(
             f"dataset dimension {bundle.dim} does not match model input_dim {model.config.input_dim}"

@@ -152,6 +152,21 @@ class TestPipelineSmoke:
         assert re.fullmatch(rf"{kind}: covariance head 'full': chol_raw_1 = 1e\+200 of sample {which} "
                             r"overflows the covariance\n", message), message
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_with_an_overflowing_total_is_divergence(self, pipeline, tmp_path, capsys):
+        from dataclasses import replace
+
+        from devae.cli import main
+        from devae.losses import LossWeights
+        from devae.model import load_checkpoint, save_checkpoint
+
+        model = load_checkpoint(pipeline["ckpt"])
+        model.config = replace(model.config, weights=LossWeights(5.0, 1e308))
+        ckpt = tmp_path / "heavy.ckpt"
+        save_checkpoint(model, ckpt)
+        assert main(["eval", "--model", str(ckpt), "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"])]) == 3
+        assert capsys.readouterr().err == "divergence: loss component 'total' is non-finite: -inf\n"
+
     def test_matrix_json(self, pipeline):
         r = run_cli(["matrix", "--data", pipeline["data"], "--proj", pipeline["proj"],
                      "--runs", 1, "--heads", "none,full", "--lambda-proj", 5,
@@ -225,6 +240,36 @@ class TestExitCodes:
                      "--labels", str(labels), "--lambda-proj", "5", "--lambda-ent", "0.001",
                      "--out", str(tmp_path / "x.ckpt"), *FAST_TRAIN]) == 2
         assert capsys.readouterr().err == "error: labels cover 79 of 80 rows\n"
+
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_sample_file_without_feature_columns_is_data_error(self, tmp_path, capsys, command, kind):
+        from conftest import write_idx
+        from devae.cli import main
+        from devae.data import IDX_IMAGES_MAGIC, write_projection_csv
+
+        data, proj = tmp_path / f"samples.{kind}", tmp_path / "proj.csv"
+        if kind == "csv":
+            data.write_text("label\n" + "0\n" * 30)  # labels and no feature column
+        else:
+            write_idx(data, IDX_IMAGES_MAGIC, (30, 0, 0), b"")  # 30 images of 0 x 0 pixels
+        write_projection_csv(proj, np.zeros((30, 2)))
+        out = ["--out", str(tmp_path / "x.ckpt")] if command == "train" else []
+        assert main([command, "--data", str(data), "--proj", str(proj), "--recon", "bce", *out]) == 2
+        assert capsys.readouterr().err == "error: samples must be rows of at least one feature, got shape (30, 0)\n"
+
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    def test_train_flag_defaults_are_the_settings_defaults(self, command):
+        from devae.cli import _config, _settings, build_parser
+        from devae.losses import LossWeights
+        from devae.model import ModelConfig
+        from devae.trainer import TrainSettings
+
+        out = ["--out", "x.ckpt"] if command == "train" else []
+        args = build_parser().parse_args([command, "--data", "x.csv", "--proj", "p.csv", *out])
+        assert _settings(args) == TrainSettings()
+        args.lambda_proj, args.lambda_ent = 1.0, 0.5  # MSE, the default, has no default weights
+        assert _config(args, 4) == ModelConfig(4, LossWeights(1.0, 0.5))
 
     def test_unknown_flag_is_usage_error(self):
         r = run_cli(["synth", "--nope", "1"])
@@ -446,6 +491,13 @@ class TestIdxWorkflow:
                      idx_files["root"] / "p.csv"])
         assert r.returncode == 2
         assert "--labels" in r.stderr
+
+    def test_image_file_passed_as_labels_is_rejected(self, idx_files, capsys):
+        from devae.cli import main
+
+        images = str(idx_files["images"])
+        assert main(["pca", "--data", images, "--labels", images, "--out", str(idx_files["root"] / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {images} is an IDX image file; pass it via --data\n"
 
     def test_pixels_match_a_float_csv_of_scaled_pixels(self, idx_files, tmp_path):
         # IDX pixels stay uint8 and are scaled per batch; every output must

@@ -959,6 +959,12 @@ class TestDatasetBundle:
     def test_empty_samples_accepted(self):
         assert DatasetBundle(X=np.zeros((0, 3)), Y=np.zeros((0, 2)), split=np.array([], dtype=str)).n == 0
 
+    @pytest.mark.parametrize("X", [np.zeros((4, 0)), np.zeros((4, 0), dtype=np.uint8), np.zeros(4)],
+                             ids=["no-columns", "no-pixels", "vector"])
+    def test_samples_without_feature_columns_rejected(self, X):
+        with pytest.raises(DataError, match=re.escape(f"samples must be rows of at least one feature, got shape {X.shape}")):
+            DatasetBundle(X=X, Y=np.zeros((4, 2)), split=np.array(["train"] * 4))
+
     def test_finiteness_check_makes_no_copy_of_the_samples(self):
         n = 20000
         X = np.random.default_rng(1).random((n, 784))
@@ -983,3 +989,10 @@ class TestDatasetBundle:
         got = np.concatenate([bundle.indices(s) for s in ("train", "val", "test")])
         assert sorted(got.tolist()) == list(range(n))
         assert bundle.indices("all").shape == (n,)
+
+    @pytest.mark.parametrize("split", ["val", "test", "all"])
+    def test_empty_split_is_a_data_error(self, split):
+        n = 4 if split != "all" else 0
+        bundle = DatasetBundle(X=np.zeros((n, 2)), Y=np.zeros((n, 2)), split=np.array(["train"] * n, dtype="<U5"))
+        with pytest.raises(DataError, match=f"split '{split}' is empty"):
+            bundle.indices(split)

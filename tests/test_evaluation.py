@@ -88,7 +88,7 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         model = _identity_model()
         bundle = DatasetBundle(X=np.zeros((4, 2)), Y=np.zeros((4, 2)), split=np.array(["train"] * 4))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="split 'test' is empty"):
             evaluate(model, bundle, "test")
 
 

@@ -11,6 +11,7 @@ from devae.gaussian import HEAD_PARAMS, GaussianLatent
 from devae.losses import (
     LossWeights,
     ent_loss,
+    objective,
     proj_loss,
     recon_bce,
     recon_mse,
@@ -174,7 +175,7 @@ class TestTotalLoss:
         recon = Tensor(rng.uniform(0, 5))
         proj = Tensor(rng.uniform(0, 5))
         ent = Tensor(rng.uniform(-5, 0))
-        graph = w.combine_node(recon, proj, ent).item()
+        graph = objective(recon, proj, ent, w)[0].item()
         floats = total_loss(recon.item(), proj.item(), ent.item(), w).total
         assert graph == floats
         x = rng.uniform(-1, 1, size=(6, 10))
@@ -183,6 +184,11 @@ class TestTotalLoss:
         for head in ("none", "isotropic", "diagonal", "full"):
             result = forward_train(DeVae(tiny_config(head=head, weights=w)), x, y, eps)
             assert result.total.item() == result.breakdown.total
+
+    def test_non_finite_total_of_finite_parts_raises(self):
+        # 2 * 1e308 overflows: each part is finite, the weighted total is not.
+        with pytest.raises(DivergenceError, match="loss component 'total' is non-finite: inf"):
+            total_loss(1.0, 0.0, 2.0, LossWeights(0.0, 1e308))
 
     def test_weights_validated(self):
         with pytest.raises(Exception):
@@ -212,7 +218,7 @@ def test_entropy_loss_records_one_node(tape_nodes, head):
 
 def test_weighted_objective_records_one_node(tape_nodes):
     terms = [Tensor(v, requires_grad=True) for v in (1.5, 2.0, -3.0)]
-    value = LossWeights(2.0, 0.5).combine_node(*terms)
+    value = objective(*terms, LossWeights(2.0, 0.5))[0]
     assert tape_nodes == [value]
     assert value._parents == tuple(terms)
     value.backward()
@@ -255,6 +261,6 @@ class TestLossGradients:
 
         def build():
             lat = GaussianLatent("diagonal", mu, lv)
-            return w.combine_node(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat))
+            return objective(recon_mse(x, x_hat), proj_loss(y, mu), ent_loss(lat), w)[0]
 
         assert gradient_check(build, [x_hat, mu, lv]) < 1e-4

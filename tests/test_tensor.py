@@ -12,7 +12,7 @@ import devae.tensor as T
 from conftest import CountingPool, blob_bundle, forked_exit_code, tiny_config
 from devae import gradsuite
 from devae.errors import ContractError, DimensionError
-from devae.losses import LossWeights
+from devae.losses import LossWeights, objective
 from devae.model import DeVae, ModelConfig, _layer_specs, forward_train
 from devae.tensor import DenseLayer, Tensor, finite_diff_grad, gradient_check, no_grad
 
@@ -91,7 +91,7 @@ class TestSigmoid:
         # 97 x 1021 elements: three full blocks and a ragged fourth, which
         # holds the grid's extremes.
         z = np.random.default_rng(9).normal(0.0, 20.0, size=(97, 1021))
-        assert 3 * T.EPILOGUE_BLOCK < z.size < 4 * T.EPILOGUE_BLOCK
+        assert 3 * T.CACHE_BLOCK < z.size < 4 * T.CACHE_BLOCK
         z[-1, -SIGMOID_GRID.size :] = SIGMOID_GRID
         for shape in (z.shape, (z.size,)):
             got = T._sigmoid_(z.copy().reshape(shape))
@@ -163,7 +163,7 @@ class TestSquaredError:
         a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
         loss = T.squared_error(a, b)
         zero = Tensor(0.0)
-        LossWeights(20.0, 0.0).combine_node(zero, loss, zero).backward()  # a loss weight, as in the objective
+        objective(zero, loss, zero, LossWeights(20.0, 0.0))[0].backward()  # a loss weight, as in the objective
         d = av - bv
         grad_a = (20.0 * (1.0 / 64)) * 2.0 * d
         assert loss.data.tobytes() == np.asarray((d * d).sum() * (1.0 / 64)).tobytes()
@@ -172,7 +172,7 @@ class TestSquaredError:
 
 
 # (out, in) of every dense layer of the default 784-d model.
-PIXEL_LAYERS = sorted({(o, i) for o, i, _ in _layer_specs(ModelConfig(784, LossWeights(20.0, 5.0)))})
+PIXEL_LAYERS = sorted({(o, i) for _, o, i, _ in _layer_specs(ModelConfig(784, LossWeights(20.0, 5.0)))})
 
 
 def _linear_products(rng, batch, out_dim, in_dim):

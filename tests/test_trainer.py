@@ -14,9 +14,8 @@ from devae.evaluation import evaluate
 from devae.gaussian import HEADS
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig, save_checkpoint
-from devae.tensor import Tensor
+from devae.tensor import CACHE_BLOCK, Tensor
 from devae.trainer import (
-    ADAM_BLOCK,
     MATRIX_METRICS,
     Adam,
     EarlyStopping,
@@ -87,7 +86,7 @@ class TestAdam:
     def test_bad_gradient_in_the_last_lane_changes_nothing(self, monkeypatch):
         # Every gradient is checked before any lane writes.
         monkeypatch.setattr(T, "WORKERS", 2)
-        shapes = [(ADAM_BLOCK,), (ADAM_BLOCK,), (3, 4)]
+        shapes = [(CACHE_BLOCK,), (CACHE_BLOCK,), (3, 4)]
         params, opt, steps = self._random_run(2, shapes)
         for p, g in zip(params, steps[0]):
             p.grad = g
@@ -129,7 +128,7 @@ class TestAdam:
         # The eleven-pass update, one whole-array expression per parameter, is
         # the oracle; shapes cover one element, exactly one block, and
         # several blocks with a ragged tail, enough blocks for four lanes.
-        shapes = [(1,), (ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 77), (5, 4), (2 * ADAM_BLOCK + 9,), (7,)]
+        shapes = [(1,), (CACHE_BLOCK,), (3, CACHE_BLOCK // 2 + 77), (5, 4), (2 * CACHE_BLOCK + 9,), (7,)]
         monkeypatch.setattr(T, "WORKERS", workers)
         pool = CountingPool(T._pool)
         monkeypatch.setattr(T, "_pool", pool)
@@ -311,6 +310,18 @@ class TestTrain:
         cfg = tiny_config(d=4, weights=LossWeights(1.0, 0.0))
         with pytest.raises(DivergenceError, match=r"epoch 1, batch 0"):
             train(DeVae(cfg), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
+
+    def test_empty_val_split_fails_before_the_first_epoch(self, monkeypatch):
+        import devae.trainer
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch started")
+
+        monkeypatch.setattr(devae.trainer, "forward_train", no_epoch)
+        bundle = blob_bundle(n=40, d=4, k=2, seed=2)
+        bundle.split[bundle.split == "val"] = "test"
+        with pytest.raises(DataError, match="split 'val' is empty"):
+            train(DeVae(tiny_config(d=4)), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
 
     def test_train_losses_all_finite(self, bundle):
         model, report = train(DeVae(tiny_config()), bundle, TrainSettings(seed=11, max_epochs=4, patience=4))
