@@ -26,14 +26,15 @@ from .tensor import no_grad
 def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test") -> LossBreakdown:
     """Mean per-sample loss components over one split, deterministic.
 
-    The split runs through the model ``INFER_CHUNK`` rows at a time, without a tape.
+    The split runs through the model ``INFER_CHUNK`` rows at a time, without
+    a tape. A sample that diverges is named by its dataset row.
     """
     idx = bundle.indices(split)
     sums = np.zeros(3)
     with no_grad():
         for start in range(0, idx.size, INFER_CHUNK):
             rows = idx[start : start + INFER_CHUNK]
-            result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps=None)
+            result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps=None, rows=rows)
             b = result.breakdown
             sums += np.array([b.recon, b.proj, b.ent]) * rows.size
     means = sums / idx.size

@@ -93,11 +93,13 @@ class GaussianLatent:
     def batch(self) -> int:
         return self.mu.shape[0]
 
-    def _check_params(self, error: type[Exception], start: int = 0, stop: int | None = None) -> None:
+    def _check_params(self, error: type[Exception], start: int = 0, stop: int | None = None,
+                      rows: np.ndarray | None = None) -> None:
         """``error`` naming the first of samples start..stop-1 whose
         covariance would overflow: a NaN head output, a log standard
         deviation above ``MAX_LOG_STD`` or, for "full", |L10| above
-        e**MAX_LOG_STD. Samples are counted within this batch."""
+        e**MAX_LOG_STD. Samples are counted within this batch, or named by
+        ``rows``, the dataset row of each sample of the batch."""
         raw = self.params.data[start:stop]
         if self.head == "full":
             ok = np.column_stack([np.abs(raw[:, 0]) <= math.exp(MAX_LOG_STD), raw[:, 1:] <= MAX_LOG_STD])
@@ -106,7 +108,7 @@ class GaussianLatent:
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
             raise error(f"covariance head {self.head!r}: {HEAD_PARAMS[self.head][j]} = {raw[i, j]:g} "
-                        f"of sample {start + i} overflows the covariance")
+                        f"of sample {start + i if rows is None else rows[start + i]} overflows the covariance")
 
     # -- entropy and sampling -----------------------------------------------
 
@@ -132,21 +134,22 @@ class GaussianLatent:
         s = self._log_std()
         return s.sum(axis=1, keepdims=True) * (LATENT_DIM / s.shape[1]) + (0.5 * LATENT_DIM) * (1.0 + LN_2PI)
 
-    def sample(self, eps) -> Tensor:
+    def sample(self, eps, rows: np.ndarray | None = None) -> Tensor:
         """Reparameterized draw mu + scale(params) eps, one tape node on mu and params.
 
         ``eps`` is a [batch, 2] block of standard-normal draws; it is ignored
         for head "none", which returns mu unchanged. The scale is sigma I
         (isotropic), diag(sigma) or the Cholesky factor L (full). A sample
         whose covariance would overflow leaves no finite loss: a
-        DivergenceError (``_check_params``).
+        DivergenceError (``_check_params``), naming the sample by its
+        position in the batch or, given ``rows``, by its dataset row.
         """
         if self.head == "none":
             return self.mu
         eps = (eps if isinstance(eps, Tensor) else Tensor(eps)).data
         if eps.shape != self.mu.shape:
             raise ContractError(f"eps must be [batch, 2] = {self.mu.shape}, got {eps.shape}")
-        self._check_params(DivergenceError)
+        self._check_params(DivergenceError, rows=rows)
         scale = np.exp(self._log_std())  # isotropic: [batch, 1] broadcasts over both dimensions
         step = scale * eps
         if self.head == "full":  # z_1 = mu_1 + L11 eps_1 + L10 eps_0

@@ -250,11 +250,12 @@ class ForwardResult:
     total: Tensor  # scalar graph node; call .backward() on it
 
 
-def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
+def forward_train(model: DeVae, x, y, eps=None, rows: np.ndarray | None = None) -> ForwardResult:
     """Encode, sample, decode, and assemble the composite loss.
 
     ``eps`` supplies the reparameterization noise, [batch, 2]; pass zeros
     (or None) for deterministic evaluation. Head "none" always decodes mu.
+    ``rows``, the dataset row of each sample, names a sample that diverges.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     y = y if isinstance(y, Tensor) else Tensor(y)
@@ -263,7 +264,7 @@ def forward_train(model: DeVae, x, y, eps=None) -> ForwardResult:
     latent = model.encode(x)
     if eps is None:
         eps = np.zeros((x.shape[0], LATENT_DIM))
-    z = latent.sample(eps)
+    z = latent.sample(eps, rows)
     x_hat = model.decode_logits(z)
     recon = recon_bce(x, x_hat) if model.config.recon_kind == "bce" else recon_mse(x, x_hat)
     total, breakdown = objective(recon, proj_loss(y, latent.mu), ent_loss(latent), model.config.weights)

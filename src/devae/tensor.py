@@ -359,17 +359,19 @@ def _sigmoid_(z: Array) -> Array:
 
     With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
-    e * neg + ~neg is exactly 1 or e. Saturated values are pinned to the
+    max(e, z >= 0) is exactly 1 or e. Saturated values are pinned to the
     nearest doubles inside (0, 1), so the open-interval output contract
     holds. NaN stays NaN.
     """
-    for block in np.split(z.reshape(-1), range(CACHE_BLOCK, z.size, CACHE_BLOCK)):
-        neg = block < 0.0
-        np.copysign(block, -1.0, out=block)
+    flat = z.reshape(-1)
+    for start in range(0, flat.size, CACHE_BLOCK):
+        block = flat[start : start + CACHE_BLOCK]
+        pos = block >= 0.0
+        np.abs(block, out=block)
+        np.negative(block, out=block)
         np.exp(block, out=block)
         denom = block + 1.0
-        block *= neg
-        block += ~neg
+        np.maximum(block, pos, out=block)
         block /= denom
         np.clip(block, _SIGMOID_LO, _SIGMOID_HI, out=block)
     return z
@@ -390,7 +392,7 @@ def bce_logits(z: Tensor, x: Tensor) -> Tensor:
     loss = np.maximum(z.data, 0.0)
     term = np.multiply(z.data, x.data)
     loss -= term
-    np.copysign(z.data, -1.0, out=term)  # -|z|
+    np.negative(np.abs(z.data, out=term), out=term)  # -|z|
     np.exp(term, out=term)
     loss += np.log1p(term, out=term)
     data = np.asarray(loss.sum() / batch)

@@ -251,7 +251,10 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
             sums += np.array([b.recon, b.proj, b.ent]) * rows.size
         means = sums / order.size
         train_bd = total_loss(means[0], means[1], means[2], model.config.weights)
-        val_bd = evaluate(model, bundle, "val")
+        try:
+            val_bd = evaluate(model, bundle, "val")
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}, validation: {exc}") from exc
         epoch_records.append({"train": train_bd.as_dict(), "val": val_bd.as_dict()})
         stop = stopper.update(epoch, val_bd.total)
         if stopper.improved:

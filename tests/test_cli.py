@@ -132,13 +132,16 @@ class TestPipelineSmoke:
             assert not svg.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command, code, kind, sample", [("eval", 3, "divergence", 0),
+    # eval names the dataset row of the first test sample: row 11 of split_dataset(80, 7).
+    @pytest.mark.parametrize("command, code, kind, sample", [("eval", 3, "divergence", 11),
                                                              ("latent-plot", 2, "error", None)])
     def test_overflowing_covariance_head_names_the_sample(self, pipeline, tmp_path, capsys, command, code, kind,
                                                           sample):
         from devae.cli import main
         from devae.model import load_checkpoint, save_checkpoint
+        from devae.trainer import split_dataset
 
+        assert sample is None or np.flatnonzero(split_dataset(80, 7) == "test")[0] == sample
         model = load_checkpoint(pipeline["ckpt"])
         model.parameters()[model.parameter_names().index("var.bias")].data[1] = 1e200  # ln L00
         ckpt = tmp_path / "huge.ckpt"

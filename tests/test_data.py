@@ -776,6 +776,27 @@ class TestPcaProject:
         X = (Q * sigma) @ W.T * np.sqrt(n - 1) + rng.uniform(-3, 3, size=d)
         np.testing.assert_allclose(pca_project(X), _svd_coordinates(X), rtol=0, atol=1e-9)
 
+    def test_decaying_spectrum_takes_the_iteration(self, monkeypatch):
+        X = _prototypes(2000, 0)
+        full = _full_eigh_calls(monkeypatch)
+        np.testing.assert_allclose(pca_project(X), _svd_coordinates(X), rtol=0, atol=1e-12)
+        assert full == []
+
+    def test_flat_spectrum_falls_back_to_eigh(self, monkeypatch):
+        # The random pixels of CI's BCE determinism step.
+        r = np.random.default_rng(0)
+        px = ((r.random((300, 784)) < 0.2) * r.integers(0, 256, (300, 784))).astype(np.uint8)
+        full = _full_eigh_calls(monkeypatch)
+        Y = pca_project(px)
+        assert len(full) == 1
+
+        def plain_eigh(C):
+            vecs = np.linalg.eigh(C)[1][:, ::-1]
+            return np.column_stack([devae.data._fix_sign(vecs[:, 0]), devae.data._fix_sign(vecs[:, 1])])
+
+        monkeypatch.setattr(devae.data, "_principal_axes", plain_eigh)
+        assert Y.tobytes() == pca_project(px).tobytes()
+
     def test_non_finite_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 3))
         X[4, 1] = np.inf
@@ -832,6 +853,28 @@ def _svd_coordinates(X: np.ndarray) -> np.ndarray:
     return Xc @ (Vt.T * signs)
 
 
+def _prototypes(n: int, seed: int) -> np.ndarray:
+    """n x 784 rows, each one of 20 prototypes of geometrically falling scale
+    plus noise: a covariance spectrum that decays, as image data's does."""
+    rng = np.random.default_rng(seed)
+    protos = rng.standard_normal((20, 784)) * np.geomspace(1.0, 0.1, 20)[:, None]
+    return protos[rng.integers(0, 20, n)] + 0.1 * rng.standard_normal((n, 784))
+
+
+def _full_eigh_calls(monkeypatch) -> list:
+    """The shapes of the ``np.linalg.eigh`` calls on matrices wider than the
+    subspace iteration's block, as a list that grows with each call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if a.shape[0] > devae.data.AXES_BLOCK:
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def _pixels(n: int, seed: int) -> np.ndarray:
     """n x 64 bytes: mostly zeros, two always-zero columns and one constant 255 column."""
     rng = np.random.default_rng(seed)
@@ -873,23 +916,27 @@ class TestPixelPca:
 
 def _pca_inputs():
     """uint8 pixels, the same pixels scaled as a strided float view (a CSV's
-    values beside its label column), and that view's contiguous copy."""
+    values beside its label column), that view's contiguous copy, and 784-d
+    rows whose axes the subspace iteration finds."""
     raw = _pixels(300, 4)
     table = np.zeros((300, 65))
     table[:, :64] = scale_pixels(raw)
-    return {"uint8": raw, "strided": table[:, :64], "contiguous": np.ascontiguousarray(table[:, :64])}
+    return {"uint8": raw, "strided": table[:, :64], "contiguous": np.ascontiguousarray(table[:, :64]),
+            "converging": _prototypes(300, 0)}
 
 
 @pytest.mark.skipif(not devae.tensor.BLAS_PINNED, reason="no BLAS thread setter found: PCA runs in one lane")
 class TestPcaLanes:
-    @pytest.mark.parametrize("kind", ["uint8", "strided", "contiguous"])
+    @pytest.mark.parametrize("kind", ["uint8", "strided", "contiguous", "converging"])
     @pytest.mark.parametrize("block", [7, 100, 300])
     def test_same_bytes_at_one_and_two_workers(self, monkeypatch, kind, block):
         # 300 rows: 43 blocks of 7 and 3 of 100 end with a one-lane round; 300 is one block.
         X = _pca_inputs()[kind]
         monkeypatch.setattr(devae.data, "PCA_BLOCK", block)
         monkeypatch.setattr(devae.tensor, "WORKERS", 1)
+        full = _full_eigh_calls(monkeypatch)
         one = pca_project(X).tobytes()
+        assert len(full) == (kind != "converging")
         pool = CountingPool(devae.tensor._pool)
         monkeypatch.setattr(devae.tensor, "WORKERS", 2)
         monkeypatch.setattr(devae.tensor, "_pool", pool)

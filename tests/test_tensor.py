@@ -60,6 +60,21 @@ def _three_exp_sigmoid(z):
     return np.clip(data, T._SIGMOID_LO, T._SIGMOID_HI)
 
 
+def _copysign_sigmoid(z):
+    """The blocked kernel as written before: -|z| by ``np.copysign``, the
+    numerator as e * neg + ~neg, blocks cut by ``np.split``."""
+    for block in np.split(z.reshape(-1), range(T.CACHE_BLOCK, z.size, T.CACHE_BLOCK)):
+        neg = block < 0.0
+        np.copysign(block, -1.0, out=block)
+        np.exp(block, out=block)
+        denom = block + 1.0
+        block *= neg
+        block += ~neg
+        block /= denom
+        np.clip(block, T._SIGMOID_LO, T._SIGMOID_HI, out=block)
+    return z
+
+
 _TINY = np.finfo(np.float64).tiny
 SIGMOID_GRID = np.array([
     745.0, -745.0, 36.7, -36.7, 0.0, -0.0, np.inf, -np.inf,
@@ -97,6 +112,22 @@ class TestSigmoid:
             got = T._sigmoid_(z.copy().reshape(shape))
             assert got.shape == shape
             assert got.tobytes() == _three_exp_sigmoid(z).tobytes()
+
+    def test_bit_identical_to_the_copysign_kernel(self):
+        # NaN of either sign, infinities, signed zeros and subnormals, in
+        # the last of three blocks and a ragged fourth.
+        edges = np.concatenate([SIGMOID_GRID, [np.nan, -np.nan, 1e-310, -1e-310, 1e308, -1e308]])
+        z = np.random.default_rng(10).normal(0.0, 20.0, size=3 * T.CACHE_BLOCK + 100)
+        z[2 * T.CACHE_BLOCK - 5 : 2 * T.CACHE_BLOCK - 5 + edges.size] = edges
+        z[-edges.size :] = edges
+        assert T._sigmoid_(z.copy()).tobytes() == _copysign_sigmoid(z.copy()).tobytes()
+        # bce_logits' forward forms -|z| the same way; an infinite logit
+        # would make its loss NaN through inf - inf.
+        for logits in (edges[np.abs(edges) < 1e300], np.array([np.nan, 2.0])):
+            logits = np.tile(logits, (4, 1))
+            x = np.random.default_rng(11).uniform(0.0, 1.0, size=logits.shape)
+            loss = np.maximum(logits, 0.0) - logits * x + np.log1p(np.exp(np.copysign(logits, -1.0)))
+            assert T.bce_logits(Tensor(logits), Tensor(x)).data.tobytes() == np.asarray(loss.sum() / 4).tobytes()
 
     def test_nan_stays_nan(self):
         out = T._sigmoid_(np.array([np.nan, 0.0]))

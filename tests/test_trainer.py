@@ -311,6 +311,16 @@ class TestTrain:
         with pytest.raises(DivergenceError, match=r"epoch 1, batch 0"):
             train(DeVae(cfg), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_validation_divergence_names_the_epoch_and_the_dataset_row(self):
+        bundle = blob_bundle(n=40, d=4, k=2, seed=2)
+        assert np.flatnonzero(bundle.split == "val")[0] == 21
+        bundle.X[21] = 1e200  # a val row: only the validation pass reads it
+        message = (r"^epoch 1, validation: covariance head 'full': chol_raw_0 = -7\.61794e\+199 "
+                   r"of sample 21 overflows the covariance$")
+        with pytest.raises(DivergenceError, match=message):
+            train(DeVae(tiny_config(d=4)), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
+
     def test_empty_val_split_fails_before_the_first_epoch(self, monkeypatch):
         import devae.trainer
 
