@@ -27,15 +27,16 @@ needs, so no float64 copy of a whole image file is ever made.
 Also provides the synthetic blob generator used for desk-scale runs and a
 PCA (the top two eigenvectors of the covariance of the non-constant
 columns, summed over row blocks with the bytes ``gather_rows`` gives, two
-blocks at a time; found by a checked block subspace iteration, or by
-``np.linalg.eigh`` where that is cheaper) so the full pipeline works without
-any precomputed embedding.
+blocks at a time; found by a block subspace iteration from a random
+start, checked by its residuals, or by ``np.linalg.eigh`` where that is
+cheaper) so the full pipeline works without any precomputed embedding.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import random
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterator
@@ -518,18 +519,29 @@ def _top_two(C: np.ndarray) -> np.ndarray | None:
     iteration with Rayleigh-Ritz (Saad, 2011; Halko, Martinsson & Tropp, 2011);
     None where a full ``eigh`` is expected to be cheaper.
 
-    The block starts from the columns of C at its ``AXES_BLOCK`` largest
-    diagonal entries. Each iteration orthonormalises it (Q), multiplies it by
-    C and takes the top two Ritz pairs (theta, v) of ``Q.T @ C @ Q``. They are
-    returned once every residual |C v - theta v| is at most k eps theta_1,
-    the scale of ``eigh``'s own backward error. The error shrinks by about
-    the Ritz rate theta_p / theta_2 per iteration; where that rate predicts
-    no convergence within ``k // (2 * AXES_BLOCK)`` iterations, as it does
-    after the first on a flat spectrum, the answer is None.
+    The block starts as C G, G a k x ``AXES_BLOCK`` random matrix (Halko
+    et al.'s start) of values uniform in [-1, 1), drawn by the stdlib's
+    seeded Mersenne Twister: the same bytes on every platform, and no
+    import of numpy.random, which costs 11-18 ms in a ``pca`` process. Each
+    iteration orthonormalises the block (Q), multiplies it by C and takes
+    the top two Ritz pairs (theta, v) of ``Q.T @ C @ Q``. They are returned
+    once every residual |C v - theta v| is at most k eps theta_1, the scale
+    of ``eigh``'s own backward error. That shows eigenpairs, not the top
+    two: a start chosen from C, such as its columns of largest variance, can
+    span an invariant subspace that misses the top axis and pass the check
+    with the wrong pairs, while a random start has a component along every
+    eigenvector with probability one.
+    The error shrinks by about the Ritz rate theta_p / theta_2 per
+    iteration; where that rate predicts no convergence within
+    ``k // (2 * AXES_BLOCK)`` iterations, as it does after the first on a
+    flat spectrum, the answer is None.
     """
     k = C.shape[0]
-    budget = k // (2 * AXES_BLOCK)  # 0 for k < 32, so also where the block would span C
-    Z = C[:, np.argsort(-np.diagonal(C), kind="stable")[:AXES_BLOCK]]
+    budget = k // (2 * AXES_BLOCK)
+    if budget == 0:  # k < 32, so also where the block would span C
+        return None
+    bits = np.frombuffer(random.Random(0).randbytes(8 * k * AXES_BLOCK), dtype="<u8")
+    Z = C @ ((bits >> 11) * 2.0**-52 - 1.0).reshape(k, AXES_BLOCK)
     for it in range(1, budget + 1):
         Q = np.linalg.qr(Z)[0]
         Z = C @ Q
@@ -592,12 +604,13 @@ def _gather(X: np.ndarray, b: slice, keep: np.ndarray, buf: np.ndarray) -> np.nd
 def pca_project(X: np.ndarray) -> np.ndarray:
     """Top-2 principal-component coordinates.
 
-    The axes are the top two eigenvectors of the covariance: a checked block
-    subspace iteration finds them where its spectrum decays, and
-    ``np.linalg.eigh`` elsewhere (``_principal_axes``). Only the
-    non-constant columns (max != min) enter: a constant column gets loading
-    0. Rows are read ``PCA_BLOCK`` at a time with the bytes ``gather_rows``
-    gives, so uint8 pixels give the bytes ``scale_pixels(X)`` gives. Each
+    The axes are the top two eigenvectors of the covariance: a block
+    subspace iteration from a random start, checked by its residuals,
+    finds them where its spectrum decays, and ``np.linalg.eigh`` elsewhere
+    (``_principal_axes``). Only the non-constant columns (max != min)
+    enter: a constant column gets loading 0. Rows are read ``PCA_BLOCK``
+    at a time with the bytes ``gather_rows`` gives, so uint8 pixels give
+    the bytes ``scale_pixels(X)`` gives. Each
     block is centred on its own mean before its Gram matrix is summed, and
     the block means are merged into the covariance by the pairwise update of
     Chan, Golub & LeVeque (1979). The block means are kept

@@ -98,8 +98,8 @@ class GaussianLatent:
         """``error`` naming the first of samples start..stop-1 whose
         covariance would overflow: a NaN head output, a log standard
         deviation above ``MAX_LOG_STD`` or, for "full", |L10| above
-        e**MAX_LOG_STD. Samples are counted within this batch, or named by
-        ``rows``, the dataset row of each sample of the batch."""
+        e**MAX_LOG_STD. A sample is named by its dataset row, ``rows[i]``,
+        or by its position in the batch where ``rows`` is None."""
         raw = self.params.data[start:stop]
         if self.head == "full":
             ok = np.column_stack([np.abs(raw[:, 0]) <= math.exp(MAX_LOG_STD), raw[:, 1:] <= MAX_LOG_STD])
@@ -141,8 +141,8 @@ class GaussianLatent:
         for head "none", which returns mu unchanged. The scale is sigma I
         (isotropic), diag(sigma) or the Cholesky factor L (full). A sample
         whose covariance would overflow leaves no finite loss: a
-        DivergenceError (``_check_params``), naming the sample by its
-        position in the batch or, given ``rows``, by its dataset row.
+        DivergenceError (``_check_params``) naming the sample by its dataset
+        row, ``rows[i]``, or by its position in the batch.
         """
         if self.head == "none":
             return self.mu

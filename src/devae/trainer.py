@@ -242,7 +242,7 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
             eps = rng.standard_normal((rows.size, LATENT_DIM))
             model.zero_grad()
             try:
-                result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps)
+                result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps, rows)
                 result.total.backward()
                 adam.step()
             except DivergenceError as exc:

@@ -782,6 +782,17 @@ class TestPcaProject:
         np.testing.assert_allclose(pca_project(X), _svd_coordinates(X), rtol=0, atol=1e-12)
         assert full == []
 
+    # k = 56 has a budget of one iteration and falls back; k = 288 takes the iteration.
+    @pytest.mark.parametrize("n, m, iterates", [(128, 40, False), (512, 272, True)])
+    def test_top_axis_outside_the_columns_of_largest_variance(self, monkeypatch, n, m, iterates):
+        X = _hadamard_trap(n, m)
+        C = np.cov(X.T)
+        top16 = np.argsort(-np.diagonal(C))[:16]
+        assert np.array_equal(np.sort(top16), np.arange(16)) and not C[:16, 16:].any()
+        full = _full_eigh_calls(monkeypatch)
+        np.testing.assert_allclose(pca_project(X), _svd_coordinates(X), rtol=0, atol=1e-12)
+        assert len(full) == (not iterates)
+
     def test_flat_spectrum_falls_back_to_eigh(self, monkeypatch):
         # The random pixels of CI's BCE determinism step.
         r = np.random.default_rng(0)
@@ -859,6 +870,20 @@ def _prototypes(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     protos = rng.standard_normal((20, 784)) * np.geomspace(1.0, 0.1, 20)[:, None]
     return protos[rng.integers(0, 20, n)] + 0.1 * rng.standard_normal((n, 784))
+
+
+def _hadamard_trap(n: int, m: int) -> np.ndarray:
+    """n x (16 + m) columns of an n x n Sylvester Hadamard matrix H (n a
+    power of two): 16 columns 6 H_1 and 1.25 H_2..H_16, the 16 of largest
+    variance, then m columns H_17 + 0.5 H_(17+j), whose common H_17 is the
+    top axis. Every column sums to 0 and the products are exact, so the first
+    16 columns are exactly uncorrelated with the rest: their span is an
+    invariant subspace of the covariance that misses the top axis."""
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    scales = np.r_[6.0, np.full(15, 1.25)]
+    return np.hstack([H[:, 1:17] * scales, H[:, [17]] + 0.5 * H[:, 18 : 18 + m]])
 
 
 def _full_eigh_calls(monkeypatch) -> list:

@@ -312,12 +312,15 @@ class TestTrain:
             train(DeVae(cfg), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_validation_divergence_names_the_epoch_and_the_dataset_row(self):
+    # Row 21 is the val split's first row; row 39, the train split's last, is
+    # sample 31 of the first batch at seed 0.
+    @pytest.mark.parametrize("split, row, phase", [("val", 21, "validation"), ("train", 39, r"batch 0")])
+    def test_divergence_names_the_epoch_and_the_dataset_row(self, split, row, phase):
         bundle = blob_bundle(n=40, d=4, k=2, seed=2)
-        assert np.flatnonzero(bundle.split == "val")[0] == 21
-        bundle.X[21] = 1e200  # a val row: only the validation pass reads it
-        message = (r"^epoch 1, validation: covariance head 'full': chol_raw_0 = -7\.61794e\+199 "
-                   r"of sample 21 overflows the covariance$")
+        assert row in np.flatnonzero(bundle.split == split)
+        bundle.X[row] = 1e200  # read only by the phase of its split
+        message = (rf"^epoch 1, {phase}: covariance head 'full': chol_raw_0 = -7\.6\d+e\+199 "
+                   rf"of sample {row} overflows the covariance$")
         with pytest.raises(DivergenceError, match=message):
             train(DeVae(tiny_config(d=4)), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
 
