@@ -12,7 +12,7 @@ from .evaluation import class_ellipses, evaluate
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
-from .tensor import DenseLayer, Tensor, finite_diff_grad, no_grad
+from .tensor import DenseLayer, Tensor, finite_diff_grad
 from .trainer import Adam, EarlyStopping, TrainReport, TrainSettings, run_matrix, split_dataset, train
 from .viz import grid_inverse_sheet, latent_plot_svg
 
@@ -43,7 +43,6 @@ __all__ = [
     "latent_plot_svg",
     "load_checkpoint",
     "make_blobs",
-    "no_grad",
     "pca_project",
     "proj_loss",
     "read_csv_vectors",

@@ -241,7 +241,7 @@ def _cmd_latent_plot(args) -> int:
     labels = bundle.labels[idx] if bundle.labels is not None else None
     ellipses = None
     if model.config.head != "none" and labels is not None:
-        ellipses = class_ellipses(latent, labels)
+        ellipses = class_ellipses(latent, labels, idx)
     latent_plot_svg(mu, labels, ellipses, args.out)
     return 0
 

@@ -362,7 +362,7 @@ def read_csv_vectors(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Numeric matrix from CSV; a trailing "label" column is split off.
 
     The matrix may be a strided view of the parsed table: its readers
-    (``gather_rows``, ``Tensor``) copy the rows they use. A NaN or infinite
+    (``gather_rows``, ``tensor.as_array``) copy the rows they use. A NaN or infinite
     value is a ParseError naming its line."""
     header, values, line_nos, texts = _read_csv(path)
     labels = None

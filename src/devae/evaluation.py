@@ -20,23 +20,21 @@ from .errors import ContractError, DataError
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
 from .losses import LossBreakdown, total_loss
 from .model import INFER_CHUNK, DeVae, forward_train
-from .tensor import no_grad
 
 
 def evaluate(model: DeVae, bundle: DatasetBundle, split: str = "test") -> LossBreakdown:
     """Mean per-sample loss components over one split, deterministic.
 
-    The split runs through the model ``INFER_CHUNK`` rows at a time, without
-    a tape. A sample that diverges is named by its dataset row.
+    The split runs through the model ``INFER_CHUNK`` rows at a time, and no
+    layer output outlives its chunk's losses. A sample that diverges is
+    named by its dataset row.
     """
     idx = bundle.indices(split)
     sums = np.zeros(3)
-    with no_grad():
-        for start in range(0, idx.size, INFER_CHUNK):
-            rows = idx[start : start + INFER_CHUNK]
-            result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps=None, rows=rows)
-            b = result.breakdown
-            sums += np.array([b.recon, b.proj, b.ent]) * rows.size
+    for start in range(0, idx.size, INFER_CHUNK):
+        rows = idx[start : start + INFER_CHUNK]
+        b = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], rows=rows, keep=False).breakdown
+        sums += np.array([b.recon, b.proj, b.ent]) * rows.size
     means = sums / idx.size
     return total_loss(means[0], means[1], means[2], model.config.weights)
 
@@ -129,13 +127,15 @@ def class_medoid_indices(points: np.ndarray, labels: np.ndarray) -> dict[int, in
     return out
 
 
-def class_ellipses(latent: GaussianLatent, labels: np.ndarray) -> dict[int, list[EllipseSpec]]:
+def class_ellipses(latent: GaussianLatent, labels: np.ndarray,
+                   rows: np.ndarray | None = None) -> dict[int, list[EllipseSpec]]:
     """Per-class k = 1, 2, 3 uncertainty ellipses around the medoids of the encoded means.
 
     ``latent`` is the encoding of the labelled rows, for example
-    ``model.encode_rows(X)``. A class's ellipses are drawn from the
+    ``model.encode_rows(X, rows)``. A class's ellipses are drawn from the
     covariance the encoder predicts for its medoid sample
-    (``GaussianLatent.covariance``).
+    (``GaussianLatent.covariance``), which names a sample whose covariance
+    would overflow by its dataset row, ``rows[i]``, or by its place i.
     """
     if latent.head == "none":
         raise ContractError('head "none" carries no covariance to draw')
@@ -144,6 +144,6 @@ def class_ellipses(latent: GaussianLatent, labels: np.ndarray) -> dict[int, list
     mu = latent.mu.data
     out: dict[int, list[EllipseSpec]] = {}
     for label, i in class_medoid_indices(mu, labels).items():
-        cov, det = latent.covariance(i)
+        cov, det = latent.covariance(i, rows)
         out[label] = [ellipse_from_cov(mu[i], cov, k, det) for k in (1, 2, 3)]
     return out

@@ -17,9 +17,10 @@ head's differential entropy has one form:
 
     H = (1 + ln 2pi) + s_0 + s_1
 
-A reparameterized sample is one tape node on mu and the raw head
-parameters, and so is the entropy term of the loss (``losses.ent_loss``);
-``GaussianLatent.entropy`` is the untaped per-sample value.
+A reparameterized sample (``GaussianLatent.sample``) is a forward function
+of mu and the raw head parameters, paired with its backward
+(``sample_backward``); the entropy term of the loss is ``losses.ent_loss``
+over the per-sample ``GaussianLatent.entropy``.
 ``GaussianLatent.covariance`` materializes one sample's 2x2 Sigma, with its
 determinant, for drawing ellipses.
 """
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, DivergenceError, GeometryError
-from .tensor import Tensor
+from .tensor import Tensor, as_array
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -125,7 +125,7 @@ class GaussianLatent:
         return grad
 
     def entropy(self) -> np.ndarray:
-        """Per-sample differential entropy, [batch, 1], untaped; zeros for head "none".
+        """Per-sample differential entropy, [batch, 1]; zeros for head "none".
 
         The isotropic head's one s stands for both dimensions.
         """
@@ -134,19 +134,19 @@ class GaussianLatent:
         s = self._log_std()
         return s.sum(axis=1, keepdims=True) * (LATENT_DIM / s.shape[1]) + (0.5 * LATENT_DIM) * (1.0 + LN_2PI)
 
-    def sample(self, eps, rows: np.ndarray | None = None) -> Tensor:
-        """Reparameterized draw mu + scale(params) eps, one tape node on mu and params.
+    def sample(self, eps, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Reparameterized draw z = mu + L(params) eps, and exp(s), the scale ``sample_backward`` reads.
 
         ``eps`` is a [batch, 2] block of standard-normal draws; it is ignored
-        for head "none", which returns mu unchanged. The scale is sigma I
-        (isotropic), diag(sigma) or the Cholesky factor L (full). A sample
+        for head "none", which returns mu unchanged and no scale. L is sigma I
+        (isotropic), diag(sigma) or the Cholesky factor (full). A sample
         whose covariance would overflow leaves no finite loss: a
         DivergenceError (``_check_params``) naming the sample by its dataset
         row, ``rows[i]``, or by its position in the batch.
         """
         if self.head == "none":
-            return self.mu
-        eps = (eps if isinstance(eps, Tensor) else Tensor(eps)).data
+            return self.mu.data, None
+        eps = as_array(eps)
         if eps.shape != self.mu.shape:
             raise ContractError(f"eps must be [batch, 2] = {self.mu.shape}, got {eps.shape}")
         self._check_params(DivergenceError, rows=rows)
@@ -154,31 +154,34 @@ class GaussianLatent:
         step = scale * eps
         if self.head == "full":  # z_1 = mu_1 + L11 eps_1 + L10 eps_0
             step[:, 1] += self.params.data[:, 0] * eps[:, 0]
+        return self.mu.data + step, scale
 
-        def backward(g):
-            g_scale = g * eps
-            if self.head == "isotropic":
-                g_scale = g_scale.sum(axis=1, keepdims=True)
-            grad = self._params_grad(g_scale * scale)
-            if self.head == "full":
-                grad[:, :1] = g[:, 1:] * eps[:, :1]
-            return ((self.mu, g), (self.params, grad))
-
-        return T._node(self.mu.data + step, (self.mu, self.params), backward)
+    def sample_backward(self, g: np.ndarray, eps: np.ndarray, scale: np.ndarray | None):
+        """The gradients on mu (``g`` itself) and on params (None for "none") of a gradient ``g`` on z."""
+        if self.head == "none":
+            return g, None
+        g_scale = g * eps
+        if self.head == "isotropic":
+            g_scale = g_scale.sum(axis=1, keepdims=True)
+        grad = self._params_grad(g_scale * scale)
+        if self.head == "full":
+            grad[:, :1] = g[:, 1:] * eps[:, :1]
+        return g, grad
 
     # -- numpy-side materialization -----------------------------------------
 
-    def covariance(self, i: int) -> tuple[np.ndarray, float]:
+    def covariance(self, i: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
         """Sample i's 2x2 covariance Sigma and its determinant.
 
         The determinant comes from the factors Sigma is built from: var^2
         (isotropic), v0 v1 (diagonal) or (L00 L11)^2 (full). It stays
         positive for a near-singular Sigma, whose entries would cancel. A
-        covariance that would overflow is a GeometryError (``_check_params``).
+        covariance that would overflow is a GeometryError (``_check_params``)
+        naming the sample by its dataset row, ``rows[i]``, or by i.
         """
         if self.head == "none":
             raise ContractError('head "none" has no covariance')
-        self._check_params(GeometryError, i, i + 1)
+        self._check_params(GeometryError, i, i + 1, rows)
         raw = self.params.data[i]
         if self.head == "full":
             l00, l11 = np.exp(raw[1:])

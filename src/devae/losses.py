@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DivergenceError, DomainError
 from .gaussian import LATENT_DIM, GaussianLatent
-from .tensor import Tensor
+from .tensor import as_array
 
 
 @dataclass(frozen=True)
@@ -49,44 +49,39 @@ class LossBreakdown:
         return {"recon": self.recon, "proj": self.proj, "ent": self.ent, "total": self.total}
 
 
-def recon_mse(x: Tensor, x_hat: Tensor) -> Tensor:
+def recon_mse(x, x_hat) -> float:
     """Squared error summed over features, averaged over the batch."""
-    return T.squared_error(x, x_hat)
+    return T.squared_error(as_array(x), as_array(x_hat))
 
 
-def recon_bce(x: Tensor, logits: Tensor) -> Tensor:
+def recon_bce(x, logits) -> float:
     """Binary cross-entropy summed over features, averaged over the batch.
 
     Computed from the decoder's logits, not from probabilities
     (``tensor.bce_logits``), so the loss and its gradient stay exact where
     the sigmoid saturates. Targets must lie in [0, 1].
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if np.any(x.data < 0.0) or np.any(x.data > 1.0):
-        lo, hi = float(x.data.min()), float(x.data.max())
-        raise DomainError(f"bce targets must lie in [0, 1], got range [{lo}, {hi}]")
-    return T.bce_logits(logits, x)
+    x = as_array(x)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise DomainError(f"bce targets must lie in [0, 1], got range [{float(x.min())}, {float(x.max())}]")
+    return T.bce_logits(as_array(logits), x)
 
 
-def proj_loss(y: Tensor, mu: Tensor) -> Tensor:
+def proj_loss(y, mu) -> float:
     """Mean squared Euclidean distance between targets y and latent means."""
-    return T.squared_error(y, mu)
+    return T.squared_error(as_array(y), as_array(mu))
 
 
-def ent_loss(latent: GaussianLatent) -> Tensor:
-    """Batch mean of the negated differential entropy, one tape node on the
-    head's params; exactly 0 for "none"."""
-    if latent.head == "none":
-        return Tensor(0.0)
-    h = latent.entropy()
+def ent_loss(latent: GaussianLatent) -> float:
+    """Batch mean of the negated differential entropy; exactly 0 for "none"."""
+    return 0.0 if latent.head == "none" else float(-latent.entropy().mean())
+
+
+def ent_loss_backward(latent: GaussianLatent, g: float) -> np.ndarray:
+    """The gradient on the head's params of ``g * ent_loss(latent)`` (not for "none")."""
     s_shape = latent._log_std().shape
     factor = LATENT_DIM / s_shape[1]  # the isotropic head's one s counts for both dimensions
-
-    def backward(g):
-        g_s = np.full(s_shape, ((g * -1.0) / h.size) * factor)
-        return ((latent.params, latent._params_grad(g_s)),)
-
-    return T._node(np.asarray(-h.mean()), (latent.params,), backward)
+    return latent._params_grad(np.full(s_shape, ((g * -1.0) / latent.batch) * factor))
 
 
 def total_loss(recon: float, proj: float, ent: float, weights: LossWeights) -> LossBreakdown:
@@ -104,12 +99,7 @@ def total_loss(recon: float, proj: float, ent: float, weights: LossWeights) -> L
     return LossBreakdown(recon=recon, proj=proj, ent=ent, total=total)
 
 
-def objective(recon: Tensor, proj: Tensor, ent: Tensor, weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
-    """The composite objective of three scalar loss tensors: one tape node
-    holding ``total_loss``'s total, and that breakdown."""
-    breakdown = total_loss(recon.item(), proj.item(), ent.item(), weights)
-
-    def backward(g):
-        return ((recon, g), (proj, g * weights.lambda_proj), (ent, g * weights.lambda_ent))
-
-    return T._node(np.asarray(breakdown.total), (recon, proj, ent), backward), breakdown
+def objective_backward(weights: LossWeights) -> tuple[float, float, float]:
+    """The gradient of ``total_loss``'s total on (recon, proj, ent): the
+    weights ``model.backward`` seeds the three loss terms with."""
+    return 1.0, weights.lambda_proj, weights.lambda_ent

@@ -4,8 +4,14 @@ The encoder trunk maps inputs through relu hidden layers; parallel linear
 heads emit the latent mean and, when the head variant calls for one, the
 covariance parameters. The decoder mirrors the trunk with an identity output
 layer, whose output (``decode_logits``) is MSE's reconstruction and BCE's
-logits. ``decode``, the inverse projection, runs it without a tape and, for
-BCE, applies one sigmoid, so its outputs live in (0, 1).
+logits. ``decode``, the inverse projection, runs it and, for BCE, applies
+one sigmoid, so its outputs live in (0, 1).
+
+Training runs one fixed chain: ``encode``, the latent sample,
+``decode_logits``, the three loss terms and their weighted total.
+``forward_train`` keeps what its backward needs, and ``backward``, the
+chain's hand-written adjoint, walks it in reverse. Inference runs the same
+forward functions and keeps nothing.
 
 Checkpoint layout (little-endian):
 
@@ -18,6 +24,8 @@ present), decoder layers; weight before bias within each layer.
 A model keeps all its parameters in one contiguous float64 vector,
 ``DeVae.flat``, in that same order; every weight and bias ``.data`` is a view
 into it. The parameter block of a checkpoint is therefore ``flat``'s bytes.
+``DeVae.grad`` is laid out the same way: ``backward`` writes each layer's
+weight and bias gradient into its views, and ``trainer.Adam`` reads it whole.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import tensor as T
 from .data import gather_rows
-from .errors import CheckpointError, ContractError, DimensionError
+from .errors import CheckpointError, ContractError, DimensionError, DivergenceError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
-from .losses import LossBreakdown, LossWeights, ent_loss, objective, proj_loss, recon_bce, recon_mse
-from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, fan_out, no_grad
+from .losses import (LossBreakdown, LossWeights, ent_loss, ent_loss_backward, objective_backward, proj_loss,
+                     recon_bce, recon_mse, total_loss)
+from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, as_array, fan_out
 
 MAGIC = b"DEVAE"
 VERSION = 1
@@ -136,20 +146,24 @@ class DeVae:
         self.config = config
         rng = np.random.default_rng(config.seed) if _flat is None else None
         self.flat = np.empty(parameter_count(config)) if _flat is None else _flat
+        self.grad = np.zeros(self.flat.size)  # calloc: untouched until a backward writes it
+        vectors = (self.flat, self.grad)
         layers: list[DenseLayer] = []
+        # (weight, bias) gradient views of each layer, into ``grad``.
+        self.layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
         offset = 0
         for _, out_dim, in_dim, activation in _layer_specs(config):
-            weight = self.flat[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim)
+            weight, grad_weight = (v[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim) for v in vectors)
             offset += out_dim * in_dim
-            bias = self.flat[offset : offset + out_dim]
+            bias, grad_bias = (v[offset : offset + out_dim] for v in vectors)
             offset += out_dim
             if rng is not None:
                 bound = math.sqrt(6.0 / in_dim)
                 weight[...] = rng.uniform(-bound, bound, size=weight.shape)
                 bias[...] = 0.0
             # Tensor keeps a contiguous float64 array as is, so .data stays a view.
-            layers.append(DenseLayer(Tensor(weight, requires_grad=True),
-                                     Tensor(bias, requires_grad=True), activation))
+            layers.append(DenseLayer(Tensor(weight), Tensor(bias), activation))
+            self.layer_grads.append((grad_weight, grad_bias))
 
         # Every layer in topology order, the order of ``flat``.
         self.layers = layers
@@ -169,10 +183,6 @@ class DeVae:
         layer's ``_layer_specs`` name with ``.weight``, then ``.bias``."""
         return [f"{name}.{part}" for name, *_ in _layer_specs(self.config) for part in ("weight", "bias")]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
 
@@ -183,19 +193,19 @@ class DeVae:
 
     # -- forward passes ---------------------------------------------------------
 
-    def encode(self, x) -> GaussianLatent:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.data.ndim != 2 or x.shape[1] != self.config.input_dim:
+    def encode(self, x, io: list | None = None) -> GaussianLatent:
+        """The latent Gaussians of [batch, input_dim] rows; ``io`` as in ``_run``."""
+        x = as_array(x)
+        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise DimensionError(
                 f"encode: input shape {x.shape} does not match model input_dim {self.config.input_dim}"
             )
-        for layer in self.trunk:
-            x = layer(x)
-        mu = self.mu_head(x)
-        return GaussianLatent(self.config.head, mu, None if self.var_head is None else self.var_head(x))
+        h = _run(self.trunk, x, io)
+        mu = _run([self.mu_head], h, io)
+        return GaussianLatent(self.config.head, mu, None if self.var_head is None else _run([self.var_head], h, io))
 
     def encode_rows(self, X: np.ndarray, rows: np.ndarray | None = None) -> GaussianLatent:
-        """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None) without a tape.
+        """Encode ``X[rows]`` (all of ``X`` when ``rows`` is None).
 
         Rows are gathered (``gather_rows``: uint8 pixels are scaled) and
         encoded ``INFER_CHUNK`` at a time, so neither a float copy of the
@@ -203,72 +213,130 @@ class DeVae:
         """
         n = X.shape[0] if rows is None else len(rows)
         parts: list[GaussianLatent] = []
-        with no_grad():
-            for start in range(0, max(n, 1), INFER_CHUNK):  # no rows: one empty chunk
-                stop = start + INFER_CHUNK
-                chunk = slice(start, stop) if rows is None else rows[start:stop]
-                parts.append(self.encode(gather_rows(X, chunk)))
+        for start in range(0, max(n, 1), INFER_CHUNK):  # no rows: one empty chunk
+            stop = start + INFER_CHUNK
+            chunk = slice(start, stop) if rows is None else rows[start:stop]
+            parts.append(self.encode(gather_rows(X, chunk)))
 
-        def joined(block: str) -> Tensor | None:
+        def joined(block: str) -> np.ndarray | None:
             if getattr(parts[0], block) is None:
                 return None
-            return Tensor(np.concatenate([getattr(p, block).data for p in parts]))
+            return np.concatenate([getattr(p, block).data for p in parts])
 
         return GaussianLatent(self.config.head, joined("mu"), joined("params"))
 
-    def decode_logits(self, z) -> Tensor:
-        """The decoder stack on [batch, LATENT_DIM] points: MSE's reconstruction, BCE's logits."""
-        z = z if isinstance(z, Tensor) else Tensor(z)
-        if z.data.ndim != 2 or z.shape[1] != LATENT_DIM:
+    def decode_logits(self, z, io: list | None = None) -> np.ndarray:
+        """The decoder on [batch, LATENT_DIM] points: MSE's reconstruction, BCE's logits; ``io`` as in ``_run``."""
+        z = as_array(z)
+        if z.ndim != 2 or z.shape[1] != LATENT_DIM:
             raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
-        for layer in self.decoder:
-            z = layer(z)
-        return z
+        return _run(self.decoder, z, io)
 
     def decode(self, z) -> Tensor:
-        """Reconstruction of latent points, without a tape; in (0, 1) for BCE.
+        """Reconstruction of latent points; in (0, 1) for BCE.
 
         BCE's sigmoid runs on the row blocks the output layer's product was
         split into, one per lane.
         """
-        with no_grad():
-            out = self.decode_logits(z)
+        out = self.decode_logits(z)
         if self.config.recon_kind == "bce":
-            logits = out.data  # the untaped output is this call's own array
-            blocks = _row_blocks(len(logits), logits.size * self.decoder[-1].weight.shape[1])
-            fan_out(lambda lo, hi: _sigmoid_(logits[lo:hi]), blocks)
-        return out
+            blocks = _row_blocks(len(out), out.size * self.decoder[-1].weight.shape[1])
+            fan_out(lambda lo, hi: _sigmoid_(out[lo:hi]), blocks)
+        return Tensor(out)
+
+
+def _run(layers: list[DenseLayer], h: np.ndarray, io: list | None) -> np.ndarray:
+    """``h`` through ``layers``; each layer's (input, output) goes to ``io`` for ``backward`` unless it is None."""
+    for layer in layers:
+        out = layer(h)
+        if io is not None:
+            io.append((h, out))
+        h = out
+    return h
 
 
 @dataclass
 class ForwardResult:
-    """Everything one training step needs from a forward pass."""
+    """One forward pass of the training chain: its losses and what ``backward`` reads."""
 
     breakdown: LossBreakdown
-    x_hat: Tensor  # decode_logits output: the reconstruction for MSE, logits for BCE
     latent: GaussianLatent
-    total: Tensor  # scalar graph node; call .backward() on it
+    x_hat: np.ndarray  # decode_logits output: the reconstruction for MSE, logits for BCE
+    y: np.ndarray
+    eps: np.ndarray
+    scale: np.ndarray | None  # the sample's, from GaussianLatent.sample
+    io: list[tuple[np.ndarray, np.ndarray]] | None  # each dense layer's (input, output), topology order
 
 
-def forward_train(model: DeVae, x, y, eps=None, rows: np.ndarray | None = None) -> ForwardResult:
+def forward_train(model: DeVae, x, y, eps=None, rows: np.ndarray | None = None, *, keep: bool = True) -> ForwardResult:
     """Encode, sample, decode, and assemble the composite loss.
 
     ``eps`` supplies the reparameterization noise, [batch, 2]; pass zeros
     (or None) for deterministic evaluation. Head "none" always decodes mu.
-    ``rows``, the dataset row of each sample, names a sample that diverges.
+    ``rows``, the dataset row of each sample, names a sample that diverges:
+    one whose covariance would overflow, or the first whose loss is not
+    finite. With ``keep`` False no layer output is kept for ``backward``.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    y = y if isinstance(y, Tensor) else Tensor(y)
+    x, y = as_array(x), as_array(y)
     if x.shape[0] != y.shape[0]:
         raise DimensionError.mismatch("row-aligned x vs y", x.shape, y.shape)
-    latent = model.encode(x)
-    if eps is None:
-        eps = np.zeros((x.shape[0], LATENT_DIM))
-    z = latent.sample(eps, rows)
-    x_hat = model.decode_logits(z)
-    recon = recon_bce(x, x_hat) if model.config.recon_kind == "bce" else recon_mse(x, x_hat)
-    total, breakdown = objective(recon, proj_loss(y, latent.mu), ent_loss(latent), model.config.weights)
-    return ForwardResult(breakdown=breakdown, x_hat=x_hat, latent=latent, total=total)
+    io = [] if keep else None
+    latent = model.encode(x, io)
+    eps = np.zeros((x.shape[0], LATENT_DIM)) if eps is None else as_array(eps)
+    z, scale = latent.sample(eps, rows)
+    x_hat = model.decode_logits(z, io)
+    recon = recon_bce if model.config.recon_kind == "bce" else recon_mse
+
+    def losses(s: slice) -> tuple[float, float, float]:
+        part = GaussianLatent(latent.head, latent.mu.data[s], None if latent.params is None else latent.params.data[s])
+        return recon(x[s], x_hat[s]), proj_loss(y[s], part.mu), ent_loss(part)
+
+    values = losses(slice(None))
+    try:
+        breakdown = total_loss(*values, model.config.weights)
+    except DivergenceError as exc:
+        # Name the first sample whose own value of the first non-finite term is
+        # non-finite; none where only the total, or a sum of finite values, overflowed.
+        k = next((k for k, v in enumerate(values) if not math.isfinite(v)), None)
+        bad = next((i for i in range(len(x) if k is not None else 0) if not math.isfinite(losses(slice(i, i + 1))[k])),
+                   None)
+        where = "" if bad is None else f", first at sample {bad if rows is None else rows[bad]}"
+        raise DivergenceError(f"{exc}{where}") from exc
+    return ForwardResult(breakdown, latent, x_hat, y, eps, scale, io)
+
+
+def backward(model: DeVae, result: ForwardResult, seeds: tuple[float, float, float] | None = None) -> np.ndarray:
+    """Write the gradient of the objective into ``model.grad`` and return it.
+
+    ``forward_train``'s chain in reverse: reconstruction loss, decoder,
+    sample, projection and entropy terms, heads, trunk. ``seeds`` weighs
+    (recon, proj, ent), ``objective_backward``'s weights when None. mu, the
+    last trunk output and the params each sum two gradients.
+    """
+    if result.io is None:
+        raise ContractError("backward needs a forward_train result that kept its layers")
+    w_recon, w_proj, w_ent = objective_backward(model.config.weights) if seeds is None else seeds
+    layers, io, latent, x = model.layers, result.io, result.latent, result.io[0][0]
+
+    def through(i: int, g: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        (inp, out), layer = io[i], layers[i]
+        return T.linear_backward(g, inp, layer.weight.data, out, layer.activation, *model.layer_grads[i], need_dx)
+
+    if model.config.recon_kind == "bce":
+        g = T.bce_logits_backward(result.x_hat, x, w_recon)
+    else:  # recon_mse(x, x_hat): x_hat is the second operand
+        g = np.negative(T.squared_error_backward(x, result.x_hat, w_recon))
+    for i in range(len(layers) - 1, len(layers) - len(model.decoder) - 1, -1):
+        g = through(i, g)
+    g_mu, g_params = latent.sample_backward(g, result.eps, result.scale)
+    g_mu = g_mu - T.squared_error_backward(result.y, latent.mu.data, w_proj)  # proj_loss(y, mu)
+    n_trunk = len(model.trunk)
+    g = through(n_trunk, g_mu)
+    if g_params is not None:
+        g = g + through(n_trunk + 1, g_params + ent_loss_backward(latent, w_ent))
+    for i in range(n_trunk - 1, -1, -1):
+        g = through(i, g, need_dx=i > 0)
+    return model.grad
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -22,8 +22,7 @@ from .errors import ContractError, DataError, DimensionError, DivergenceError
 from .evaluation import evaluate
 from .gaussian import LATENT_DIM
 from .losses import total_loss
-from .model import DeVae, forward_train
-from .tensor import Tensor
+from .model import DeVae, backward, forward_train
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam; only the learning rate is set per run.
+    """Bias-corrected Adam over one parameter vector; only the learning rate is set per run.
 
     b1 = ``ADAM_BETA1``, b2 = ``ADAM_BETA2`` and eps = ``ADAM_EPS`` are fixed.
 
@@ -73,74 +72,59 @@ class Adam:
     textbook ``lr*(m/c1) / (sqrt(v_textbook/c2) + eps)``; in float64 it
     differs by rounding only.
 
-    The moments are flat vectors; parameter ``i`` owns
-    ``[offsets[i], offsets[i + 1])`` of each. ``names``, when given, label
-    the parameters in error messages. Parameters are updated in place, so
-    their ``.data`` must be C-contiguous.
+    ``flat`` is updated in place from ``grad``, a vector of the same layout
+    (``DeVae.flat`` and ``DeVae.grad``). The parameters in it have
+    ``shapes``, in order; parameter ``i`` owns ``[offsets[i], offsets[i + 1])``
+    of each vector and of the moments. ``names``, when given, label the
+    parameters in error messages.
 
-    The passes run in blocks of at most ``tensor.CACHE_BLOCK`` elements,
-    none spanning two parameters, so a block of each operand and the
-    scratch vector stay in cache across the passes. ``step`` cuts the
-    blocks into up to ``tensor.WORKERS`` runs of about equal element count
-    and hands them to ``tensor.fan_out``, one lane each, every lane with its
-    own scratch vector. The passes are elementwise, so the bytes of the
-    parameters and moments do not depend on the number of lanes.
+    The passes run in blocks of at most ``tensor.CACHE_BLOCK`` elements, so
+    a block of each operand and the scratch vector stay in cache; the update
+    is elementwise, so a block may span two parameters. ``step`` cuts the
+    blocks into up to ``tensor.WORKERS`` runs of about equal length, one
+    lane of ``tensor.fan_out`` each, every lane with its own scratch vector.
+    The bytes of the parameters and moments do not depend on the lanes.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 0.001, names: list[str] | None = None):
-        self.params = list(params)
-        if not all(p.data.flags.c_contiguous for p in self.params):
-            raise ContractError("adam needs C-contiguous parameter arrays")
-        if names is not None and len(names) != len(self.params):
-            raise ContractError(f"adam got {len(names)} names for {len(self.params)} parameters")
-        self.names = names
+    def __init__(self, flat: np.ndarray, grad: np.ndarray, shapes: list[tuple[int, ...]], lr: float = 0.001,
+                 names: list[str] | None = None):
+        if flat.ndim != 1 or grad.shape != flat.shape or not (flat.flags.c_contiguous and grad.flags.c_contiguous):
+            raise ContractError("adam needs a parameter vector and a gradient vector of the same length")
+        self.shapes = [tuple(s) for s in shapes]
+        self.offsets = np.cumsum([0] + [math.prod(s) for s in self.shapes])
+        if self.offsets[-1] != flat.size:
+            raise DimensionError(f"adam got parameters of {self.offsets[-1]} elements for a vector of {flat.size}")
+        if names is not None and len(names) != len(self.shapes):
+            raise ContractError(f"adam got {len(names)} names for {len(self.shapes)} parameters")
+        self.flat, self.grad, self.names = flat, grad, names
         self.lr = lr
         self.t = 0
-        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
-        self.m = np.zeros(self.offsets[-1])
-        self.v = np.zeros(self.offsets[-1])
-        # (parameter, start, stop) in the moments' positions, in order.
-        self._blocks = [
-            (i, j, min(j + tensor.CACHE_BLOCK, hi))
-            for i, (lo, hi) in enumerate(zip(self.offsets, self.offsets[1:]))
-            for j in range(lo, hi, tensor.CACHE_BLOCK)
-        ]
+        self.m = np.zeros(flat.size)
+        self.v = np.zeros(flat.size)
         self._scratch: list[np.ndarray] = []  # one vector per lane
-
-    def _gradients(self) -> list[np.ndarray]:
-        """Every parameter's gradient, flattened, once all have been checked."""
-        grads = []
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                raise ContractError(f"adam step without a computed gradient for parameter {i}")
-            if g.shape != p.data.shape:
-                raise DimensionError.mismatch("adam gradient vs parameter", g.shape, p.data.shape)
-            if not np.isfinite(g).all():
-                where = "" if self.names is None else f"{self.names[i]}: "
-                raise DivergenceError(f"non-finite gradient in {where}parameter {i} of shape {g.shape}")
-            grads.append(g.reshape(-1))
-        return grads
 
     def step(self) -> None:
         """Apply one update in place, or none at all when any gradient is bad.
 
-        Every gradient is checked before any write. Each block then takes
-        the passes of the class docstring, in that order, in its lane.
+        One pass checks the whole gradient before any write, and names the
+        first parameter with a non-finite element. Each block then takes the
+        passes of the class docstring, in that order, in its lane.
         """
-        grads = self._gradients()
+        finite = np.isfinite(self.grad)
+        if not finite.all():
+            i = int(np.searchsorted(self.offsets, np.argmin(finite), side="right")) - 1
+            where = "" if self.names is None else f"{self.names[i]}: "
+            raise DivergenceError(f"non-finite gradient in {where}parameter {i} of shape {self.shapes[i]}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         r = math.sqrt((1.0 - b2) / (1.0 - b2 ** self.t))
         eps_r, scale = ADAM_EPS / r, c1 * r / self.lr
-        flats = [p.data.reshape(-1) for p in self.params]
 
-        def lane(blocks, scratch):
-            for i, lo, hi in blocks:
-                j, k = lo - self.offsets[i], hi - self.offsets[i]
-                gb, pb = grads[i][j:k], flats[i][j:k]
-                m, v = self.m[lo:hi], self.v[lo:hi]
+        def lane(start, stop, scratch):
+            for lo in range(start, stop, tensor.CACHE_BLOCK):
+                hi = min(lo + tensor.CACHE_BLOCK, stop)
+                gb, pb, m, v = self.grad[lo:hi], self.flat[lo:hi], self.m[lo:hi], self.v[lo:hi]
                 a = scratch[: hi - lo]
                 m *= b1
                 m += np.multiply(gb, 1.0 - b1, out=a)
@@ -152,13 +136,13 @@ class Adam:
                 pb -= np.divide(m, a, out=a)
 
         # Read at each step, not at import: callers may set WORKERS later.
-        lanes = min(tensor.WORKERS, len(self._blocks))
+        n = self.flat.size
+        blocks = -(-n // tensor.CACHE_BLOCK)
+        lanes = max(1, min(tensor.WORKERS, blocks))
         while len(self._scratch) < lanes:
             self._scratch.append(np.empty(tensor.CACHE_BLOCK))
-        runs = [[] for _ in range(lanes)]
-        for block in self._blocks:  # to the lane its middle element falls in
-            runs[(block[1] + block[2]) * lanes // (2 * self.offsets[-1])].append(block)
-        tensor.fan_out(lane, [(run, scratch) for run, scratch in zip(runs, self._scratch) if run])
+        cuts = [min(blocks * k // lanes * tensor.CACHE_BLOCK, n) for k in range(lanes + 1)]
+        tensor.fan_out(lane, list(zip(cuts, cuts[1:], self._scratch)))
 
 
 class EarlyStopping:
@@ -229,7 +213,8 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
         )
 
     rng = np.random.default_rng(settings.seed)
-    adam = Adam(model.parameters(), lr=settings.learning_rate, names=model.parameter_names())
+    adam = Adam(model.flat, model.grad, [p.shape for p in model.parameters()], lr=settings.learning_rate,
+                names=model.parameter_names())
     stopper = EarlyStopping(settings.patience)
     best_snapshot = model.snapshot()
     epoch_records: list[dict] = []
@@ -240,10 +225,9 @@ def train(model: DeVae, bundle: DatasetBundle, settings: TrainSettings) -> tuple
         for batch_no, start in enumerate(range(0, order.size, settings.batch_size)):
             rows = order[start : start + settings.batch_size]
             eps = rng.standard_normal((rows.size, LATENT_DIM))
-            model.zero_grad()
             try:
                 result = forward_train(model, gather_rows(bundle.X, rows), bundle.Y[rows], eps, rows)
-                result.total.backward()
+                backward(model, result)
                 adam.step()
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc

@@ -25,7 +25,6 @@ from devae import (
     train,
 )
 from devae.gaussian import HEAD_PARAMS, GaussianLatent
-import devae.tensor as T
 from devae.tensor import Tensor
 
 
@@ -52,7 +51,7 @@ def mc_entropy(latent: GaussianLatent, i: int, n: int, seed: int) -> float:
     mu = latent.mu.data[i]
     big = tile_latent(latent, i, n)
     eps = np.random.default_rng(seed).standard_normal((n, 2))
-    z = big.sample(Tensor(eps)).data
+    z, _ = big.sample(eps)
     cov, _ = latent.covariance(i)
     return float(-gaussian_logpdf(z, mu, cov).mean())
 
@@ -165,20 +164,6 @@ def tiny_config(head="full", recon_kind="mse", d=10, seed=11,
         recon_kind=recon_kind,
         seed=seed,
     )
-
-
-@pytest.fixture
-def tape_nodes(monkeypatch) -> list[Tensor]:
-    """Every tensor built by ``tensor._node`` from here on, in order."""
-    nodes = []
-    record = T._node
-
-    def counting_node(*args):
-        nodes.append(record(*args))
-        return nodes[-1]
-
-    monkeypatch.setattr(T, "_node", counting_node)
-    return nodes
 
 
 @pytest.fixture(scope="session")

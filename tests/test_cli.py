@@ -156,6 +156,30 @@ class TestPipelineSmoke:
                             r"overflows the covariance\n", message), message
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_latent_plot_names_an_overflowing_medoid_by_its_dataset_row(self, pipeline, tmp_path, capsys):
+        # The first class's medoid among the test split's rows is drawn first.
+        from devae.cli import main
+        from devae.data import read_csv_vectors
+        from devae.evaluation import class_medoid_indices
+        from devae.model import load_checkpoint, save_checkpoint
+        from devae.trainer import split_dataset
+
+        model = load_checkpoint(pipeline["ckpt"])
+        X, labels = read_csv_vectors(pipeline["data"])
+        test = np.flatnonzero(split_dataset(80, 7) == "test")
+        first = next(iter(class_medoid_indices(model.encode_rows(X, test).mu.data, labels[test]).values()))
+        row = test[first]
+        assert row != first  # a place in the split would name another sample
+        model.parameters()[model.parameter_names().index("var.bias")].data[1] = 1e200  # ln L00
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(model, ckpt)
+        argv = ["latent-plot", "--model", str(ckpt), "--data", str(pipeline["data"]), "--proj", str(pipeline["proj"]),
+                "--split", "test", "--out", str(tmp_path / "plot.svg")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: covariance head 'full': chol_raw_1 = 1e+200 of sample {row} "
+                                           "overflows the covariance\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eval_with_an_overflowing_total_is_divergence(self, pipeline, tmp_path, capsys):
         from dataclasses import replace
 

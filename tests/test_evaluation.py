@@ -79,7 +79,7 @@ class TestEvaluate:
             x, y = bundle.X[i : i + 1], bundle.Y[i : i + 1]
             latent = model.encode(x)
             x_hat = model.decode(latent.mu)
-            per_sample.append((recon_mse(Tensor(x), x_hat).item(), proj_loss(Tensor(y), latent.mu).item()))
+            per_sample.append((recon_mse(x, x_hat), proj_loss(y, latent.mu)))
         means = np.mean(per_sample, axis=0)
         assert full.recon == pytest.approx(chunked.recon, rel=1e-12)
         assert full.recon == pytest.approx(means[0], rel=1e-10)

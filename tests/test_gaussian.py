@@ -8,9 +8,8 @@ import pytest
 from conftest import mc_entropy, random_latent, tile_latent
 from devae.errors import ContractError, DivergenceError, GeometryError
 from devae.gaussian import HEAD_PARAMS, LN_2PI, MAX_LOG_STD, EllipseSpec, GaussianLatent, ellipse_from_cov
-from devae.losses import ent_loss
+from devae.losses import ent_loss, ent_loss_backward
 from devae.tensor import Tensor, gradient_check
-import devae.tensor as T
 
 UNIT_H2 = 1.0 + math.log(2.0 * math.pi)  # entropy of N(0, I) in 2-D: 2.8378771
 
@@ -66,13 +65,13 @@ class TestEntropyValues:
         # the entropy stays finite and its gradient is the constant -1/batch.
         batch, q = 4, 2
         lower = np.random.default_rng(14).uniform(-1.0, 1.0, size=(batch, 1))
-        params = Tensor(np.column_stack([lower, np.full((batch, q), raw)]), requires_grad=True)
+        params = np.column_stack([lower, np.full((batch, q), raw)])
         lat = GaussianLatent("full", Tensor(np.zeros((batch, q))), params)
-        want = 0.5 * q * (1.0 + LN_2PI) + params.data[:, 1:].sum(axis=1)
+        want = 0.5 * q * (1.0 + LN_2PI) + params[:, 1:].sum(axis=1)
         np.testing.assert_allclose(lat.entropy()[:, 0], want, rtol=1e-15)
-        ent_loss(lat).backward()
-        np.testing.assert_array_equal(params.grad[:, 1:], np.full((batch, q), -1.0 / batch))
-        np.testing.assert_array_equal(params.grad[:, 0], 0.0)
+        grad = ent_loss_backward(lat, 1.0)
+        np.testing.assert_array_equal(grad[:, 1:], np.full((batch, q), -1.0 / batch))
+        np.testing.assert_array_equal(grad[:, 0], 0.0)
 
 
 class TestEntropyProperties:
@@ -110,9 +109,10 @@ class TestEntropyProperties:
         rng = np.random.default_rng(4)
         mu = Tensor(np.zeros((3, 2)))
         for head, width in (("isotropic", 1), ("diagonal", 2), ("full", 3)):
-            params = Tensor(rng.uniform(-2, 2, size=(3, width)), requires_grad=True)
-            build = lambda: ent_loss(GaussianLatent(head, mu, params))  # noqa: E731
-            assert gradient_check(build, [params], floor=1e-8) < 1e-6
+            params = rng.uniform(-2, 2, size=(3, width))
+            loss = lambda: ent_loss(GaussianLatent(head, mu, params))  # noqa: E731
+            grads = lambda: [ent_loss_backward(GaussianLatent(head, mu, params), 1.0)]  # noqa: E731
+            assert gradient_check(loss, grads, [params], floor=1e-8) < 1e-6
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal"])
     def test_monte_carlo_oracle_agreement(self, head):
@@ -135,26 +135,27 @@ class TestSampling:
     @pytest.mark.parametrize("head", ["none", "isotropic", "diagonal", "full"])
     def test_zero_noise_returns_mu(self, head):
         lat = random_latent(head, np.random.default_rng(7))
-        z = lat.sample(Tensor(np.zeros((1, 2))))
-        np.testing.assert_array_equal(z.data, lat.mu.data)
+        z, _ = lat.sample(Tensor(np.zeros((1, 2))))
+        np.testing.assert_array_equal(z, lat.mu.data)
 
     def test_full_hand_example(self):
         # L = [[2,0],[1,1]], eps = (1,1): z = (2, 2)
         lat = GaussianLatent(
             "full", Tensor([[0.0, 0.0]]), Tensor([[1.0, math.log(2.0), 0.0]])
         )
-        z = lat.sample(Tensor([[1.0, 1.0]]))
-        np.testing.assert_allclose(z.data, [[2.0, 2.0]], rtol=0, atol=1e-15)
+        z, _ = lat.sample(Tensor([[1.0, 1.0]]))
+        np.testing.assert_allclose(z, [[2.0, 2.0]], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("head", ["isotropic", "diagonal", "full"])
-    def test_sample_is_one_node(self, tape_nodes, head):
+    def test_backward_passes_the_draw_gradient_to_mu(self, head):
+        # z = mu + step(params, eps): dz/dmu is the identity, and the
+        # gradient on params has their shape.
         rng = np.random.default_rng(2)
-        mu = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        raw = Tensor(rng.uniform(-1, 1, size=(4, len(HEAD_PARAMS[head]))), requires_grad=True)
-        z = GaussianLatent(head, mu, raw).sample(rng.standard_normal((4, 2)))
-        assert tape_nodes == [z] and z._parents == (mu, raw)
-        T.squared_error(z, Tensor(np.zeros((4, 2)))).backward()
-        assert mu.grad is not None and raw.grad is not None
+        lat = GaussianLatent(head, rng.standard_normal((4, 2)), rng.uniform(-1, 1, size=(4, len(HEAD_PARAMS[head]))))
+        eps, g = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        _, scale = lat.sample(eps)
+        g_mu, g_params = lat.sample_backward(g, eps, scale)
+        assert g_mu is g and g_params.shape == lat.params.shape
 
     def test_full_sample_matches_the_slice_mul_add_chain(self):
         # Values bit for bit, on a batch of 64 with mu off zero.
@@ -162,7 +163,7 @@ class TestSampling:
         mu = rng.standard_normal((64, 2))
         raw = np.column_stack([rng.uniform(-2, 2, size=(64, 1)), np.log(rng.uniform(0.1, 2, size=(64, 2)))])
         eps = rng.standard_normal((64, 2))
-        z = GaussianLatent("full", Tensor(mu), Tensor(raw)).sample(eps).data
+        z = GaussianLatent("full", Tensor(mu), Tensor(raw)).sample(eps)[0]
         assert z.tobytes() == (mu + _old_sample_chain(raw[:, :1], np.exp(raw[:, 1:]), eps)).tobytes()
 
     def test_full_sample_is_mu_plus_l_eps(self):
@@ -171,13 +172,13 @@ class TestSampling:
         l10, s0, s1 = lat.params.data[0]
         L = np.array([[math.exp(s0), 0.0], [l10, math.exp(s1)]])
         eps = rng.standard_normal((1, 2))
-        z = lat.sample(Tensor(eps)).data
+        z, _ = lat.sample(Tensor(eps))
         np.testing.assert_allclose(z[0], lat.mu.data[0] + L @ eps[0], rtol=1e-13)
 
     def test_isotropic_componentwise_affine(self):
         lat = GaussianLatent("isotropic", Tensor([[1.0, 1.0]]), Tensor([[math.log(9.0)]]))
-        z = lat.sample(Tensor([[1.0, -1.0]]))
-        np.testing.assert_allclose(z.data, [[4.0, -2.0]], rtol=0, atol=1e-12)
+        z, _ = lat.sample(Tensor([[1.0, -1.0]]))
+        np.testing.assert_allclose(z, [[4.0, -2.0]], rtol=0, atol=1e-12)
 
     def test_eps_shape_checked(self):
         lat = random_latent("diagonal", np.random.default_rng(8))
@@ -197,7 +198,7 @@ class TestSampling:
         rng = np.random.default_rng(9)
         lat = random_latent(head, rng)
         big = tile_latent(lat, 0, n)
-        z = big.sample(Tensor(rng.standard_normal((n, 2)))).data
+        z, _ = big.sample(Tensor(rng.standard_normal((n, 2))))
         cov_true, _ = lat.covariance(0)
         sigma_max = math.sqrt(cov_true.diagonal().max())
         assert np.all(np.abs(z.mean(axis=0) - lat.mu.data[0]) < 5.0 * sigma_max / math.sqrt(n))
@@ -272,7 +273,7 @@ class TestCovarianceMatrix:
         cov, det = lat.covariance(0)
         spec = ellipse_from_cov((0.0, 0.0), cov, 3, det)
         assert np.isfinite(cov).all() and np.isfinite(spec.semi_axes).all()
-        assert np.isfinite(lat.sample(np.ones((1, 2))).data).all()
+        assert np.isfinite(lat.sample(np.ones((1, 2)))[0]).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("head", sorted(EDGE))
@@ -284,6 +285,8 @@ class TestCovarianceMatrix:
         lat.covariance(1)
         with pytest.raises(GeometryError, match="of sample 2 overflows"):
             lat.covariance(2)
+        with pytest.raises(GeometryError, match="of sample 40 overflows"):  # named by its dataset row
+            lat.covariance(2, np.array([5, 9, 40]))
 
     @pytest.mark.parametrize("mu", [[[0.0]], [[0.0, 0.0, 0.0]], [0.0, 0.0]])
     def test_mu_must_be_batch_by_two(self, mu):

@@ -13,7 +13,7 @@ from devae.errors import (
     DivergenceError,
 )
 from devae.losses import LossWeights
-from devae.model import RECON_KINDS, DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
+from devae.model import RECON_KINDS, DeVae, ModelConfig, backward, forward_train, load_checkpoint, save_checkpoint
 from devae.tensor import Tensor, _sigmoid_
 from devae.trainer import Adam
 
@@ -44,12 +44,12 @@ class TestEncodeDecode:
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("recon_kind", ["bce", "mse"])
-    def test_decode_is_untaped_decode_logits(self, recon_kind):
+    def test_decode_is_decode_logits_then_the_sigmoid(self, recon_kind):
         model = DeVae(tiny_config(recon_kind=recon_kind))
-        z = Tensor(np.random.default_rng(5).uniform(-20, 20, size=(7, 2)), requires_grad=True)
+        z = Tensor(np.random.default_rng(5).uniform(-20, 20, size=(7, 2)))
         out = model.decode(z)
-        assert out._parents == () and out._backward is None and not out.requires_grad
-        want = model.decode_logits(z).data.copy()
+        assert isinstance(out, Tensor)
+        want = model.decode_logits(z)
         if recon_kind == "bce":
             _sigmoid_(want)
         assert out.data.tobytes() == want.tobytes()
@@ -108,9 +108,7 @@ class TestForwardTrain:
         x, y = rng.uniform(-1, 1, size=(1, 10)), rng.uniform(-1, 1, size=(1, 2))
         eps = rng.standard_normal((1, 2))
         result = forward_train(model, x, y, eps)
-        result.total.backward()
-        for p in model.parameters():
-            p.data -= 1e-4 * p.grad
+        model.flat -= 1e-4 * backward(model, result)
         after = forward_train(model, x, y, eps)
         assert after.breakdown.total < result.breakdown.total
 
@@ -120,17 +118,48 @@ class TestForwardTrain:
             forward_train(model, np.zeros((3, 10)), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("recon_kind", RECON_KINDS)
-    @pytest.mark.parametrize("head, count", [("none", 9), ("isotropic", 12), ("diagonal", 12), ("full", 12)])
-    def test_forward_pass_node_count(self, tape_nodes, head, count, recon_kind):
-        # One node per dense layer, one sample (none for head "none"), the
-        # two squared or BCE losses, one entropy term (none for "none") and
-        # the weighted objective.
+    @pytest.mark.parametrize("head", ["none", "isotropic", "diagonal", "full"])
+    def test_forward_keeps_each_dense_layers_input_and_output(self, head, recon_kind):
+        # The chain backward walks: trunk, mu (and var) on the last trunk
+        # output, the decoder on the sample, the logits last.
         model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
         rng = np.random.default_rng(6)
-        x, y = rng.uniform(0, 1, size=(4, 10)), rng.uniform(-1, 1, size=(4, 2))
-        result = forward_train(model, x, y, rng.standard_normal((4, 2)))
-        assert len(tape_nodes) == count and tape_nodes[-1] is result.total
-        assert all(n._backward is not None for n in tape_nodes)
+        x, y, eps = rng.uniform(0, 1, size=(4, 10)), rng.uniform(-1, 1, size=(4, 2)), rng.standard_normal((4, 2))
+        result = forward_train(model, x, y, eps)
+        io, n_trunk = result.io, len(model.trunk)
+        assert len(io) == len(model.layers) == (6 if head == "none" else 7)
+        assert io[0][0] is x and io[1][0] is io[0][1]
+        assert all(inp is io[n_trunk - 1][1] for inp, _ in io[n_trunk : len(io) - len(model.decoder)])
+        assert io[n_trunk][1] is result.latent.mu.data
+        z = result.latent.sample(eps)[0]
+        assert io[-len(model.decoder)][0].tobytes() == z.tobytes()
+        assert io[-1][1] is result.x_hat
+        for (inp, out), layer in zip(io, model.layers):
+            assert out.tobytes() == layer(inp).tobytes()
+
+    def test_forward_without_keep_is_bit_identical_and_keeps_nothing(self):
+        model = DeVae(tiny_config(recon_kind="bce"))
+        rng = np.random.default_rng(4)
+        x, y, eps = rng.uniform(0, 1, size=(40, 10)), rng.uniform(-1, 1, size=(40, 2)), rng.standard_normal((40, 2))
+        kept, bare = forward_train(model, x, y, eps), forward_train(model, x, y, eps, keep=False)
+        assert bare.io is None and bare.breakdown == kept.breakdown
+        assert bare.x_hat.tobytes() == kept.x_hat.tobytes()
+        with pytest.raises(ContractError, match="kept its layers"):
+            backward(model, bare)
+
+    def test_backward_overwrites_the_gradient_and_leaves_the_forward(self):
+        # Two passes give the same bytes, not twice the gradient, and no
+        # array the forward kept is written.
+        model = DeVae(tiny_config(head="full", recon_kind="bce"))
+        rng = np.random.default_rng(8)
+        x, y, eps = rng.uniform(0, 1, size=(40, 10)), rng.uniform(-1, 1, size=(40, 2)), rng.standard_normal((40, 2))
+        model.grad[...] = np.nan
+        result = forward_train(model, x, y, eps)
+        kept = [a.tobytes() for pair in result.io for a in pair] + [result.latent.params.data.tobytes()]
+        once = backward(model, result).copy()
+        assert np.isfinite(once).all() and np.count_nonzero(once) > once.size // 2
+        assert backward(model, result).tobytes() == once.tobytes()
+        assert [a.tobytes() for pair in result.io for a in pair] + [result.latent.params.data.tobytes()] == kept
 
     def test_none_head_has_no_variance_parameters(self):
         none = DeVae(tiny_config(head="none"))
@@ -172,12 +201,11 @@ class TestParameterArena:
         model = DeVae(tiny_config(seed=3))
         before = [p.data.tobytes() for p in model.parameters()]
         snap = model.snapshot()
-        adam = Adam(model.parameters(), lr=0.01)
+        adam = Adam(model.flat, model.grad, [p.shape for p in model.parameters()], lr=0.01)
         rng = np.random.default_rng(7)
         for _ in range(3):
-            model.zero_grad()
             x, y = rng.uniform(-1, 1, size=(4, 10)), rng.uniform(-1, 1, size=(4, 2))
-            forward_train(model, x, y, rng.standard_normal((4, 2))).total.backward()
+            backward(model, forward_train(model, x, y, rng.standard_normal((4, 2))))
             adam.step()
         assert [p.data.tobytes() for p in model.parameters()] != before
         model.restore(snap)
@@ -199,10 +227,9 @@ class TestParameterNames:
 
     def test_named_adam_reports_the_layer(self):
         model = DeVae(tiny_config())
-        adam = Adam(model.parameters(), names=model.parameter_names())
-        for p in model.parameters():
-            p.grad = np.zeros(p.shape)
-        model.parameters()[6].grad[0, 1] = np.nan
+        adam = Adam(model.flat, model.grad, [p.shape for p in model.parameters()], names=model.parameter_names())
+        grad_weight, _ = model.layer_grads[3]  # enc0, enc1, mu, var
+        grad_weight[0, 1] = np.nan
         with pytest.raises(DivergenceError, match=r"in var\.weight: parameter 6 of shape \(3, 16\)"):
             adam.step()
 

@@ -1,6 +1,7 @@
 """Optimizer, splits, early stopping, the training loop, and the run matrix."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -9,12 +10,12 @@ import pytest
 import devae.tensor as T
 from conftest import CountingPool, blob_bundle, tiny_config
 from devae.data import DatasetBundle
-from devae.errors import ContractError, DataError, DivergenceError
+from devae.errors import ContractError, DataError, DimensionError, DivergenceError
 from devae.evaluation import evaluate
 from devae.gaussian import HEADS
 from devae.losses import LossWeights
 from devae.model import DeVae, ModelConfig, save_checkpoint
-from devae.tensor import CACHE_BLOCK, Tensor
+from devae.tensor import CACHE_BLOCK
 from devae.trainer import (
     MATRIX_METRICS,
     Adam,
@@ -28,150 +29,153 @@ from devae.trainer import (
 )
 
 
+def _adam(shapes, lr=0.001, names=None):
+    """A zero parameter vector, its gradient vector and their Adam."""
+    n = sum(math.prod(shape) for shape in shapes)
+    flat, grad = np.zeros(n), np.zeros(n)
+    return flat, grad, Adam(flat, grad, shapes, lr=lr, names=names)
+
+
 class TestAdam:
     def test_first_step_hand_computed(self):
         # theta=1, g=1: m_hat=1, v_hat=1, so theta' = 1 - lr / (1 + eps).
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([1.0])
-        Adam([p], lr=0.001).step()
+        flat, grad, opt = _adam([(1,)])
+        flat[0], grad[0] = 1.0, 1.0
+        opt.step()
         expected = 1.0 - 0.001 / (1.0 + 1e-8)
-        assert p.data[0] == pytest.approx(expected, abs=1e-15)
-        assert p.data[0] == pytest.approx(0.999, abs=1e-8)
+        assert flat[0] == pytest.approx(expected, abs=1e-15)
+        assert flat[0] == pytest.approx(0.999, abs=1e-8)
 
     def test_zero_gradient_leaves_parameters_but_ticks_clock(self):
-        p = Tensor([2.0, -3.0], requires_grad=True)
-        p.grad = np.zeros(2)
-        opt = Adam([p])
+        flat, grad, opt = _adam([(2,)])
+        flat[...] = [2.0, -3.0]
         opt.step()
-        np.testing.assert_array_equal(p.data, [2.0, -3.0])
+        np.testing.assert_array_equal(flat, [2.0, -3.0])
         assert opt.t == 1
 
     def test_effective_step_bounded_by_lr(self):
-        p = Tensor([0.0], requires_grad=True)
-        opt = Adam([p], lr=0.01)
+        flat, grad, opt = _adam([(1,)], lr=0.01)
         for _ in range(50):
-            before = p.data.copy()
-            p.grad = np.array([0.37])
+            before = flat.copy()
+            grad[0] = 0.37
             opt.step()
-            assert abs(p.data[0] - before[0]) <= 0.01 * (1.0 + 1e-9)
+            assert abs(flat[0] - before[0]) <= 0.01 * (1.0 + 1e-9)
 
-    def test_missing_gradient_rejected(self):
-        p = Tensor([1.0], requires_grad=True)
+    def test_vectors_and_shapes_must_agree(self):
         with pytest.raises(ContractError):
-            Adam([p]).step()
+            Adam(np.zeros(3), np.zeros(4), [(3,)])
+        with pytest.raises(ContractError):
+            Adam(np.zeros((2, 3)), np.zeros((2, 3)), [(2, 3)])
+        with pytest.raises(DimensionError):
+            Adam(np.zeros(6), np.zeros(6), [(2,), (2, 3)])
 
     def test_non_finite_gradient_diverges(self):
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([float("nan")])
+        flat, grad, opt = _adam([(1,)])
+        grad[0] = np.nan
         with pytest.raises(DivergenceError):
-            Adam([p]).step()
+            opt.step()
 
     def test_bad_later_gradient_changes_nothing(self):
-        first = Tensor([1.0, 2.0], requires_grad=True)
-        second = Tensor(np.ones((2, 3)), requires_grad=True)
-        opt = Adam([first, second])
-        first.grad, second.grad = np.array([0.5, -0.5]), np.ones((2, 3))
+        flat, grad, opt = _adam([(2,), (2, 3)])
+        flat[...] = [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        grad[...] = [0.5, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         opt.step()
-        state = (first.data.copy(), second.data.copy(), opt.m.copy(), opt.v.copy(), opt.t)
-        second.grad = np.ones((2, 3))
-        second.grad[1, 2] = np.nan
+        state = (flat.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        grad[2:].reshape(2, 3)[1, 2] = np.nan
         with pytest.raises(DivergenceError, match=r"parameter 1 of shape \(2, 3\)"):
             opt.step()
-        np.testing.assert_array_equal(first.data, state[0])
-        np.testing.assert_array_equal(second.data, state[1])
-        np.testing.assert_array_equal(opt.m, state[2])
-        np.testing.assert_array_equal(opt.v, state[3])
-        assert opt.t == state[4]
+        np.testing.assert_array_equal(flat, state[0])
+        np.testing.assert_array_equal(opt.m, state[1])
+        np.testing.assert_array_equal(opt.v, state[2])
+        assert opt.t == state[3]
+
+    def test_first_bad_parameter_is_named_by_the_offsets(self):
+        # The first non-finite element decides, wherever the blocks are cut.
+        shapes = [(CACHE_BLOCK + 3,), (4, 5), (7,)]
+        flat, grad, opt = _adam(shapes, names=["a", "b", "c"])
+        grad[-1] = np.inf
+        grad[CACHE_BLOCK + 3 + 19] = np.nan
+        with pytest.raises(DivergenceError, match=r"^non-finite gradient in b: parameter 1 of shape \(4, 5\)$"):
+            opt.step()
 
     def test_bad_gradient_in_the_last_lane_changes_nothing(self, monkeypatch):
         # Every gradient is checked before any lane writes.
         monkeypatch.setattr(T, "WORKERS", 2)
         shapes = [(CACHE_BLOCK,), (CACHE_BLOCK,), (3, 4)]
-        params, opt, steps = self._random_run(2, shapes)
-        for p, g in zip(params, steps[0]):
-            p.grad = g
+        flat, grad, opt, steps = self._random_run(2, shapes)
+        grad[...] = steps[0]
         opt.step()
-        state = [a.copy() for a in (*(p.data for p in params), opt.m, opt.v)]
-        for p, g in zip(params, steps[1]):
-            p.grad = g
-        params[-1].grad = params[-1].grad.copy()
-        params[-1].grad[2, 3] = np.inf
+        state = [a.copy() for a in (flat, opt.m, opt.v)]
+        grad[...] = steps[1]
+        grad[-1] = np.inf  # parameter 2's [2, 3]
         with pytest.raises(DivergenceError, match=r"parameter 2 of shape \(3, 4\)"):
             opt.step()
-        for a, b in zip(state, (*(p.data for p in params), opt.m, opt.v)):
+        for a, b in zip(state, (flat, opt.m, opt.v)):
             assert a.tobytes() == b.tobytes()
         assert opt.t == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g*g overflows; the gradient itself is finite
     def test_finite_gradient_with_overflowing_sum_is_accepted(self):
-        p = Tensor([0.0, 0.0, 0.5], requires_grad=True)
-        opt = Adam([p])
+        flat, grad, opt = _adam([(3,)])
+        flat[2] = 0.5
         for sign in (1.0, -1.0, 1.0):
-            p.grad = sign * np.array([1e308, 1e308, -1e308])
+            grad[...] = sign * np.array([1e308, 1e308, -1e308])
             opt.step()
-            assert np.all(np.isfinite(p.data)) and np.all(np.isfinite(opt.m))
+            assert np.all(np.isfinite(flat)) and np.all(np.isfinite(opt.m))
 
     def test_names_must_match_parameters(self):
         with pytest.raises(ContractError):
-            Adam([Tensor([1.0], requires_grad=True)], names=["a", "b"])
+            Adam(np.zeros(1), np.zeros(1), [(1,)], names=["a", "b"])
 
     @staticmethod
     def _random_run(steps: int, shapes: list[tuple[int, ...]]):
-        """Parameters, their Adam, and per-step gradients spanning 9 decades."""
+        """A random parameter vector, its gradient vector, their Adam, and
+        per-step gradient vectors spanning 9 decades within each parameter."""
         rng = np.random.default_rng(0)
-        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-        grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes] for _ in range(steps)]
-        return params, Adam(params, lr=0.001), grads
+        flat, grad, opt = _adam(shapes)
+        flat[...] = np.concatenate([rng.standard_normal(s).ravel() for s in shapes])
+        grads = [np.concatenate([(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).ravel() for s in shapes])
+                 for _ in range(steps)]
+        return flat, grad, opt, grads
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_bit_identical_to_per_parameter_expression(self, monkeypatch, workers):
-        # The eleven-pass update, one whole-array expression per parameter, is
-        # the oracle; shapes cover one element, exactly one block, and
-        # several blocks with a ragged tail, enough blocks for four lanes.
+    def test_bit_identical_to_one_vector_expression(self, monkeypatch, workers):
+        # The eleven-pass update, one whole-vector expression, is the oracle;
+        # shapes cover one element, exactly one block, and parameters that
+        # end inside blocks, enough blocks for four lanes.
         shapes = [(1,), (CACHE_BLOCK,), (3, CACHE_BLOCK // 2 + 77), (5, 4), (2 * CACHE_BLOCK + 9,), (7,)]
         monkeypatch.setattr(T, "WORKERS", workers)
         pool = CountingPool(T._pool)
         monkeypatch.setattr(T, "_pool", pool)
-        params, opt, steps = self._random_run(20, shapes)
-        ref = [p.data.copy() for p in params]
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
+        flat, grad, opt, steps = self._random_run(20, shapes)
+        ref, m, v = flat.copy(), np.zeros(flat.size), np.zeros(flat.size)
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        for t, grads in enumerate(steps, start=1):
-            for p, g in zip(params, grads):
-                p.grad = g
+        for t, g in enumerate(steps, start=1):
+            grad[...] = g
             opt.step()
             c1 = 1.0 - b1 ** t
             r = np.sqrt((1.0 - b2) / (1.0 - b2 ** t))
-            for i, g in enumerate(grads):
-                m[i] = b1 * m[i] + (1.0 - b1) * g
-                v[i] = b2 * v[i] + np.square(g)
-                ref[i] -= m[i] / ((np.sqrt(v[i]) + eps / r) * (c1 * r / lr))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + np.square(g)
+            ref -= m / ((np.sqrt(v) + eps / r) * (c1 * r / lr))
         assert pool.by_fn["Adam.step.<locals>.lane"] == len(steps) * (workers - 1)  # every lane has blocks
-        for p, r in zip(params, ref):
-            assert p.data.tobytes() == r.tobytes()
-        assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
-        assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+        assert flat.tobytes() == ref.tobytes()
+        assert opt.m.tobytes() == m.tobytes()
+        assert opt.v.tobytes() == v.tobytes()
 
     def test_drift_from_textbook_update_is_rounding(self):
-        shapes = [(7,), (3, 50)]
-        params, opt, steps = self._random_run(200, shapes)
-        ref = [p.data.copy() for p in params]
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
+        flat, grad, opt, steps = self._random_run(200, [(7,), (3, 50)])
+        ref, m, v = flat.copy(), np.zeros(flat.size), np.zeros(flat.size)
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        for t, grads in enumerate(steps, start=1):
-            for p, g in zip(params, grads):
-                p.grad = g
+        for t, g in enumerate(steps, start=1):
+            grad[...] = g
             opt.step()
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for i, g in enumerate(grads):
-                m[i] = b1 * m[i] + (1.0 - b1) * g
-                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-                ref[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
-        for p, r in zip(params, ref):
-            np.testing.assert_allclose(p.data, r, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(opt.v * (1.0 - b2), np.concatenate([a.ravel() for a in v]), rtol=1e-14)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            ref -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.testing.assert_allclose(flat, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(opt.v * (1.0 - b2), v, rtol=1e-14)
 
 
 class TestSplit:
@@ -323,6 +327,18 @@ class TestTrain:
                    rf"of sample {row} overflows the covariance$")
         with pytest.raises(DivergenceError, match=message):
             train(DeVae(tiny_config(d=4)), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the row's squared error overflows
+    @pytest.mark.parametrize("split, row, phase", [("val", 21, "validation"), ("train", 39, r"batch 0")])
+    def test_non_finite_loss_names_its_first_dataset_row(self, split, row, phase):
+        # Head "none" has no covariance to check, so the loss is the first to
+        # see the scaled row: its reconstruction, and only its, overflows.
+        bundle = blob_bundle(n=40, d=4, k=2, seed=2)
+        assert row in np.flatnonzero(bundle.split == split)
+        bundle.X[row] *= 1e300
+        message = rf"^epoch 1, {phase}: loss component 'recon' is non-finite: inf, first at sample {row}$"
+        with pytest.raises(DivergenceError, match=message):
+            train(DeVae(tiny_config(head="none", d=4)), bundle, TrainSettings(seed=0, max_epochs=2, patience=2))
 
     def test_empty_val_split_fails_before_the_first_epoch(self, monkeypatch):
         import devae.trainer
