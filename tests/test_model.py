@@ -1,18 +1,20 @@
 """Model assembly, forward passes, and checkpoint round-trips."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_CONFIGS, checkpoint_with_config, tiny_config
+from conftest import MALFORMED_CONFIGS, blob_bundle, checkpoint_with_config, tiny_config
 from devae.errors import (
     CheckpointError,
     ContractError,
     DimensionError,
     DivergenceError,
 )
-from devae.losses import LossWeights
+from devae.evaluation import evaluate
+from devae.losses import LossWeights, objective_backward
 from devae.model import RECON_KINDS, DeVae, ModelConfig, backward, forward_train, load_checkpoint, save_checkpoint
 from devae.tensor import Tensor, _sigmoid_
 from devae.trainer import Adam
@@ -166,6 +168,126 @@ class TestForwardTrain:
         full = DeVae(tiny_config(head="full"))
         assert none.var_head is None
         assert len(none.parameters()) == len(full.parameters()) - 2
+
+
+HEADS = ["none", "isotropic", "diagonal", "full"]
+
+
+def _batch(seed: int, rows: int = 12, d: int = 10):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, size=(rows, d)), rng.uniform(-1, 1, size=(rows, 2)), rng.standard_normal((rows, 2))
+
+
+def _train_steps(model: DeVae, seed: int, steps: int) -> np.ndarray:
+    adam = Adam(model.flat, model.grad, [p.shape for p in model.parameters()], lr=0.01)
+    for step in range(steps):
+        backward(model, forward_train(model, *_batch(seed + step)))
+        adam.step()
+    return model.flat.copy()
+
+
+class TestBackward:
+    @pytest.mark.parametrize("recon_kind", RECON_KINDS)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_backward_reaches_all_parameters(self, head, recon_kind):
+        # Every weight and bias view is written, and each is the slice of
+        # grad at its parameter's offset in flat.
+        model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
+        model.grad[...] = np.nan
+        backward(model, forward_train(model, *_batch(9)))
+        assert np.isfinite(model.grad).all()
+        names = model.parameter_names()
+        views = [v for pair in model.layer_grads for v in pair]
+        assert len(views) == len(model.parameters()) == len(names)
+        for name, p, v in zip(names, model.parameters(), views):
+            assert v.shape == p.shape, name
+            assert np.shares_memory(v, model.grad) and not np.shares_memory(v, model.flat), name
+            offset = (v.__array_interface__["data"][0] - model.grad.__array_interface__["data"][0]) // 8
+            assert offset == (p.data.__array_interface__["data"][0] - model.flat.__array_interface__["data"][0]) // 8
+            assert np.count_nonzero(v) > 0, f"{name} got no gradient"
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_component_seeds_sum_to_the_objective_gradient(self, head):
+        # backward is linear in its seeds: the three one-term gradients add
+        # up to the objective's, to rounding.
+        model = DeVae(tiny_config(head=head, recon_kind="bce"))
+        result = forward_train(model, *_batch(10))
+        w_recon, w_proj, w_ent = objective_backward(model.config.weights)
+        parts = [backward(model, result, seeds).copy()
+                 for seeds in ((w_recon, 0.0, 0.0), (0.0, w_proj, 0.0), (0.0, 0.0, w_ent))]
+        whole = backward(model, result)
+        np.testing.assert_allclose(parts[0] + parts[1] + parts[2], whole, rtol=1e-12,
+                                   atol=1e-14 * np.abs(whole).max())
+        # The decoder sees only the reconstruction term.
+        n_dec = sum(w.size + b.size for w, b in model.layer_grads[-len(model.decoder):])
+        assert not parts[1][-n_dec:].any() and not parts[2][-n_dec:].any()
+        if head == "none":
+            assert not parts[2].any()
+        else:
+            assert parts[2].any()
+
+    def test_inference_between_forward_and_backward_changes_no_gradient(self):
+        # Inference runs the same forward functions; it must not touch what
+        # a pending training forward kept, nor the gradient vector.
+        bundle = blob_bundle()
+        model = DeVae(tiny_config(head="full", recon_kind="mse"))
+        batch = _batch(11)
+        want = backward(model, forward_train(model, *batch)).copy()
+        model.grad[...] = 0.0
+        result = forward_train(model, *batch)
+        model.encode_rows(bundle.X)
+        model.decode(model.encode(bundle.X[:7]).mu)
+        evaluate(model, bundle, "val")
+        assert not model.grad.any()
+        assert backward(model, result).tobytes() == want.tobytes()
+
+    def test_gradient_does_not_share_memory_with_the_parameters(self):
+        model = DeVae(tiny_config(head="diagonal"))
+        before = model.flat.copy()
+        assert not np.shares_memory(model.grad, model.flat)
+        backward(model, forward_train(model, *_batch(12)))
+        assert model.flat.tobytes() == before.tobytes()
+        model.grad[...] = 7.0
+        assert model.flat.tobytes() == before.tobytes()
+
+    def test_steps_in_two_threads_match_serial_bytes(self):
+        # No state is shared between models: two training loops running at
+        # once end on the bytes each reaches alone.
+        configs = [tiny_config(head="full", recon_kind="bce"), tiny_config(head="isotropic", seed=12)]
+        serial = [_train_steps(DeVae(c), 20 * i, 15) for i, c in enumerate(configs)]
+        models, out = [DeVae(c) for c in configs], [None, None]
+        barrier = threading.Barrier(2)
+
+        def run(i):
+            barrier.wait()
+            out[i] = _train_steps(models[i], 20 * i, 15)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(out, serial):
+            assert a is not None and a.tobytes() == b.tobytes()
+
+
+class TestInferenceMatchesTraining:
+    @pytest.mark.parametrize("recon_kind", RECON_KINDS)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_outputs_are_bit_identical_to_the_training_forward(self, head, recon_kind):
+        # encode, encode_rows and decode_logits give the bytes the training
+        # forward computes at zero noise.
+        model = DeVae(tiny_config(head=head, recon_kind=recon_kind))
+        x, y, _ = _batch(13, rows=30)
+        result = forward_train(model, x, y)
+        for latent in (model.encode(x), model.encode_rows(x), model.encode_rows(x, np.arange(30))):
+            assert latent.mu.data.tobytes() == result.latent.mu.data.tobytes()
+            if head == "none":
+                assert latent.params is None and result.latent.params is None
+            else:
+                assert latent.params.data.tobytes() == result.latent.params.data.tobytes()
+        assert model.decode_logits(result.latent.mu.data).tobytes() == result.x_hat.tobytes()
 
 
 class TestInitialization:
