@@ -10,7 +10,7 @@ from .data import DatasetBundle, make_blobs, pca_project, read_csv_vectors, read
 from .errors import DevaeError
 from .evaluation import class_ellipses, evaluate
 from .gaussian import EllipseSpec, GaussianLatent, ellipse_from_cov
-from .losses import LossBreakdown, LossWeights, ent_loss, proj_loss, recon_bce, recon_mse, total_loss
+from .losses import LossBreakdown, LossWeights, ent_loss, total_loss
 from .model import DeVae, ModelConfig, forward_train, load_checkpoint, save_checkpoint
 from .tensor import DenseLayer, Tensor, finite_diff_grad
 from .trainer import Adam, EarlyStopping, TrainReport, TrainSettings, run_matrix, split_dataset, train
@@ -44,12 +44,9 @@ __all__ = [
     "load_checkpoint",
     "make_blobs",
     "pca_project",
-    "proj_loss",
     "read_csv_vectors",
     "read_idx",
     "read_projection_csv",
-    "recon_bce",
-    "recon_mse",
     "run_matrix",
     "save_checkpoint",
     "scale_pixels",

@@ -261,12 +261,21 @@ def _cmd_gradcheck(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser of one flag, for the subcommands that share it (``parents=``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="devae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    data, proj, model, out = (_flag(name, required=True) for name in ("--data", "--proj", "--model", "--out"))
+    labels = _flag("--labels", default=None, help="optional IDX or CSV label file")
+    split = _flag("--split", choices=(*dio.SPLIT_NAMES, "all"), default="test")
 
-    p = sub.add_parser("synth", help="generate a Gaussian-blob vector CSV")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("synth", help="generate a Gaussian-blob vector CSV", parents=[out])
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--dims", type=int, default=50)
     p.add_argument("--blobs", type=int, default=3)
@@ -274,59 +283,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("pca", help="write a 2-D PCA projection CSV for a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("pca", help="write a 2-D PCA projection CSV for a dataset", parents=[data, labels, out])
     p.set_defaults(func=_cmd_pca)
 
-    p = sub.add_parser("train", help="train one model and write checkpoint + report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--proj", required=True)
-    p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", help="train one model and write checkpoint + report",
+                       parents=[data, proj, labels, out])
     p.add_argument("--report", default=None)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("matrix", help="train heads x seeds and tabulate test metrics")
-    p.add_argument("--data", required=True)
-    p.add_argument("--proj", required=True)
-    p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
+    p = sub.add_parser("matrix", help="train heads x seeds and tabulate test metrics", parents=[data, proj, labels])
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--heads", default="all")
     p.add_argument("--format", choices=("json", "table"), default="json")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("eval", help="loss breakdown of a checkpoint on one split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--proj", required=True)
-    p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--split", choices=(*dio.SPLIT_NAMES, "all"), default="test")
+    p = sub.add_parser("eval", help="loss breakdown of a checkpoint on one split",
+                       parents=[model, data, proj, labels, split])
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("project", help="encode a dataset to mu (+ head params) CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("project", help="encode a dataset to mu (+ head params) CSV", parents=[model, data, out])
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("reconstruct", help="inverse-project an evenly spaced grid to an image sheet")
-    p.add_argument("--model", required=True)
-    p.add_argument("--proj", required=True)
-    p.add_argument("--grid", type=int, default=5)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("reconstruct", help="inverse-project an evenly spaced grid to an image sheet",
+                       parents=[model, proj, _flag("--grid", type=int, default=5), out])
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("latent-plot", help="latent scatter with medoid ellipses as SVG")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--proj", required=True)
-    p.add_argument("--labels", default=None, help="optional IDX or CSV label file")
-    p.add_argument("--split", choices=(*dio.SPLIT_NAMES, "all"), default="test")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("latent-plot", help="latent scatter with medoid ellipses as SVG",
+                       parents=[model, data, proj, labels, split, out])
     p.set_defaults(func=_cmd_latent_plot)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")

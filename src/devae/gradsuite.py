@@ -48,10 +48,10 @@ def _linear_case(name: str, act: str, a, w, bias, target) -> Case:
     def grads():
         out = T.linear(a, w, bias, act=act)
         gw, gb = np.empty_like(w), np.empty_like(bias)
-        ga = T.linear_backward(T.squared_error_backward(out, target, 1.0), a, w, out, act, gw, gb)
+        ga = T.linear_backward(T.squared_error_backward(target, out, 1.0), a, w, out, act, gw, gb)
         return [ga, gw, gb]
 
-    return (name, lambda: T.squared_error(T.linear(a, w, bias, act=act), target), grads, [a, w, bias])
+    return (name, lambda: T.squared_error(target, T.linear(a, w, bias, act=act)), grads, [a, w, bias])
 
 
 def _op_cases(rng) -> list[Case]:
@@ -70,9 +70,8 @@ def _op_cases(rng) -> list[Case]:
     cases = [
         _linear_case("linear", "identity", a, w, bias, target_4),
         _linear_case("linear_relu", "relu", a, w, bias, target_4),
-        ("squared_error", lambda: T.squared_error(a, b),
-         lambda: [T.squared_error_backward(a, b, 1.0), -T.squared_error_backward(a, b, 1.0)], [a, b]),
-        ("bce_logits", lambda: T.bce_logits(a, target), lambda: [T.bce_logits_backward(a, target, 1.0)], [a]),
+        ("squared_error", lambda: T.squared_error(b, a), lambda: [T.squared_error_backward(b, a, 1.0)], [a]),
+        ("bce_logits", lambda: T.bce_logits(target, a), lambda: [T.bce_logits_backward(target, a, 1.0)], [a]),
         ("combine", lambda: total_loss(*terms, weights).total, lambda: list(objective_backward(weights)), terms),
     ]
     return cases + [_sample_case(rng, head) for head in ("isotropic", "diagonal", "full")]
@@ -85,9 +84,9 @@ def _sample_case(rng, head: str) -> Case:
     def grads():
         latent = GaussianLatent(head, mu, p)
         z, scale = latent.sample(eps)
-        return list(latent.sample_backward(T.squared_error_backward(z, target, 1.0), eps, scale))
+        return list(latent.sample_backward(T.squared_error_backward(target, z, 1.0), eps, scale))
 
-    loss = lambda: T.squared_error(GaussianLatent(head, mu, p).sample(eps)[0], target)  # noqa: E731
+    loss = lambda: T.squared_error(target, GaussianLatent(head, mu, p).sample(eps)[0])  # noqa: E731
     return (f"sample:{head}", loss, grads, [mu, p])
 
 

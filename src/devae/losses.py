@@ -1,12 +1,15 @@
-"""The three loss terms and their weighted combination.
+"""The entropy term and the weighted combination of the three loss terms.
 
     total = recon + lambda_proj * proj + lambda_ent * ent
 
-Reconstruction and projection losses sum over features per sample and
-average over the batch (per-sample sums keep the magnitudes comparable
-across datasets of different width). The entropy term is the batch-mean
-negated differential entropy, so it rewards spread and can drive the
-total negative.
+The reconstruction and projection terms are the ops ``tensor.bce_logits``
+and ``tensor.squared_error``, called as ``(target, prediction)``: recon is
+``(x, decoder output)`` and proj is ``(y, mu)``; ``bce_logits`` checks that
+its targets lie in [0, 1]. Both sum over features per sample and average
+over the batch (per-sample sums keep the magnitudes comparable across
+datasets of different width). The entropy term is the batch-mean negated
+differential entropy, so it rewards spread and can drive the total
+negative.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ContractError, DivergenceError, DomainError
+from .errors import ContractError, DivergenceError
 from .gaussian import LATENT_DIM, GaussianLatent
-from .tensor import as_array
 
 
 @dataclass(frozen=True)
@@ -47,29 +48,6 @@ class LossBreakdown:
 
     def as_dict(self) -> dict[str, float]:
         return {"recon": self.recon, "proj": self.proj, "ent": self.ent, "total": self.total}
-
-
-def recon_mse(x, x_hat) -> float:
-    """Squared error summed over features, averaged over the batch."""
-    return T.squared_error(as_array(x), as_array(x_hat))
-
-
-def recon_bce(x, logits) -> float:
-    """Binary cross-entropy summed over features, averaged over the batch.
-
-    Computed from the decoder's logits, not from probabilities
-    (``tensor.bce_logits``), so the loss and its gradient stay exact where
-    the sigmoid saturates. Targets must lie in [0, 1].
-    """
-    x = as_array(x)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError(f"bce targets must lie in [0, 1], got range [{float(x.min())}, {float(x.max())}]")
-    return T.bce_logits(as_array(logits), x)
-
-
-def proj_loss(y, mu) -> float:
-    """Mean squared Euclidean distance between targets y and latent means."""
-    return T.squared_error(as_array(y), as_array(mu))
 
 
 def ent_loss(latent: GaussianLatent) -> float:

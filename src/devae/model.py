@@ -43,8 +43,7 @@ from . import tensor as T
 from .data import gather_rows
 from .errors import CheckpointError, ContractError, DimensionError, DivergenceError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
-from .losses import (LossBreakdown, LossWeights, ent_loss, ent_loss_backward, objective_backward, proj_loss,
-                     recon_bce, recon_mse, total_loss)
+from .losses import LossBreakdown, LossWeights, ent_loss, ent_loss_backward, objective_backward, total_loss
 from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, as_array, fan_out
 
 MAGIC = b"DEVAE"
@@ -285,11 +284,11 @@ def forward_train(model: DeVae, x, y, eps=None, rows: np.ndarray | None = None, 
     eps = np.zeros((x.shape[0], LATENT_DIM)) if eps is None else as_array(eps)
     z, scale = latent.sample(eps, rows)
     x_hat = model.decode_logits(z, io)
-    recon = recon_bce if model.config.recon_kind == "bce" else recon_mse
+    recon = T.bce_logits if model.config.recon_kind == "bce" else T.squared_error
 
     def losses(s: slice) -> tuple[float, float, float]:
         part = GaussianLatent(latent.head, latent.mu.data[s], None if latent.params is None else latent.params.data[s])
-        return recon(x[s], x_hat[s]), proj_loss(y[s], part.mu), ent_loss(part)
+        return recon(x[s], x_hat[s]), T.squared_error(y[s], part.mu.data), ent_loss(part)
 
     values = losses(slice(None))
     try:
@@ -322,14 +321,12 @@ def backward(model: DeVae, result: ForwardResult, seeds: tuple[float, float, flo
         (inp, out), layer = io[i], layers[i]
         return T.linear_backward(g, inp, layer.weight.data, out, layer.activation, *model.layer_grads[i], need_dx)
 
-    if model.config.recon_kind == "bce":
-        g = T.bce_logits_backward(result.x_hat, x, w_recon)
-    else:  # recon_mse(x, x_hat): x_hat is the second operand
-        g = np.negative(T.squared_error_backward(x, result.x_hat, w_recon))
+    recon_backward = T.bce_logits_backward if model.config.recon_kind == "bce" else T.squared_error_backward
+    g = recon_backward(x, result.x_hat, w_recon)
     for i in range(len(layers) - 1, len(layers) - len(model.decoder) - 1, -1):
         g = through(i, g)
     g_mu, g_params = latent.sample_backward(g, result.eps, result.scale)
-    g_mu = g_mu - T.squared_error_backward(result.y, latent.mu.data, w_proj)  # proj_loss(y, mu)
+    g_mu = g_mu + T.squared_error_backward(result.y, latent.mu.data, w_proj)
     n_trunk = len(model.trunk)
     g = through(n_trunk, g_mu)
     if g_params is not None:

@@ -5,10 +5,13 @@ of that chain: reverse mode without a tape. Each op is a pair of functions
 on arrays, a forward that returns its value and a backward that maps the
 gradient of its output to the gradients of its inputs: the fused dense
 layer ``linear`` and the losses ``bce_logits`` (binary cross-entropy from
-logits) and ``squared_error``. The latent sample and the entropy term pair
-up the same way in ``gaussian`` and ``losses``, and ``model.backward``
-walks the chain. ``Tensor`` is only a value: the type that
-``DeVae.encode``, ``decode`` and ``parameters()`` return.
+logits) and ``squared_error``. Each loss takes ``(target, prediction)``
+and its backward returns the gradient on the prediction alone, the one
+operand the model differentiates; ``bce_logits`` also rejects a target
+outside [0, 1] with a ``DomainError``. The latent sample and the entropy
+term pair up the same way in ``gaussian`` and ``losses``, and
+``model.backward`` walks the chain. ``Tensor`` is only a value: the type
+that ``DeVae.encode``, ``decode`` and ``parameters()`` return.
 
 ``linear(x, W, b, act=...)`` runs the bias add and the activation (identity
 or relu) in place on the product, a cache-sized row block at a time; its
@@ -50,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, DomainError
 
 Array = np.ndarray
 
@@ -269,16 +272,18 @@ def _sigmoid_(z: Array) -> Array:
     return z
 
 
-def bce_logits(z: Array, x: Array) -> float:
-    """Binary cross-entropy of targets ``x`` against ``sigmoid(z)``.
+def bce_logits(x: Array, z: Array) -> float:
+    """Binary cross-entropy of targets ``x`` in [0, 1] against ``sigmoid(z)``.
 
     Summed over all elements and divided by the batch (the first axis), in
     the form ``sum(max(z, 0) - z x + log1p(exp(-|z|))) / batch``: no
     probability is formed, so a saturated logit keeps its true loss and
-    gradient.
+    gradient. A target outside [0, 1] is a ``DomainError``.
     """
     if z.shape != x.shape:
-        raise DimensionError.mismatch("bce_logits", z.shape, x.shape)
+        raise DimensionError.mismatch("bce_logits", x.shape, z.shape)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise DomainError(f"bce targets must lie in [0, 1], got range [{float(x.min())}, {float(x.max())}]")
     loss = np.maximum(z, 0.0)
     term = np.multiply(z, x)
     loss -= term
@@ -288,28 +293,25 @@ def bce_logits(z: Array, x: Array) -> float:
     return float(loss.sum() / z.shape[0])
 
 
-def bce_logits_backward(z: Array, x: Array, g: float) -> Array:
-    """The gradient on ``z`` of ``g * bce_logits(z, x)``: ``(sigmoid(z) - x) g / batch``.
-
-    The targets are constants and receive none.
-    """
+def bce_logits_backward(x: Array, z: Array, g: float) -> Array:
+    """The gradient on ``z`` of ``g * bce_logits(x, z)``: ``(sigmoid(z) - x) g / batch``."""
     grad = _sigmoid_(z.copy())
     grad -= x
     grad *= g / z.shape[0]
     return grad
 
 
-def squared_error(a: Array, b: Array) -> float:
-    """``sum((a - b)**2) / batch`` of two same-shape operands (batch: the first axis)."""
-    if a.shape != b.shape:
-        raise DimensionError.mismatch("squared_error", a.shape, b.shape)
-    d = a - b
-    return float((d * d).sum() * (1.0 / a.shape[0]))
+def squared_error(target: Array, pred: Array) -> float:
+    """``sum((pred - target)**2) / batch`` of two same-shape operands (batch: the first axis)."""
+    if target.shape != pred.shape:
+        raise DimensionError.mismatch("squared_error", target.shape, pred.shape)
+    d = pred - target
+    return float((d * d).sum() * (1.0 / pred.shape[0]))
 
 
-def squared_error_backward(a: Array, b: Array, g: float) -> Array:
-    """The gradient on ``a`` of ``g * squared_error(a, b)``; ``b``'s is its negation."""
-    return (g * (1.0 / a.shape[0])) * 2.0 * (a - b)
+def squared_error_backward(target: Array, pred: Array, g: float) -> Array:
+    """The gradient on ``pred`` of ``g * squared_error(target, pred)``."""
+    return (g * (1.0 / pred.shape[0])) * 2.0 * (pred - target)
 
 
 # -- dense layer -----------------------------------------------------------

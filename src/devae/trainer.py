@@ -86,8 +86,8 @@ class Adam:
     The bytes of the parameters and moments do not depend on the lanes.
     """
 
-    def __init__(self, flat: np.ndarray, grad: np.ndarray, shapes: list[tuple[int, ...]], lr: float = 0.001,
-                 names: list[str] | None = None):
+    def __init__(self, flat: np.ndarray, grad: np.ndarray, shapes: list[tuple[int, ...]],
+                 lr: float = TrainSettings.learning_rate, names: list[str] | None = None):
         if flat.ndim != 1 or grad.shape != flat.shape or not (flat.flags.c_contiguous and grad.flags.c_contiguous):
             raise ContractError("adam needs a parameter vector and a gradient vector of the same length")
         self.shapes = [tuple(s) for s in shapes]

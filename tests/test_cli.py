@@ -1,5 +1,6 @@
 """Command-line interface: pipeline smoke, exit codes, determinism."""
 
+import argparse
 import json
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import GOOD_CONFIG, MALFORMED_CONFIGS, checkpoint_with_config, run_cli
+from devae.cli import build_parser
 
 FAST_TRAIN = [
     "--encoder-widths", "16,8",
@@ -573,3 +575,50 @@ class TestGradcheckCommand:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "gradient checks passed" in r.stdout
         assert "FAIL" not in r.stdout
+
+
+_TRAIN_FLAGS = [
+    ("--head", False, "full", ("none", "isotropic", "diagonal", "full")),
+    ("--lambda-proj", False, None, None),
+    ("--lambda-ent", False, None, None),
+    ("--recon", False, "mse", ("mse", "bce")),
+    ("--seed", False, 0, None),
+    ("--lr", False, 0.001, None),
+    ("--batch-size", False, 64, None),
+    ("--max-epochs", False, 100, None),
+    ("--patience", False, 5, None),
+    ("--encoder-widths", False, (512, 128), None),
+    ("--decoder-widths", False, (128, 512), None),
+]
+_SPLITS = ("train", "val", "test", "all")
+
+# (option, required, default, choices) of every option but -h, in the order --help lists them.
+PARSER_TABLE = {
+    "synth": [("--out", True, None, None), ("--n", False, 600, None), ("--dims", False, 50, None),
+              ("--blobs", False, 3, None), ("--spread", False, 0.5, None), ("--seed", False, 7, None)],
+    "pca": [("--data", True, None, None), ("--labels", False, None, None), ("--out", True, None, None)],
+    "train": [("--data", True, None, None), ("--proj", True, None, None), ("--labels", False, None, None),
+              ("--out", True, None, None), ("--report", False, None, None), *_TRAIN_FLAGS],
+    "matrix": [("--data", True, None, None), ("--proj", True, None, None), ("--labels", False, None, None),
+               ("--runs", False, 10, None), ("--heads", False, "all", None),
+               ("--format", False, "json", ("json", "table")), *_TRAIN_FLAGS],
+    "eval": [("--model", True, None, None), ("--data", True, None, None), ("--proj", True, None, None),
+             ("--labels", False, None, None), ("--split", False, "test", _SPLITS)],
+    "project": [("--model", True, None, None), ("--data", True, None, None), ("--out", True, None, None)],
+    "reconstruct": [("--model", True, None, None), ("--proj", True, None, None), ("--grid", False, 5, None),
+                    ("--out", True, None, None)],
+    "latent-plot": [("--model", True, None, None), ("--data", True, None, None), ("--proj", True, None, None),
+                    ("--labels", False, None, None), ("--split", False, "test", _SPLITS),
+                    ("--out", True, None, None)],
+    "gradcheck": [("--seed", False, 0, None)],
+}
+
+
+def test_parser_options_match_the_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_TABLE)
+    for command, expected in PARSER_TABLE.items():
+        got = [(*a.option_strings, a.required, a.default, None if a.choices is None else tuple(a.choices))
+               for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+        assert got == expected, command

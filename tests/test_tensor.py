@@ -139,7 +139,7 @@ class TestSigmoid:
             logits = np.tile(logits, (4, 1))
             x = np.random.default_rng(11).uniform(0.0, 1.0, size=logits.shape)
             loss = np.maximum(logits, 0.0) - logits * x + np.log1p(np.exp(np.copysign(logits, -1.0)))
-            assert np.float64(T.bce_logits(logits, x)).tobytes() == np.float64(loss.sum() / 4).tobytes()
+            assert np.float64(T.bce_logits(x, logits)).tobytes() == np.float64(loss.sum() / 4).tobytes()
 
     def test_nan_stays_nan(self):
         out = T._sigmoid_(np.array([np.nan, 0.0]))
@@ -154,8 +154,8 @@ class TestSigmoid:
         logits = T.linear(x, w, b, act="relu")
         target = rng.uniform(0.0, 1.0, size=(5, 3))
         values += [logits.copy(), target.copy()]
-        T.bce_logits(logits, target)
-        _dense_grads(T.bce_logits_backward(logits, target, 1.0), x, w, logits, "relu")
+        T.bce_logits(target, logits)
+        _dense_grads(T.bce_logits_backward(target, logits, 1.0), x, w, logits, "relu")
         for t, v in zip((x, w, b, logits, target), values):
             assert t.tobytes() == v.tobytes()
 
@@ -175,8 +175,8 @@ class TestFusedLinear:
         pre = T.linear(x, w, b)
         composed = unfused(pre)
         assert fused.tobytes() == composed.tobytes()
-        g_fused = _dense_grads(T.squared_error_backward(fused, probe, 1.0), x, w, fused, act)
-        g_composed = _dense_grads(unfused_backward(T.squared_error_backward(composed, probe, 1.0), composed),
+        g_fused = _dense_grads(T.squared_error_backward(probe, fused, 1.0), x, w, fused, act)
+        g_composed = _dense_grads(unfused_backward(T.squared_error_backward(probe, composed, 1.0), composed),
                                   x, w, pre, "identity")
         for a, c in zip(g_fused, g_composed):
             assert a.tobytes() == c.tobytes()
@@ -212,8 +212,8 @@ class TestSquaredError:
         a, b = rng.normal(0.0, 3.0, size=(64, 2)), rng.normal(0.0, 3.0, size=(64, 2))
         d = a - b
         grad_a = (20.0 * (1.0 / 64)) * 2.0 * d  # a loss weight, as in the objective
-        assert np.float64(T.squared_error(a, b)).tobytes() == np.float64((d * d).sum() * (1.0 / 64)).tobytes()
-        assert T.squared_error_backward(a, b, 20.0).tobytes() == grad_a.tobytes()
+        assert np.float64(T.squared_error(b, a)).tobytes() == np.float64((d * d).sum() * (1.0 / 64)).tobytes()
+        assert T.squared_error_backward(b, a, 20.0).tobytes() == grad_a.tobytes()
 
 
 # (out, in) of every dense layer of the default 784-d model.
@@ -230,7 +230,7 @@ def _linear_run(x, w, b):
     """A relu layer's output and its three gradients under a fixed probe."""
     out = T.linear(x, w, b, act="relu")
     probe = np.random.default_rng(1).standard_normal(out.shape)
-    return (out, *_dense_grads(T.squared_error_backward(out, probe, 1.0), x, w, out, "relu"))
+    return (out, *_dense_grads(T.squared_error_backward(probe, out, 1.0), x, w, out, "relu"))
 
 
 @pytest.mark.skipif(not T.BLAS_PINNED, reason="no BLAS thread setter found: products are never split")
@@ -353,12 +353,12 @@ class TestBackward:
         # d/dw (w x + b - 0)^2 = 2 (w x + b) x = 2 * 7 * 3
         x, w, b = np.array([[3.0]]), np.array([[2.0]]), np.array([1.0])
         out = T.linear(x, w, b)
-        _, gw, _ = _dense_grads(T.squared_error_backward(out, np.array([[0.0]]), 1.0), x, w, out, "identity")
+        _, gw, _ = _dense_grads(T.squared_error_backward(np.array([[0.0]]), out, 1.0), x, w, out, "identity")
         np.testing.assert_array_equal(gw, [[42.0]])
 
     def test_bce_logits_derivative_at_zero(self):
         # (sigmoid(0) - x) / batch for targets 0 and 1 over a batch of 2.
-        grad = T.bce_logits_backward(np.zeros((2, 1)), np.array([[0.0], [1.0]]), 1.0)
+        grad = T.bce_logits_backward(np.array([[0.0], [1.0]]), np.zeros((2, 1)), 1.0)
         np.testing.assert_array_equal(grad, [[0.25], [-0.25]])
 
     def test_two_layer_net_matches_finite_differences(self):
@@ -371,12 +371,12 @@ class TestBackward:
         def grads():
             h = l1(x)
             out = l2(h)
-            dh, gw2, gb2 = _dense_grads(T.bce_logits_backward(out, target, 1.0), h, l2.weight.data, out, "identity")
+            dh, gw2, gb2 = _dense_grads(T.bce_logits_backward(target, out, 1.0), h, l2.weight.data, out, "identity")
             _, gw1, gb1 = _dense_grads(dh, x, l1.weight.data, h, "relu")
             return [gw1, gb1, gw2, gb2]
 
         params = [l1.weight.data, l1.bias.data, l2.weight.data, l2.bias.data]
-        assert gradient_check(lambda: T.bce_logits(l2(l1(x)), target), grads, params) < 1e-4
+        assert gradient_check(lambda: T.bce_logits(target, l2(l1(x))), grads, params) < 1e-4
 
 
 class TestFiniteDiff:
@@ -401,12 +401,12 @@ def _op_cases(rng):
     """The gradient suite's op cases, plus the unfused activations the fused
     layer is compared against."""
     cases = gradsuite._op_cases(rng)
-    a, _ = next(params for name, _, _, params in cases if name == "squared_error")
+    (a,) = next(params for name, _, _, params in cases if name == "squared_error")
     target = rng.uniform(-1, 1, size=(2, 3))
 
     def unfused(name, fn, fn_backward):
-        grads = lambda: [fn_backward(T.squared_error_backward(fn(a), target, 1.0), fn(a))]  # noqa: E731
-        return (name, lambda: T.squared_error(fn(a), target), grads, [a])
+        grads = lambda: [fn_backward(T.squared_error_backward(target, fn(a), 1.0), fn(a))]  # noqa: E731
+        return (name, lambda: T.squared_error(target, fn(a)), grads, [a])
 
     return cases + [unfused("relu", relu, relu_backward), unfused("sigmoid", sigmoid, sigmoid_backward)]
 
@@ -441,5 +441,5 @@ class TestDeterminism:
 
     def test_invariants_after_ops(self):
         a, x = np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]])
-        assert np.isfinite(T.bce_logits(a, x))
-        assert T.bce_logits_backward(a, x, 1.0).shape == a.shape
+        assert np.isfinite(T.bce_logits(x, a))
+        assert T.bce_logits_backward(x, a, 1.0).shape == a.shape
