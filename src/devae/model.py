@@ -5,7 +5,8 @@ heads emit the latent mean and, when the head variant calls for one, the
 covariance parameters. The decoder mirrors the trunk with an identity output
 layer, whose output (``decode_logits``) is MSE's reconstruction and BCE's
 logits. ``decode``, the inverse projection, runs it and, for BCE, applies
-one sigmoid, so its outputs live in (0, 1).
+one sigmoid, so its outputs live in (0, 1). ``decode_each`` decodes many
+points, each to the bytes ``decode`` gives it alone: the grid of ``reconstruct``.
 
 Training runs one fixed chain: ``encode``, the latent sample,
 ``decode_logits``, the three loss terms and their weighted total.
@@ -226,10 +227,7 @@ class DeVae:
 
     def decode_logits(self, z, io: list | None = None) -> np.ndarray:
         """The decoder on [batch, LATENT_DIM] points: MSE's reconstruction, BCE's logits; ``io`` as in ``_run``."""
-        z = as_array(z)
-        if z.ndim != 2 or z.shape[1] != LATENT_DIM:
-            raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
-        return _run(self.decoder, z, io)
+        return _run(self.decoder, _latent_points(z), io)
 
     def decode(self, z) -> Tensor:
         """Reconstruction of latent points; in (0, 1) for BCE.
@@ -242,6 +240,44 @@ class DeVae:
             blocks = _row_blocks(len(out), out.size * self.decoder[-1].weight.shape[1])
             fan_out(lambda lo, hi: _sigmoid_(out[lo:hi]), blocks)
         return Tensor(out)
+
+    def decode_each(self, z) -> Tensor:
+        """``decode`` of each point alone: row i is byte-identical to ``decode(z[i:i+1])``.
+
+        ``INFER_CHUNK`` points at a time, layer by layer: each point's product is
+        the one-row product ``linear`` computes for it alone, and the points are
+        cut into up to ``tensor.WORKERS`` balanced ranges, one lane each. The bias
+        add, activation and BCE's sigmoid are elementwise and run over the chunk.
+        """
+        z = _latent_points(z)
+        decoded = np.empty((len(z), self.config.input_dim))
+        for start in range(0, len(z), INFER_CHUNK):
+            h = z[start : start + INFER_CHUNK]
+            parts = min(T.WORKERS, len(h))
+            cuts = [len(h) * k // parts for k in range(parts + 1)]
+            for layer in self.decoder:
+                last = layer is self.decoder[-1]
+                out = decoded[start : start + len(h)] if last else np.empty((len(h), layer.weight.shape[0]))
+                fan_out(_each_row, [(h, layer.weight.data.T, out, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+                T._epilogue(out, layer.bias.data, layer.activation)
+                h = out
+            if self.config.recon_kind == "bce":
+                _sigmoid_(h)
+        return Tensor(decoded)
+
+
+def _latent_points(z) -> np.ndarray:
+    """``z`` as a [batch, LATENT_DIM] array; any other shape is a ``DimensionError``."""
+    z = as_array(z)
+    if z.ndim != 2 or z.shape[1] != LATENT_DIM:
+        raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
+    return z
+
+
+def _each_row(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """Rows ``lo:hi`` of ``a @ b`` into ``out``, each as the one-row product of its row alone."""
+    for i in range(lo, hi):
+        np.matmul(a[i : i + 1], b, out=out[i : i + 1])
 
 
 def _run(layers: list[DenseLayer], h: np.ndarray, io: list | None) -> np.ndarray:

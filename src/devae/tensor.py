@@ -20,7 +20,7 @@ bias gradients into arrays its caller gives, views of ``DeVae.grad``. The
 one sigmoid, ``_sigmoid_``, runs in place in ``bce_logits``' backward and
 on ``DeVae.decode``'s output, there on the output product's row blocks.
 
-A small thread pool has three users, and ``fan_out`` is their one hand-off:
+A small thread pool has four users, and ``fan_out`` is their one hand-off:
 it runs the first item of a list in the caller and the others on the pool,
 and returns once all have finished. The three products of ``linear``
 (``x @ W.T`` forward, ``g @ W`` and ``g.T @ x`` backward) go through
@@ -30,16 +30,17 @@ about ``LANE_MADDS`` multiply-adds or more; each lane finishes its own
 block, so a dense layer's bias add and activation run in the lanes too.
 The 784-wide products of a batch-64 training step are split this way, the
 512x128 ones stay whole. ``data.pca_project`` works on two row blocks at a
-time, one per lane, and ``trainer.Adam`` updates blocks of the parameter
-vector in lanes. The pool's workers touch only raw arrays: each computes
-and finishes one row block of a product, one block of a PCA pass or one
-lane of Adam's blocks, in arrays its caller allocated. At import, numpy's
-OpenBLAS is pinned to one thread, since it rounds a product differently at
-other thread counts; a row of a product does not depend on the other rows
-computed with it, so the bytes of every output are the same at any
-``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for the BLAS
-thread count is found, ``BLAS_PINNED`` is False, ``WORKERS`` is 1 and
-nothing reaches the pool.
+time, one per lane, ``trainer.Adam`` updates blocks of the parameter vector
+in lanes, and ``DeVae.decode_each`` runs ranges of one-row products in
+lanes. The pool's workers touch only raw arrays: each computes and finishes
+one row block of a product, one block of a PCA pass, one lane of Adam's
+blocks or one range of one-row products, in arrays its caller allocated.
+At import, numpy's OpenBLAS is pinned to one thread, since it rounds a
+product differently at other thread counts; a row of a product does not
+depend on the other rows computed with it, so the bytes of every output
+are the same at any ``OPENBLAS_NUM_THREADS`` and any worker count. Where no
+setter for the BLAS thread count is found, ``BLAS_PINNED`` is False,
+``WORKERS`` is 1 and nothing reaches the pool.
 """
 
 from __future__ import annotations

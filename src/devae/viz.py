@@ -14,7 +14,7 @@ import numpy as np
 from .data import write_csv
 from .errors import DataError
 from .gaussian import EllipseSpec
-from .model import DeVae
+from .model import INFER_CHUNK, DeVae
 
 # Okabe-Ito palette padded to ten entries; distinguishable under the
 # common color-vision deficiencies.
@@ -112,10 +112,16 @@ def grid_lattice(coords: np.ndarray, grid_n: int) -> np.ndarray:
     return np.column_stack([np.tile(xs, grid_n), np.repeat(ys, grid_n)])
 
 
+def _to_bytes_(values: np.ndarray) -> np.ndarray:
+    """Decoded values mapped from [0, 1] onto 0..255: clipped, scaled and rounded in place, then cast."""
+    np.clip(values, 0.0, 1.0, out=values)
+    values *= 255.0
+    return np.rint(values, out=values).astype(np.uint8)
+
+
 def decode_to_bytes(model: DeVae, point: np.ndarray) -> np.ndarray:
     """Decode one projection-space point and map [0,1] onto 0..255."""
-    flat = model.decode(point.reshape(1, 2)).data[0]
-    return np.rint(np.clip(flat, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return _to_bytes_(model.decode(point.reshape(1, 2)).data[0])
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -146,23 +152,21 @@ def read_pgm(path) -> np.ndarray:
 def grid_inverse_sheet(model: DeVae, coords: np.ndarray, grid_n: int, path) -> str:
     """Decode an evenly spaced grid over ``coords`` into one tiled image.
 
-    Each grid point is decoded individually, mapped to bytes, and tiled into
-    a (grid_n*s) x (grid_n*s) P5 PGM, where the model's output dimension is
-    s*s. Row 0 of the sheet is the top of the projection's y-extent. When
-    the output dimension is not a perfect square, the decoded vectors are
-    dumped as CSV instead; the return value names the format written.
+    Each tile is its grid point decoded alone (``DeVae.decode_each``, whose
+    one-row products run in lanes) and mapped to bytes, in a (grid_n*s) x
+    (grid_n*s) P5 PGM, where the model's output dimension is s*s. Row 0 of
+    the sheet is the top of the projection's y-extent. When the output
+    dimension is not a perfect square, the decoded vectors are dumped as CSV
+    instead; the return value names the format written.
     """
     d = model.config.input_dim
     s = math.isqrt(d)
     points = grid_lattice(coords, grid_n)
     if s * s != d:
-        decoded = [model.decode(p.reshape(1, 2)).data for p in points]
-        write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, np.vstack(decoded)]))
+        write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, model.decode_each(points).data]))
         return "csv"
-    sheet = np.zeros((grid_n * s, grid_n * s), dtype=np.uint8)
-    for r in range(grid_n):
-        for col in range(grid_n):
-            tile = decode_to_bytes(model, points[r * grid_n + col]).reshape(s, s)
-            sheet[r * s : (r + 1) * s, col * s : (col + 1) * s] = tile
-    write_pgm(path, sheet)
+    # A chunk of points at a time, so the float64 values of a large grid are never held whole.
+    tiles = np.concatenate([_to_bytes_(model.decode_each(points[i : i + INFER_CHUNK]).data)
+                            for i in range(0, len(points), INFER_CHUNK)])
+    write_pgm(path, tiles.reshape(grid_n, grid_n, s, s).transpose(0, 2, 1, 3).reshape(grid_n * s, grid_n * s))
     return "pgm"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_CONFIGS, blob_bundle, checkpoint_with_config, tiny_config
+from devae import tensor as T
 from devae.errors import (
     CheckpointError,
     ContractError,
@@ -15,9 +16,11 @@ from devae.errors import (
 )
 from devae.evaluation import evaluate
 from devae.losses import LossWeights, objective_backward
-from devae.model import RECON_KINDS, DeVae, ModelConfig, backward, forward_train, load_checkpoint, save_checkpoint
-from devae.tensor import Tensor, _sigmoid_
+from devae.model import (INFER_CHUNK, RECON_KINDS, DeVae, ModelConfig, backward, forward_train, load_checkpoint,
+                         save_checkpoint)
+from devae.tensor import _SIGMOID_HI, _SIGMOID_LO, Tensor, _sigmoid_
 from devae.trainer import Adam
+from devae.viz import grid_lattice
 
 
 class TestEncodeDecode:
@@ -72,6 +75,56 @@ class TestEncodeDecode:
         x = np.random.default_rng(2).uniform(-1, 1, size=(batch, 10))
         out = model.decode(model.encode(x).mu)
         assert out.shape == x.shape
+
+
+def _assert_each_decoded_alone(model: DeVae, z: np.ndarray) -> np.ndarray:
+    got = model.decode_each(z).data
+    assert got.shape == (len(z), model.config.input_dim)
+    for i in range(len(z)):
+        assert got[i].tobytes() == model.decode(z[i : i + 1]).data.tobytes(), f"row {i}"
+    return got
+
+
+class TestDecodeEach:
+    """Row i of ``decode_each(z)`` is ``decode(z[i:i+1])`` byte for byte."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("recon_kind", RECON_KINDS)
+    def test_rows_match_each_point_decoded_alone(self, monkeypatch, recon_kind, workers):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        model = DeVae(tiny_config(recon_kind=recon_kind))
+        _assert_each_decoded_alone(model, np.random.default_rng(workers).uniform(-20, 20, size=(37, 2)))
+
+    def test_points_across_a_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", 2)
+        model = DeVae(tiny_config(recon_kind="bce", d=4))
+        _assert_each_decoded_alone(model, np.random.default_rng(3).uniform(-5, 5, size=(INFER_CHUNK + 1, 2)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pixel_decoder_on_a_lattice(self, monkeypatch, workers):
+        # The 784-d model's decoder: 2 -> 128 -> 512 -> 784, seeded weights.
+        monkeypatch.setattr(T, "WORKERS", workers)
+        model = DeVae(ModelConfig(784, LossWeights(20.0, 5.0), recon_kind="bce", seed=4))
+        coords = np.random.default_rng(4).uniform(-6, 6, size=(50, 2))
+        _assert_each_decoded_alone(model, grid_lattice(coords, 20))
+
+    @pytest.mark.parametrize("recon_kind", RECON_KINDS)
+    def test_saturated_points(self, recon_kind):
+        model = DeVae(tiny_config(recon_kind=recon_kind))
+        got = _assert_each_decoded_alone(model, np.array([[1e3, 1e3], [-1e3, 1e3], [1e3, -1e3], [-1e3, -1e3]]))
+        if recon_kind == "bce":  # the sigmoid saturates and is pinned inside (0, 1)
+            assert np.all(got > 0.0) and np.all(got < 1.0)
+            assert np.isin(got, [_SIGMOID_LO, _SIGMOID_HI]).any()
+        else:
+            assert np.all(np.isfinite(got))
+
+    def test_no_points(self):
+        model = DeVae(tiny_config())
+        assert model.decode_each(np.zeros((0, 2))).shape == (0, 10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            DeVae(tiny_config()).decode_each(np.zeros((3, 3)))
 
 
 class TestForwardTrain:

@@ -9,7 +9,7 @@ from conftest import tiny_config
 from devae.errors import DataError
 from devae.gaussian import ellipse_from_cov
 from devae.losses import LossWeights
-from devae.model import DeVae, ModelConfig
+from devae.model import INFER_CHUNK, DeVae, ModelConfig
 from devae.viz import (
     PALETTE,
     decode_to_bytes,
@@ -178,6 +178,17 @@ class TestGridInverseSheet:
                 expected = decode_to_bytes(model, points[r * 5 + c]).reshape(4, 4)
                 np.testing.assert_array_equal(tile, expected)
 
+    def test_tiles_across_a_chunk_boundary(self, tmp_path):
+        # 65 x 65 = 4225 points: the sheet is decoded in two chunks of points.
+        model = _square_model(seed=1)
+        coords = np.array([[-3.0, -1.0], [2.0, 4.0]])
+        path = tmp_path / "sheet.pgm"
+        assert grid_inverse_sheet(model, coords, 65, path) == "pgm"
+        tiles = read_pgm(path).reshape(65, 4, 65, 4).transpose(0, 2, 1, 3).reshape(65 * 65, 16)
+        assert 65 * 65 > INFER_CHUNK
+        for tile, point in zip(tiles, grid_lattice(coords, 65)):
+            np.testing.assert_array_equal(tile, decode_to_bytes(model, point))
+
     def test_header_and_payload(self, tmp_path):
         path = tmp_path / "img.pgm"
         image = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -218,7 +229,13 @@ class TestGridInverseSheet:
         assert kind == "csv"
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 26  # header + 25 grid points
-        assert lines[0].startswith("x,y,f0")
+        assert lines[0] == ",".join(["x", "y"] + [f"f{i}" for i in range(10)])
+        # Each row reads back exactly to its grid point and that point decoded alone.
+        points = grid_lattice(np.array([[0.0, 0.0], [1.0, 1.0]]), 5)
+        for line, point in zip(lines[1:], points):
+            cells = np.array([float(v) for v in line.split(",")])
+            assert cells[:2].tobytes() == point.tobytes()
+            assert cells[2:].tobytes() == model.decode(point.reshape(1, 2)).data[0].tobytes()
 
     def test_byte_mapping_endpoints(self):
         model = _square_model()
