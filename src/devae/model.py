@@ -5,8 +5,9 @@ heads emit the latent mean and, when the head variant calls for one, the
 covariance parameters. The decoder mirrors the trunk with an identity output
 layer, whose output (``decode_logits``) is MSE's reconstruction and BCE's
 logits. ``decode``, the inverse projection, runs it and, for BCE, applies
-one sigmoid, so its outputs live in (0, 1). ``decode_each`` decodes many
-points, each to the bytes ``decode`` gives it alone: the grid of ``reconstruct``.
+one sigmoid, so its outputs live in (0, 1). ``decode_each`` runs the same
+layers in ``linear``'s one-row mode, so each point gets the bytes ``decode``
+gives it alone: the grid of ``reconstruct``.
 
 Training runs one fixed chain: ``encode``, the latent sample,
 ``decode_logits``, the three loss terms and their weighted total.
@@ -45,7 +46,7 @@ from .data import gather_rows
 from .errors import CheckpointError, ContractError, DimensionError, DivergenceError
 from .gaussian import HEAD_PARAMS, HEADS, LATENT_DIM, GaussianLatent
 from .losses import LossBreakdown, LossWeights, ent_loss, ent_loss_backward, objective_backward, total_loss
-from .tensor import DenseLayer, Tensor, _row_blocks, _sigmoid_, as_array, fan_out
+from .tensor import DenseLayer, Tensor, _sigmoid_, as_array
 
 MAGIC = b"DEVAE"
 VERSION = 1
@@ -230,40 +231,22 @@ class DeVae:
         return _run(self.decoder, _latent_points(z), io)
 
     def decode(self, z) -> Tensor:
-        """Reconstruction of latent points; in (0, 1) for BCE.
-
-        BCE's sigmoid runs on the row blocks the output layer's product was
-        split into, one per lane.
-        """
-        out = self.decode_logits(z)
-        if self.config.recon_kind == "bce":
-            blocks = _row_blocks(len(out), out.size * self.decoder[-1].weight.shape[1])
-            fan_out(lambda lo, hi: _sigmoid_(out[lo:hi]), blocks)
-        return Tensor(out)
+        """Reconstruction of latent points; in (0, 1) for BCE."""
+        return self._output(self.decode_logits(z))
 
     def decode_each(self, z) -> Tensor:
         """``decode`` of each point alone: row i is byte-identical to ``decode(z[i:i+1])``.
 
-        ``INFER_CHUNK`` points at a time, layer by layer: each point's product is
-        the one-row product ``linear`` computes for it alone, and the points are
-        cut into up to ``tensor.WORKERS`` balanced ranges, one lane each. The bias
-        add, activation and BCE's sigmoid are elementwise and run over the chunk.
+        Each layer runs in ``linear``'s one-row mode, its one-row products in lanes.
         """
-        z = _latent_points(z)
-        decoded = np.empty((len(z), self.config.input_dim))
-        for start in range(0, len(z), INFER_CHUNK):
-            h = z[start : start + INFER_CHUNK]
-            parts = min(T.WORKERS, len(h))
-            cuts = [len(h) * k // parts for k in range(parts + 1)]
-            for layer in self.decoder:
-                last = layer is self.decoder[-1]
-                out = decoded[start : start + len(h)] if last else np.empty((len(h), layer.weight.shape[0]))
-                fan_out(_each_row, [(h, layer.weight.data.T, out, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
-                T._epilogue(out, layer.bias.data, layer.activation)
-                h = out
-            if self.config.recon_kind == "bce":
-                _sigmoid_(h)
-        return Tensor(decoded)
+        h = _latent_points(z)
+        for layer in self.decoder:
+            h = T.linear(h, layer.weight.data, layer.bias.data, act=layer.activation, each=True)
+        return self._output(h)
+
+    def _output(self, logits: np.ndarray) -> Tensor:
+        """The decoder's output made a reconstruction: BCE's sigmoid, in place and in lanes."""
+        return Tensor(_sigmoid_(logits) if self.config.recon_kind == "bce" else logits)
 
 
 def _latent_points(z) -> np.ndarray:
@@ -272,12 +255,6 @@ def _latent_points(z) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] != LATENT_DIM:
         raise DimensionError(f"decode: input shape {z.shape} does not match latent_dim {LATENT_DIM}")
     return z
-
-
-def _each_row(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """Rows ``lo:hi`` of ``a @ b`` into ``out``, each as the one-row product of its row alone."""
-    for i in range(lo, hi):
-        np.matmul(a[i : i + 1], b, out=out[i : i + 1])
 
 
 def _run(layers: list[DenseLayer], h: np.ndarray, io: list | None) -> np.ndarray:

@@ -14,33 +14,31 @@ term pair up the same way in ``gaussian`` and ``losses``, and
 that ``DeVae.encode``, ``decode`` and ``parameters()`` return.
 
 ``linear(x, W, b, act=...)`` runs the bias add and the activation (identity
-or relu) in place on the product, a cache-sized row block at a time; its
+or relu) in place on the product, a cache-sized row block at a time; with
+``each=True`` each output row is its input row's one-row product, so it has
+the bytes ``linear`` gives that row alone (``DeVae.decode_each``). The
 backward reads relu' off the output (out > 0) and writes the weight and
 bias gradients into arrays its caller gives, views of ``DeVae.grad``. The
 one sigmoid, ``_sigmoid_``, runs in place in ``bce_logits``' backward and
-on ``DeVae.decode``'s output, there on the output product's row blocks.
+on the output of ``DeVae.decode`` and ``decode_each``.
 
 A small thread pool has four users, and ``fan_out`` is their one hand-off:
 it runs the first item of a list in the caller and the others on the pool,
-and returns once all have finished. The three products of ``linear``
-(``x @ W.T`` forward, ``g @ W`` and ``g.T @ x`` backward) go through
-``_matmul``, which cuts a product into balanced blocks of output rows
-(``_row_blocks``), at most one per lane, each of at least two rows and
-about ``LANE_MADDS`` multiply-adds or more; each lane finishes its own
-block, so a dense layer's bias add and activation run in the lanes too.
-The 784-wide products of a batch-64 training step are split this way, the
-512x128 ones stay whole. ``data.pca_project`` works on two row blocks at a
-time, one per lane, ``trainer.Adam`` updates blocks of the parameter vector
-in lanes, and ``DeVae.decode_each`` runs ranges of one-row products in
-lanes. The pool's workers touch only raw arrays: each computes and finishes
-one row block of a product, one block of a PCA pass, one lane of Adam's
-blocks or one range of one-row products, in arrays its caller allocated.
-At import, numpy's OpenBLAS is pinned to one thread, since it rounds a
-product differently at other thread counts; a row of a product does not
-depend on the other rows computed with it, so the bytes of every output
-are the same at any ``OPENBLAS_NUM_THREADS`` and any worker count. Where no
-setter for the BLAS thread count is found, ``BLAS_PINNED`` is False,
-``WORKERS`` is 1 and nothing reaches the pool.
+and returns once all have finished; ``lanes`` alone cuts a job into ranges,
+one per lane. ``_matmul``, the three products of ``linear`` (``x @ W.T``
+forward, ``g @ W`` and ``g.T @ x`` backward), cuts its output rows on an
+8-row grid above a floor of ``LANE_MADDS`` multiply-adds per lane, so a
+batch-64 step's 784-wide products split and its 512x128 ones stay whole;
+each lane also runs its rows' bias add and activation. ``_sigmoid_`` and
+``trainer.Adam`` cut runs of ``CACHE_BLOCK``s, and ``data.pca_project``
+works on two row blocks at a time. The pool's workers touch only arrays
+their caller allocated. At import, numpy's OpenBLAS is pinned to one
+thread, since it rounds a product differently at other thread counts; a
+block cut on the 8-row grid has the bytes of the same rows of the whole
+product, so every output has the same bytes at any
+``OPENBLAS_NUM_THREADS`` and any worker count. Where no setter for the BLAS
+thread count is found, ``BLAS_PINNED`` is False, ``WORKERS`` is 1 and
+nothing reaches the pool.
 """
 
 from __future__ import annotations
@@ -167,35 +165,41 @@ def fan_out(fn: Callable, items: Sequence[tuple]) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _row_blocks(m: int, madds: int) -> list[tuple[int, int]]:
-    """Balanced row blocks ``(lo, hi)`` of ``m`` rows of a job of ``madds``
-    multiply-adds: at most one per lane, each of at least two rows (a 1-row
-    block rounds differently from a multi-row product) and about
-    ``LANE_MADDS`` multiply-adds or more; one in all for a small job."""
-    parts = max(1, min(WORKERS, m // 2, madds // LANE_MADDS))
-    cuts = [m * i // parts for i in range(parts + 1)]
+def lanes(n: int, parts: int, grain: int = 1) -> list[tuple[int, int]]:
+    """Ranges ``(lo, hi)`` covering ``0..n``, each cut on a multiple of ``grain``, their grain counts
+    within one of each other: at most ``parts``, ``WORKERS`` and one per started grain, at least one."""
+    grains = -(-n // grain)
+    count = max(1, min(WORKERS, parts, grains))
+    cuts = [min(grains * k // count * grain, n) for k in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def _matmul(a: Array, b: Array, finish: Callable[[Array], object] | None = None, out: Array | None = None) -> Array:
-    """``a @ b`` into ``out`` (a new array when None), split by rows over up to
-    ``WORKERS`` threads (``_row_blocks``); then ``finish``.
+def _matmul(a: Array, b: Array, finish: Callable[[Array], object] | None = None, out: Array | None = None,
+            each: bool = False) -> Array:
+    """``a @ b`` into ``out`` (a new array when None), its rows cut into lanes; then ``finish``.
 
-    Each lane computes its block of output rows in place into the one output
-    array, so the workers allocate nothing, and then runs ``finish`` on that
-    C-contiguous block; the caller computes the first block itself while the
-    pool computes the others (numpy releases the GIL in ``matmul``).
+    Each lane computes its rows in place into the one output array and runs
+    ``finish`` on them; the caller computes the first range itself (numpy
+    releases the GIL in ``matmul``). With ``each``, row i is the one-row
+    product ``a[i:i+1] @ b``. Otherwise blocks of 16 rows or more start on a
+    multiple of 8 rows. Probe, OpenBLAS 0.3.31 at one thread, the 180 split
+    products of ``TestSplitProducts``: cut at any row, 58 differ from the
+    whole product under the Haswell kernel (AVX2, also chosen for Zen); cut
+    on 2 rows, 90 differ under Nehalem; cut on 4, 8 or 16 rows, none differ
+    under Haswell, Nehalem, Sandybridge, SkylakeX or Katmai.
     """
     m = a.shape[0]
     if out is None:
         out = np.empty((m, b.shape[1]))
 
     def lane(lo, hi):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        rows = 1 if each else max(hi - lo, 1)  # one-row products, or one product of the lane's rows
+        for i in range(lo, hi, rows):
+            np.matmul(a[i : i + rows], b, out=out[i : i + rows])
         if finish is not None:
             finish(out[lo:hi])
 
-    fan_out(lane, _row_blocks(m, m * a.shape[1] * b.shape[1]))
+    fan_out(lane, lanes(m, m) if each else lanes(m, min(m // 16, m * a.shape[1] * b.shape[1] // LANE_MADDS), 8))
     return out
 
 
@@ -215,11 +219,12 @@ def _epilogue(data: Array, bias: Array, act: str) -> None:
             np.maximum(block, 0.0, out=block)
 
 
-def linear(x: Array, weight: Array, bias: Array, *, act: str = "identity") -> Array:
+def linear(x: Array, weight: Array, bias: Array, *, act: str = "identity", each: bool = False) -> Array:
     """Fused dense layer ``act(x @ weight.T + bias)``.
 
     The bias add and the activation run in place on the product, each lane
-    on the rows it computed. ``linear_backward`` needs only the input and
+    on the rows it computed. With ``each``, row i has the bytes of
+    ``linear(x[i:i+1], ...)``. ``linear_backward`` needs only the input and
     this output.
     """
     if act not in ACTIVATIONS:
@@ -228,7 +233,7 @@ def linear(x: Array, weight: Array, bias: Array, *, act: str = "identity") -> Ar
         raise DimensionError.mismatch("dense input vs weight", x.shape, weight.shape)
     if bias.shape != weight.shape[:1]:
         raise DimensionError.mismatch("dense weight vs bias", weight.shape, bias.shape)
-    return _matmul(x, weight.T, partial(_epilogue, bias=bias, act=act))
+    return _matmul(x, weight.T, partial(_epilogue, bias=bias, act=act), each=each)
 
 
 def linear_backward(g: Array, x: Array, weight: Array, out: Array, act: str,
@@ -251,7 +256,8 @@ _SIGMOID_HI = 1.0 - 2.0**-53  # largest double strictly below 1
 
 
 def _sigmoid_(z: Array) -> Array:
-    """Logistic function of a C-contiguous ``z``, in place, ``CACHE_BLOCK`` elements at a time.
+    """Logistic function of a C-contiguous ``z``, in place, ``CACHE_BLOCK``
+    elements at a time, in lanes of at least one block each.
 
     With e = exp(-|z|) <= 1 no exp can overflow, and sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0; the numerator
@@ -260,16 +266,20 @@ def _sigmoid_(z: Array) -> Array:
     holds. NaN stays NaN.
     """
     flat = z.reshape(-1)
-    for start in range(0, flat.size, CACHE_BLOCK):
-        block = flat[start : start + CACHE_BLOCK]
-        pos = block >= 0.0
-        np.abs(block, out=block)
-        np.negative(block, out=block)
-        np.exp(block, out=block)
-        denom = block + 1.0
-        np.maximum(block, pos, out=block)
-        block /= denom
-        np.clip(block, _SIGMOID_LO, _SIGMOID_HI, out=block)
+
+    def lane(lo, hi):
+        for start in range(lo, hi, CACHE_BLOCK):
+            block = flat[start : start + CACHE_BLOCK]  # lanes cut on whole blocks
+            pos = block >= 0.0
+            np.abs(block, out=block)
+            np.negative(block, out=block)
+            np.exp(block, out=block)
+            denom = block + 1.0
+            np.maximum(block, pos, out=block)
+            block /= denom
+            np.clip(block, _SIGMOID_LO, _SIGMOID_HI, out=block)
+
+    fan_out(lane, lanes(flat.size, flat.size // CACHE_BLOCK, CACHE_BLOCK))
     return z
 
 

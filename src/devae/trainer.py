@@ -81,8 +81,8 @@ class Adam:
     The passes run in blocks of at most ``tensor.CACHE_BLOCK`` elements, so
     a block of each operand and the scratch vector stay in cache; the update
     is elementwise, so a block may span two parameters. ``step`` cuts the
-    blocks into up to ``tensor.WORKERS`` runs of about equal length, one
-    lane of ``tensor.fan_out`` each, every lane with its own scratch vector.
+    blocks into runs of about equal length (``tensor.lanes``), one lane of
+    ``tensor.fan_out`` each, every lane with its own scratch vector.
     The bytes of the parameters and moments do not depend on the lanes.
     """
 
@@ -135,14 +135,11 @@ class Adam:
                 a *= scale
                 pb -= np.divide(m, a, out=a)
 
-        # Read at each step, not at import: callers may set WORKERS later.
-        n = self.flat.size
-        blocks = -(-n // tensor.CACHE_BLOCK)
-        lanes = max(1, min(tensor.WORKERS, blocks))
-        while len(self._scratch) < lanes:
+        # Cut at each step, not at import: callers may set WORKERS later.
+        spans = tensor.lanes(self.flat.size, self.flat.size, tensor.CACHE_BLOCK)
+        while len(self._scratch) < len(spans):
             self._scratch.append(np.empty(tensor.CACHE_BLOCK))
-        cuts = [min(blocks * k // lanes * tensor.CACHE_BLOCK, n) for k in range(lanes + 1)]
-        tensor.fan_out(lane, list(zip(cuts, cuts[1:], self._scratch)))
+        tensor.fan_out(lane, [(*span, scratch) for span, scratch in zip(spans, self._scratch)])
 
 
 class EarlyStopping:

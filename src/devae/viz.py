@@ -157,16 +157,17 @@ def grid_inverse_sheet(model: DeVae, coords: np.ndarray, grid_n: int, path) -> s
     (grid_n*s) P5 PGM, where the model's output dimension is s*s. Row 0 of
     the sheet is the top of the projection's y-extent. When the output
     dimension is not a perfect square, the decoded vectors are dumped as CSV
-    instead; the return value names the format written.
+    instead; the return value names the format written. The grid is decoded
+    ``INFER_CHUNK`` points at a time, so no layer's output for a large grid,
+    nor the PGM branch's float64 values, is held whole.
     """
     d = model.config.input_dim
     s = math.isqrt(d)
     points = grid_lattice(coords, grid_n)
+    chunks = (model.decode_each(points[i : i + INFER_CHUNK]).data for i in range(0, len(points), INFER_CHUNK))
     if s * s != d:
-        write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, model.decode_each(points).data]))
+        write_csv(path, ["x", "y"] + [f"f{i}" for i in range(d)], np.hstack([points, np.vstack([*chunks])]))
         return "csv"
-    # A chunk of points at a time, so the float64 values of a large grid are never held whole.
-    tiles = np.concatenate([_to_bytes_(model.decode_each(points[i : i + INFER_CHUNK]).data)
-                            for i in range(0, len(points), INFER_CHUNK)])
+    tiles = np.concatenate([*map(_to_bytes_, chunks)])  # each chunk's float64 values freed once mapped
     write_pgm(path, tiles.reshape(grid_n, grid_n, s, s).transpose(0, 2, 1, 3).reshape(grid_n * s, grid_n * s))
     return "pgm"

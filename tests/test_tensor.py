@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -233,22 +234,64 @@ def _linear_run(x, w, b):
     return (out, *_dense_grads(T.squared_error_backward(probe, out, 1.0), x, w, out, "relu"))
 
 
+class TestLanes:
+    @pytest.mark.parametrize("workers, n, parts, grain, want", [
+        (2, 64, 3, 8, [(0, 32), (32, 64)]),  # a batch-64 step's 784-wide product
+        (4, 64, 3, 8, [(0, 16), (16, 40), (40, 64)]),
+        (3, 3616, 226, 8, [(0, 1200), (1200, 2408), (2408, 3616)]),  # the last chunk of 20000 rows
+        (4, 20, 4, 8, [(0, 8), (8, 16), (16, 20)]),  # at most one range per started grain
+        (2, 100000, 100000, 1 << 15, [(0, 65536), (65536, 100000)]),  # Adam's runs of blocks
+        (4, 100000, 100000, 1 << 15, [(0, 32768), (32768, 65536), (65536, 98304), (98304, 100000)]),
+        (4, 40000, 1, 1 << 15, [(0, 40000)]),  # a sigmoid of one whole block and a ragged one
+        (4, 3, 3, 1, [(0, 1), (1, 2), (2, 3)]),  # one-row products, one range per row
+        (1, 10, 10, 1, [(0, 10)]),
+        (2, 5, 0, 1, [(0, 5)]),
+        (4, 0, 0, 8, [(0, 0)]),
+        (4, 0, 5, 1, [(0, 0)]),
+    ])
+    def test_table(self, monkeypatch, workers, n, parts, grain, want):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        assert T.lanes(n, parts, grain) == want
+
+    @pytest.mark.parametrize("grain", [1, 2, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_balanced_ranges_cover_every_index_once(self, monkeypatch, workers, grain):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        for n in range(70):
+            grains = -(-n // grain)
+            for parts in range(7):
+                got = T.lanes(n, parts, grain)
+                assert len(got) == max(1, min(workers, parts, grains)), (n, parts)
+                assert got[0][0] == 0 and got[-1][1] == n and all(a[1] == b[0] for a, b in zip(got, got[1:]))
+                assert all(hi % grain == 0 for _, hi in got[:-1]), (n, parts)
+                counts = [-(-(hi - lo) // grain) for lo, hi in got]
+                assert max(counts) - min(counts) <= 1, (n, parts, got)
+
+
 @pytest.mark.skipif(not T.BLAS_PINNED, reason="no BLAS thread setter found: products are never split")
 class TestSplitProducts:
+    @pytest.mark.parametrize("each", [False, True], ids=["blocks", "each"])
     @pytest.mark.parametrize("batch", [37, 64, 500, 3616, 4096])
     @pytest.mark.parametrize("out_dim, in_dim", PIXEL_LAYERS)
-    def test_row_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim):
+    def test_row_split_is_bit_identical(self, monkeypatch, batch, out_dim, in_dim, each):
         # 3616 rows is the last INFER_CHUNK of 20000. Lanes of down to an
         # eighth of LANE_MADDS are cut here, so the batches of 37 and 64 rows
         # are split too, with a margin below the floor; never below 2^20,
-        # where blocks would reach OpenBLAS's small-matrix kernel.
+        # where blocks would reach OpenBLAS's small-matrix kernel. With
+        # ``each``, linear's one-row mode: row i is linear of row i alone.
         monkeypatch.setattr(T, "LANE_MADDS", max(T.LANE_MADDS // 8, 1 << 20))
         rng = np.random.default_rng(batch + out_dim + in_dim)
-        for name, (a, b) in _linear_products(rng, batch, out_dim, in_dim).items():
-            whole = (a @ b).tobytes()
-            for workers in (2, 3, 4):
+        products = _linear_products(rng, batch, out_dim, in_dim)
+        if each:
+            x, w, bias = products["forward"][0], products["forward"][1].T, rng.standard_normal(out_dim)
+            alone = np.vstack([T.linear(x[i : i + 1], w, bias, act="relu") for i in range(batch)])
+            runs = {"each": (partial(T.linear, x, w, bias, act="relu", each=True), alone.tobytes())}
+        else:
+            runs = {name: (partial(T._matmul, a, b), (a @ b).tobytes()) for name, (a, b) in products.items()}
+        for name, (run, want) in runs.items():
+            for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(T, "WORKERS", workers)
-                assert T._matmul(a, b).tobytes() == whole, (name, workers)
+                assert run().tobytes() == want, (name, workers)
 
     def test_linear_bytes_equal_at_one_and_two_workers(self, monkeypatch):
         rng = np.random.default_rng(3)

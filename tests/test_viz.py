@@ -237,6 +237,19 @@ class TestGridInverseSheet:
             assert cells[:2].tobytes() == point.tobytes()
             assert cells[2:].tobytes() == model.decode(point.reshape(1, 2)).data[0].tobytes()
 
+    def test_csv_rows_across_a_chunk_boundary(self, tmp_path):
+        # 65 x 65 = 4225 points of a 10-d model: the CSV branch decodes two chunks of points.
+        model = DeVae(tiny_config(recon_kind="bce"))
+        coords = np.array([[-3.0, -1.0], [2.0, 4.0]])
+        path = tmp_path / "sheet.csv"
+        assert grid_inverse_sheet(model, coords, 65, path) == "csv"
+        rows = np.array([[float(v) for v in line.split(",")] for line in path.read_text().split("\n")[1:-1]])
+        points = grid_lattice(coords, 65)
+        assert rows.shape == (65 * 65, 12) and 65 * 65 > INFER_CHUNK
+        assert rows[:, :2].tobytes() == points.tobytes()
+        for row, point in zip(rows, points):
+            assert row[2:].tobytes() == model.decode(point.reshape(1, 2)).data[0].tobytes()
+
     def test_byte_mapping_endpoints(self):
         model = _square_model()
         out = decode_to_bytes(model, np.array([0.0, 0.0]))
