@@ -72,50 +72,40 @@ def _resolve_weights(args) -> LossWeights:
     return LossWeights(lambda_proj=lam_p, lambda_ent=lam_e)
 
 
-def _sniff_idx_magic(path) -> int | None:
+def _read_input(path, flag: str):
+    """What ``--data`` or ``--labels`` (``flag``) reads from ``path``: (samples,
+    the CSV's label column or None) for --data, the label vector for --labels.
+
+    A file whose first two bytes are zero is IDX, and ``read_idx`` words its
+    errors; an IDX file of the other flag's kind names that flag. Any other
+    file is a CSV. IDX samples stay uint8 pixels, scaled per batch by ``gather_rows``.
+    """
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if len(head) == 4 and head[:2] == b"\x00\x00":
-        return int.from_bytes(head, "big")
-    return None
+    if head[:2] != b"\x00\x00":
+        return dio.read_csv_vectors(path) if flag == "--data" else dio.read_labels_csv(path)
+    kinds = {dio.IDX_IMAGES_MAGIC: ("image", "--data"), dio.IDX_LABELS_MAGIC: ("label", "--labels")}
+    kind, owner = kinds.get(int.from_bytes(head, "big"), (None, flag))  # any other type: read_idx's error
+    if owner != flag:
+        raise DataError(f"{path} is an IDX {kind} file; pass it via {owner}")
+    _, values = dio.read_idx(path)
+    return (values, None) if flag == "--data" else values
 
 
-def _load_matrix(path):
-    """Sample matrix from a vector CSV (float64) or an IDX image file (uint8 pixels,
-    scaled per batch by ``gather_rows``)."""
-    magic = _sniff_idx_magic(path)
-    if magic == dio.IDX_IMAGES_MAGIC:
-        _, values = dio.read_idx(path)
-        return values, None
-    if magic == dio.IDX_LABELS_MAGIC:
-        raise DataError(f"{path} is an IDX label file; pass it via --labels")
-    return dio.read_csv_vectors(path)
+def _inputs(args, proj_path=None):
+    """--data's samples, the projection targets of ``proj_path`` (None without
+    one) and the rows' labels: a --labels file beats the data CSV's label
+    column, which beats the projection CSV's."""
+    X, labels = _read_input(args.data, "--data")
+    Y, proj_labels = (None, None) if proj_path is None else dio.read_projection_csv(proj_path)
+    if args.labels is not None:
+        labels = _read_input(args.labels, "--labels")
+    return X, Y, proj_labels if labels is None else labels
 
 
-def _load_labels(path) -> np.ndarray:
-    """Label vector from an IDX label file or a labels CSV."""
-    magic = _sniff_idx_magic(path)
-    if magic == dio.IDX_IMAGES_MAGIC:
-        raise DataError(f"{path} is an IDX image file; pass it via --data")
-    if magic == dio.IDX_LABELS_MAGIC:
-        _, values = dio.read_idx(path)
-        return values
-    return dio.read_labels_csv(path)
-
-
-def _load_bundle(data_path, proj_path, seed: int, labels_path=None) -> dio.DatasetBundle:
-    X, labels = _load_matrix(data_path)
-    Y, proj_labels = dio.read_projection_csv(proj_path)
-    if Y.shape[0] != X.shape[0]:
-        raise DataError(
-            f"data has {X.shape[0]} rows but projection has {Y.shape[0]}"
-        )
-    if labels_path is not None:
-        labels = _load_labels(labels_path)
-    elif labels is None:
-        labels = proj_labels
-    split = split_dataset(X.shape[0], seed)
-    return dio.DatasetBundle(X=X, Y=Y, split=split, labels=labels, name=str(data_path))
+def _load_bundle(args, seed: int) -> dio.DatasetBundle:
+    X, Y, labels = _inputs(args, args.proj)
+    return dio.DatasetBundle(X=X, Y=Y, split=split_dataset(X.shape[0], seed), labels=labels, name=str(args.data))
 
 
 def _settings(args) -> TrainSettings:
@@ -156,9 +146,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pca(args) -> int:
-    X, labels = _load_matrix(args.data)
-    if args.labels is not None:
-        labels = _load_labels(args.labels)
+    X, _, labels = _inputs(args)
     Y = dio.pca_project(X)
     dio.write_projection_csv(args.out, Y, labels)
     return 0
@@ -166,7 +154,7 @@ def _cmd_pca(args) -> int:
 
 def _cmd_train(args) -> int:
     settings = _settings(args)  # validates seed and schedule before any I/O
-    bundle = _load_bundle(args.data, args.proj, args.seed, args.labels)
+    bundle = _load_bundle(args, args.seed)
     config = _config(args, bundle.dim)
     model = DeVae(config)
     model, report = train(model, bundle, settings)
@@ -190,7 +178,7 @@ def _cmd_matrix(args) -> int:
         if head not in HEADS:
             raise UsageError(f"unknown head {head!r}")
     settings = _settings(args)
-    bundle = _load_bundle(args.data, args.proj, args.seed, args.labels)
+    bundle = _load_bundle(args, args.seed)
     template = _config(args, bundle.dim)
     rows = run_matrix(bundle, heads, args.runs, settings, template)
     if args.format == "table":
@@ -202,7 +190,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    bundle = _load_bundle(args.data, args.proj, model.config.seed, args.labels)
+    bundle = _load_bundle(args, model.config.seed)
     breakdown = evaluate(model, bundle, args.split)
     print(json.dumps(breakdown.as_dict()))
     return 0
@@ -210,7 +198,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_project(args) -> int:
     model = load_checkpoint(args.model)
-    X, _ = _load_matrix(args.data)
+    X, _ = _read_input(args.data, "--data")
     latent = model.encode_rows(X)
     blocks = [latent.mu.data] if latent.params is None else [latent.mu.data, latent.params.data]
     names = ["mu_x", "mu_y", *HEAD_PARAMS[model.config.head]]
@@ -234,7 +222,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_latent_plot(args) -> int:
     model = load_checkpoint(args.model)
-    bundle = _load_bundle(args.data, args.proj, model.config.seed, args.labels)
+    bundle = _load_bundle(args, model.config.seed)
     idx = bundle.indices(args.split)
     latent = model.encode_rows(bundle.X, idx)
     mu = latent.mu.data

@@ -73,6 +73,8 @@ class DatasetBundle:
         if self.X.ndim != 2 or self.X.shape[1] == 0:
             raise DataError(f"samples must be rows of at least one feature, got shape {self.X.shape}")
         n = self.X.shape[0]
+        if self.Y.ndim == 2 and self.Y.shape[0] != n:
+            raise DataError(f"data has {n} rows but projection has {self.Y.shape[0]}")
         if self.Y.shape != (n, 2):
             raise DataError(f"projection targets must be {n}x2, got {self.Y.shape}")
         if self.split.shape[0] != n:

@@ -213,15 +213,6 @@ class EllipseSpec:
         if not (-math.pi / 2 < self.rotation <= math.pi / 2):
             raise GeometryError(f"rotation must lie in (-pi/2, pi/2], got {self.rotation}")
 
-    def boundary_points(self, n: int = 64) -> np.ndarray:
-        """n points on the ellipse boundary, for rendering and verification."""
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        a, b = self.semi_axes
-        xy = np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return xy @ rot.T + np.asarray(self.center)
-
 
 def ellipse_from_cov(center, cov, k: int, det: float) -> EllipseSpec:
     """Ellipse of the set {p : (p-center)^T Sigma^-1 (p-center) = k^2}.

@@ -82,6 +82,15 @@ def write_idx(path, magic: int, dims: tuple[int, ...], payload: bytes) -> None:
         fh.write(payload)
 
 
+def read_pgm(path) -> np.ndarray:
+    """The image of a sheet in the layout ``write_pgm`` writes: ``P5``, ``W H`` and ``255`` lines, then the bytes."""
+    with open(path, "rb") as fh:
+        magic, size, maxval, payload = fh.read().split(b"\n", 3)
+    assert magic == b"P5" and maxval == b"255"
+    w, h = map(int, size.split())
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+
+
 GOOD_CONFIG = {"input_dim": 10, "latent_dim": 2, "encoder_widths": [4], "decoder_widths": [4],
                "head": "full", "recon_kind": "mse", "lambda_proj": 1.0, "lambda_ent": 0.1, "seed": 0}
 

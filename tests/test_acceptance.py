@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import blob_bundle, mc_entropy, random_latent, run_cli
+from conftest import blob_bundle, mc_entropy, random_latent, read_pgm, run_cli
 from devae.data import read_csv_vectors, read_projection_csv, write_csv_vectors
 from devae.gaussian import GaussianLatent
 from devae.gradsuite import run_gradient_suite
@@ -23,7 +23,7 @@ from devae.losses import LossWeights
 from devae.model import load_checkpoint
 from devae.tensor import Tensor
 from devae.trainer import EarlyStopping, TrainSettings, run_matrix
-from devae.viz import decode_to_bytes, grid_lattice, read_pgm
+from devae.viz import decode_to_bytes, grid_lattice
 
 MAX_EPOCHS = 100
 

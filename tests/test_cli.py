@@ -388,6 +388,59 @@ class TestExitCodes:
         r = run_cli(["eval", "--model", pipeline["ckpt"], "--data", small,
                      "--proj", pipeline["proj"]])
         assert r.returncode == 2
+        assert r.stderr == "error: data has 40 rows but projection has 80\n"
+
+
+class TestLabelsRule:
+    """A --labels file beats the data CSV's label column, which beats the projection CSV's labels."""
+
+    N = 30
+    LABELS = {"file": np.arange(N) % 3, "column": np.arange(N) % 2, "proj": np.arange(N) % 5}
+
+    def _inputs(self, tmp_path, column: bool, file: bool) -> list[str]:
+        from devae.data import write_csv_vectors
+
+        data = tmp_path / "x.csv"
+        X = np.random.default_rng(0).standard_normal((self.N, 4))
+        write_csv_vectors(data, X, self.LABELS["column"] if column else None)
+        argv = ["--data", str(data)]
+        if file:
+            (tmp_path / "labels.csv").write_text("".join(f"{label}\n" for label in self.LABELS["file"]))
+            argv += ["--labels", str(tmp_path / "labels.csv")]
+        return argv
+
+    @pytest.mark.parametrize("column, file, winner", [
+        (True, True, "file"), (False, True, "file"), (True, False, "column"), (False, False, None),
+    ])
+    def test_pca(self, tmp_path, column, file, winner):
+        from devae.cli import main
+        from devae.data import read_projection_csv
+
+        out = tmp_path / "proj.csv"
+        assert main(["pca", *self._inputs(tmp_path, column, file), "--out", str(out)]) == 0
+        labels = read_projection_csv(out)[1]
+        assert labels is None if winner is None else np.array_equal(labels, self.LABELS[winner])
+
+    @pytest.mark.parametrize("column, file, winner", [
+        (True, True, "file"), (False, True, "file"), (True, False, "column"), (False, False, "proj"),
+    ])
+    def test_train(self, tmp_path, monkeypatch, capsys, column, file, winner):
+        from devae import cli
+        from devae.data import write_projection_csv
+
+        seen, real_train = [], cli.train
+
+        def spy(model, bundle, settings):
+            seen.append(bundle.labels)
+            return real_train(model, bundle, settings)
+
+        monkeypatch.setattr(cli, "train", spy)
+        proj = tmp_path / "proj.csv"
+        write_projection_csv(proj, np.random.default_rng(1).standard_normal((self.N, 2)), self.LABELS["proj"])
+        assert cli.main(["train", *self._inputs(tmp_path, column, file), "--proj", str(proj),
+                         "--lambda-proj", "5", "--lambda-ent", "0.001", "--out", str(tmp_path / "m.ckpt"),
+                         *FAST_TRAIN]) == 0, capsys.readouterr().err
+        np.testing.assert_array_equal(seen[0], self.LABELS[winner])
 
 
 class TestDeterminism:
@@ -490,7 +543,16 @@ def idx_files(tmp_path_factory):
     write_idx(images, IDX_IMAGES_MAGIC, (n, side, side), pixels.astype(np.uint8).tobytes())
     label_file = root / "labels.idx"
     write_idx(label_file, IDX_LABELS_MAGIC, (n,), labels.astype(np.uint8).tobytes())
-    return {"root": root, "images": images, "labels": label_file}
+    floats = root / "floats.idx"  # IDX type 0x0D, float32 images: a type devae does not read
+    write_idx(floats, 0x0D03, (n, side, side), pixels.astype(">f4").tobytes())
+    stub = root / "stub.idx"
+    stub.write_bytes(b"\x00\x00\x08")
+    return {"root": root, "images": images, "labels": label_file, "floats": floats, "stub": stub}
+
+
+# IDX files no flag reads, and what read_idx reports for them.
+UNREADABLE_IDX = [("floats", "bad magic 0x00000d03 at byte 0"),
+                  ("stub", "truncated magic at byte 0: need 4 bytes, file has 3")]
 
 
 class TestIdxWorkflow:
@@ -515,18 +577,22 @@ class TestIdxWorkflow:
         assert r.returncode == 0, r.stderr
         assert svg.read_text().count("<ellipse") == 6  # 2 classes x k=1,2,3
 
-    def test_label_file_passed_as_data_is_rejected(self, idx_files):
-        r = run_cli(["pca", "--data", idx_files["labels"], "--out",
-                     idx_files["root"] / "p.csv"])
-        assert r.returncode == 2
-        assert "--labels" in r.stderr
+    def test_label_file_passed_as_data_is_rejected(self, idx_files, capsys):
+        from devae.cli import main
+
+        labels = str(idx_files["labels"])
+        for name, message in [("labels", f"{labels} is an IDX label file; pass it via --labels"), *UNREADABLE_IDX]:
+            assert main(["pca", "--data", str(idx_files[name]), "--out", str(idx_files["root"] / "p.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_image_file_passed_as_labels_is_rejected(self, idx_files, capsys):
         from devae.cli import main
 
         images = str(idx_files["images"])
-        assert main(["pca", "--data", images, "--labels", images, "--out", str(idx_files["root"] / "p.csv")]) == 2
-        assert capsys.readouterr().err == f"error: {images} is an IDX image file; pass it via --data\n"
+        for name, message in [("images", f"{images} is an IDX image file; pass it via --data"), *UNREADABLE_IDX]:
+            argv = ["pca", "--data", images, "--labels", str(idx_files[name]), "--out", str(idx_files["root"] / "p.csv")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_pixels_match_a_float_csv_of_scaled_pixels(self, idx_files, tmp_path):
         # IDX pixels stay uint8 and are scaled per batch; every output must

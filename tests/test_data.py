@@ -1014,7 +1014,7 @@ class TestGatherRows:
 class TestDatasetBundle:
     def test_row_count_validation(self):
         X = np.zeros((4, 3))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^data has 4 rows but projection has 3$"):
             DatasetBundle(X=X, Y=np.zeros((3, 2)), split=np.array(["train"] * 4))
         with pytest.raises(DataError):
             DatasetBundle(X=X, Y=np.zeros((4, 2)), split=np.array(["train"] * 3))

@@ -332,7 +332,11 @@ class TestEllipse:
             center = rng.uniform(-5, 5, size=2)
             k = int(rng.integers(1, 4))
             spec = ellipse_from_cov(center, cov, k, (a * d) ** 2)
-            pts = spec.boundary_points(64)
+            # 64 points of the rotated, translated axis-aligned ellipse the spec names
+            t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+            c, s = math.cos(spec.rotation), math.sin(spec.rotation)
+            u, v = spec.semi_axes[0] * np.cos(t), spec.semi_axes[1] * np.sin(t)
+            pts = np.column_stack([c * u - s * v, s * u + c * v]) + np.asarray(spec.center)
             diff = pts - center
             quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
             np.testing.assert_allclose(quad, k * k, rtol=0, atol=1e-6)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import read_pgm, tiny_config
 from devae.errors import DataError
 from devae.gaussian import ellipse_from_cov
 from devae.losses import LossWeights
@@ -16,7 +16,6 @@ from devae.viz import (
     grid_inverse_sheet,
     grid_lattice,
     latent_plot_svg,
-    read_pgm,
     write_pgm,
 )
 
@@ -206,13 +205,6 @@ class TestGridInverseSheet:
         image = (np.arange(shape[0] * shape[1]) % 256).astype(np.uint8).reshape(shape)
         write_pgm(path, image)
         np.testing.assert_array_equal(read_pgm(path), image)
-
-    @pytest.mark.parametrize("blob", [b"P2\n3 1\n255\nabc", b"P5\n3 x\n255\nabc", b"P5\n3 1\n15\nabc", b"P5\n3 1\n"])
-    def test_rejects_a_malformed_header(self, tmp_path, blob):
-        path = tmp_path / "img.pgm"
-        path.write_bytes(blob)
-        with pytest.raises(DataError, match="not a binary PGM"):
-            read_pgm(path)
 
     def test_byte_deterministic(self, tmp_path):
         model = _square_model()
